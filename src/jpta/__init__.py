@@ -13,6 +13,7 @@ from .array_model import (
     effective_beamformer,
     effective_beamformer_matrix,
     gain_map,
+    steering_vectors,
 )
 from .beam_targets import (
     BeamTarget,

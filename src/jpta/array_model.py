@@ -23,6 +23,7 @@ __all__ = [
     "SteeringAngle",
     "contiguous_ttd_groups",
     "build_grid",
+    "steering_vectors",
     "array_response",
     "effective_beamformer",
     "effective_beamformer_matrix",
@@ -193,6 +194,22 @@ def build_grid(config: SystemConfig) -> SubcarrierGrid:
     return SubcarrierGrid(indices=indices, frequencies=freqs)
 
 
+def steering_vectors(
+    config: SystemConfig,
+    freqs: np.ndarray | float,
+    thetas: np.ndarray | float,
+) -> np.ndarray:
+    """Plane-wave responses ``exp(j*pi*m*sin(theta)*f/f0)``, m = 0..M-1.
+
+    ``freqs`` and ``thetas`` broadcast against each other; the result has
+    their broadcast shape plus a trailing antenna axis.  Targets, the
+    closed-form designs' digital alignment and gain maps all evaluate it
+    here, so their steering phases round the same way.
+    """
+    ratio = np.sin(thetas) * (np.asarray(freqs) / config.carrier_freq)
+    return np.exp(1j * (np.pi * np.multiply.outer(ratio, np.arange(config.num_antennas))))
+
+
 def array_response(
     config: SystemConfig,
     grid: SubcarrierGrid,
@@ -205,10 +222,7 @@ def array_response(
     half-wavelength spacing is set at the carrier, so off-carrier subcarriers
     pick up the beam-squint factor ``f_k/f0``.
     """
-    f_k = grid.frequency(k)
-    th = _as_radians(theta)
-    m = np.arange(config.num_antennas)
-    return np.exp(1j * np.pi * np.sin(th) * (f_k / config.carrier_freq) * m)
+    return steering_vectors(config, grid.frequency(k), _as_radians(theta))
 
 
 def effective_beamformer(
@@ -280,11 +294,9 @@ def gain_map(
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=np.float64))
     if thetas.size == 0:
         raise ValueError("theta grid must not be empty")
-    ratio = grid.frequencies / config.carrier_freq
-    m = np.arange(config.num_antennas)
     out = np.empty((kn, thetas.size))
     for t, th in enumerate(thetas):
-        # rows are conj(a_k(theta)) so that the row-wise sum is a_k^H w_k
-        a_conj = np.exp(-1j * np.pi * np.sin(th) * np.outer(ratio, m))
-        out[:, t] = np.abs(np.sum(a_conj * w, axis=1)) ** 2
+        # one (K, M) block per angle keeps memory at K*M, not K*T*M
+        a = steering_vectors(config, grid.frequencies, th)
+        out[:, t] = np.abs(np.sum(np.conj(a) * w, axis=1)) ** 2
     return out

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig
+from .array_model import SubcarrierGrid, SystemConfig, steering_vectors
 
 __all__ = [
     "WeightScheme",
@@ -67,6 +67,8 @@ class BeamTarget:
             raise ValueError("target vectors must form a (K, M) array")
         if w.shape != (vec.shape[0],):
             raise ValueError("need exactly one weight per subcarrier")
+        if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(w))):
+            raise ValueError("target vectors and weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("subcarrier weights must be nonnegative")
         if self.power_budget <= 0.0:
@@ -115,10 +117,7 @@ def _steered_target(
 ) -> BeamTarget:
     """Target with per-subcarrier steering angles and uniform per-subcarrier power."""
     amp = math.sqrt(config.total_power / (config.num_antennas * config.num_subcarriers))
-    ratio = grid.frequencies / config.carrier_freq
-    m = np.arange(config.num_antennas)
-    phase = np.pi * np.outer(np.sin(angles) * ratio, m)
-    vectors = amp * np.exp(1j * phase)
+    vectors = amp * steering_vectors(config, grid.frequencies, angles)
     norms = np.full(grid.num_subcarriers, math.sqrt(config.total_power / config.num_subcarriers))
     return BeamTarget(
         vectors=vectors,

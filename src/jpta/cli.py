@@ -55,6 +55,7 @@ from .beam_targets import (
 from .design import DesignOptions, JptaBeamformer, TtdUpdate, design_jpta
 from .hbf import HbfBeamformer, altmin_pc, pe_altmin_fc, stack_target
 from .heuristics import heuristic_behavior1, heuristic_behavior2
+# objective_tilde is unused here but stays bound: bench/tracing.py wraps each name it lists in this module
 from .metrics import (
     FitReport,
     build_fit_report,
@@ -137,25 +138,15 @@ def _get(block: dict, key: str, path: str, kind, default=None, required: bool = 
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
             return float(value)
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError
             return int(value)
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise TypeError
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise TypeError
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise TypeError
-            return value
-        if kind is dict:
-            if not isinstance(value, dict):
+        if kind in (bool, str, list, dict):
+            if not isinstance(value, kind):
                 raise TypeError
             return value
     except TypeError:
@@ -449,6 +440,9 @@ def parse_beamformer_file(path: str | Path) -> JptaBeamformer:
     alpha = np.array(
         [complex(float(a), float(b)) for a, b in (line.split() for line in sections["alpha_re_im"])]
     )
+    for name, values in (("delays_ns", delays), ("phases_rad", phases), ("alpha_re_im", alpha)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: non-finite value in section [{name}]")
     return JptaBeamformer(delays=delays, phases=phases, alpha=alpha)
 
 
@@ -458,17 +452,17 @@ def write_gain_map_csv(
     gains: np.ndarray,
     theta_grid: np.ndarray,
 ) -> None:
-    theta_deg = np.rad2deg(theta_grid)
-    db = linear_to_db(gains)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GAIN_MAP_HEADER)
-        for i, k in enumerate(grid.indices):
-            f_hz = grid.frequencies[i]
-            for t in range(theta_deg.size):
-                writer.writerow(
-                    [int(k), _fmt(f_hz), _fmt(theta_deg[t]), _fmt(gains[i, t]), _fmt(db[i, t])]
-                )
+    """Row-major by subcarrier, then angle; CRLF line ends as csv.writer writes them."""
+    num_angles = theta_grid.size
+    rows = np.column_stack([
+        np.repeat(grid.indices, num_angles),
+        np.repeat(grid.frequencies, num_angles),
+        np.tile(np.rad2deg(theta_grid), grid.num_subcarriers),
+        gains.ravel(),
+        linear_to_db(gains).ravel(),
+    ])
+    np.savetxt(path, rows, fmt=["%d"] + ["%.12g"] * 4, delimiter=",",
+               header=",".join(GAIN_MAP_HEADER), comments="", newline="\r\n")
 
 
 def write_fit_report(out_dir: Path, experiment_id: str, output: RunOutput, grid: SubcarrierGrid) -> None:
@@ -576,132 +570,111 @@ def _sweep_point_config(config: dict, parameter: str, value: float) -> dict:
         point["system"]["num_ttds"] = int(value)
     elif parameter == "delay_range":
         point["system"]["delay_range"] = float(value)
-    elif parameter in ("max_iter", "n_rf"):
+    else:
         kind = "jpta" if parameter == "max_iter" else "hbf"
         for block in algorithm_blocks(point):
             if kind in block:
                 body = dict(block[kind] or {})
                 body[parameter] = int(value)
                 block[kind] = body
-    else:
-        raise ConfigError(
-            f"sweep.parameter: unknown parameter {parameter!r} (choose from {_SWEEP_PARAMETERS})"
-        )
     return point
 
 
-def _run_sweep_point(args: tuple[dict, int, str, float, int]) -> dict:
+def _run_sweep_point(args: tuple[dict, int, str, float, int]) -> ResultRecord:
     config, block_index, parameter, value, seed = args
     point = _sweep_point_config(config, parameter, value)
     start = time.perf_counter()
     system, grid, target = _prepare(point)
     block = algorithm_blocks(point)[block_index]
-    label = _algo_label(block)
     output = run_algorithm(point, system, grid, target, block, base_seed=seed)
     report = output.report
-    return {
-        "experiment_id": f"{label}[{parameter}={value:g}]",
-        "algorithm": label,
-        "parameter": parameter,
-        "value": float(value),
-        "f_obj": report.f_obj,
-        "f_tilde_obj": report.f_tilde_obj,
-        "iterations": report.iterations,
-        "seed": report.metadata.get("seed"),
-        "wall_time_s": time.perf_counter() - start,
-    }
+    return ResultRecord(
+        experiment_id=f"{output.label}[{parameter}={value:g}]",
+        algorithm=output.label,
+        parameter=parameter,
+        value=float(value),
+        f_obj=report.f_obj,
+        f_tilde_obj=report.f_tilde_obj,
+        iterations=report.iterations,
+        seed=report.metadata.get("seed"),
+        wall_time_s=time.perf_counter() - start,
+    )
+
+
+def _sweep_records(config: dict, parameter: str, values, seed: int, workers: int) -> list[ResultRecord]:
+    """One record per (value, algorithm block); blocks the parameter does not touch are skipped."""
+    if parameter not in _SWEEP_PARAMETERS:
+        raise ConfigError(
+            f"sweep.parameter: unknown parameter {parameter!r} (choose from {_SWEEP_PARAMETERS})"
+        )
+    blocks = algorithm_blocks(config)
+    tasks = [
+        (config, i, parameter, float(v), seed)
+        for v in values
+        for i, block in enumerate(blocks)
+        if not (parameter == "max_iter" and "jpta" not in block)
+        and not (parameter == "n_rf" and "hbf" not in block)
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_sweep_point, tasks))
+    return [_run_sweep_point(task) for task in tasks]
 
 
 def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     start = time.perf_counter()
     sweep = _get(config, "sweep", "", dict, required=True)
     parameter = _get(sweep, "parameter", "sweep", str, required=True)
-    if parameter not in _SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"sweep.parameter: unknown parameter {parameter!r} (choose from {_SWEEP_PARAMETERS})"
-        )
     values = _get(sweep, "values", "sweep", list, required=True)
     if not values:
         raise ConfigError("sweep.values: must not be empty")
     _prepare(config)  # validate the base config before queuing work
-    blocks = algorithm_blocks(config)
-    tasks = []
-    for value in values:
-        for i, block in enumerate(blocks):
-            if parameter == "max_iter" and "jpta" not in block:
-                continue
-            if parameter == "n_rf" and "hbf" not in block:
-                continue
-            tasks.append((config, i, parameter, float(value), seed))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_point, tasks))
-    else:
-        rows = [_run_sweep_point(task) for task in tasks]
-    records = [ResultRecord(**row) for row in rows if row]
+    records = _sweep_records(config, parameter, values, seed, workers)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records_csv(out_dir / "results.csv", records)
     write_provenance(out_dir, config, time.perf_counter() - start, [])
     return EXIT_OK
 
 
+def _chains_fit(structure: str, n_rf: int, num_antennas: int) -> bool:
+    """At most one chain per antenna; partially connected chains split the array evenly."""
+    return n_rf <= num_antennas and (structure == "fc" or num_antennas % n_rf == 0)
+
+
 def cmd_compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     """Chain-count sweep for both structures plus a delay-phase reference design."""
     start = time.perf_counter()
     system, grid, target = _prepare(config)
-    compare = config.get("compare") or {}
-    n_rf_values = [int(v) for v in compare.get("n_rf_values", [1, 2, 4, 8, 16, 32, 64])]
-    structures = compare.get("structures", ["fc", "pc"])
-    iters = int(compare.get("iters", 50))
-    restarts = int(compare.get("restarts", 5))
-    records = []
-    t0 = time.perf_counter()
-    reference, trace = design_jpta(system, grid, target)
-    ref_f = fit_objective(target, effective_beamformer_matrix(system, grid, reference))
-    records.append(
+    compare = _get(config, "compare", "", dict, default={})
+    n_rf_values = _get(compare, "n_rf_values", "compare", list, default=[1, 2, 4, 8, 16, 32, 64])
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_rf_values):
+        raise ConfigError(f"compare.n_rf_values: expected positive integers, got {n_rf_values!r}")
+    structures = _get(compare, "structures", "compare", list, default=["fc", "pc"])
+    for structure in structures:
+        if structure not in ("fc", "pc"):
+            raise ConfigError(f"compare.structures: expected 'fc' or 'pc', got {structure!r}")
+    fit = {
+        "iters": _get(compare, "iters", "compare", int, default=50),
+        "restarts": _get(compare, "restarts", "compare", int, default=5),
+    }
+    reference = run_algorithm(config, system, grid, target, {"jpta": {}}).report
+    records = [
         ResultRecord(
             experiment_id="jpta[reference]",
             algorithm="jpta_line_search",
             parameter="n_rf",
             value=1.0,
-            f_obj=ref_f,
-            f_tilde_obj=objective_tilde(system, grid, target, reference),
-            iterations=int(trace.size),
+            f_obj=reference.f_obj,
+            f_tilde_obj=reference.f_tilde_obj,
+            iterations=reference.iterations,
             seed=None,
-            wall_time_s=time.perf_counter() - t0,
         )
-    )
-    matrix = stack_target(target)
+    ]
     for structure in structures:
-        if structure not in ("fc", "pc"):
-            raise ConfigError(f"compare.structures: expected 'fc' or 'pc', got {structure!r}")
-        for n_rf in n_rf_values:
-            if n_rf > system.num_antennas:
-                continue
-            if structure == "pc" and system.num_antennas % n_rf != 0:
-                continue
-            t0 = time.perf_counter()
-            try:
-                if structure == "fc":
-                    hb = pe_altmin_fc(matrix, n_rf, iters=iters, seed=seed, restarts=restarts)
-                else:
-                    hb = altmin_pc(matrix, n_rf, iters=iters, seed=seed, restarts=restarts)
-            except ValueError as exc:
-                raise ConfigError(f"compare: {exc}") from None
-            f_obj = fit_objective(target, hb.unit_effective_vectors())
-            records.append(
-                ResultRecord(
-                    experiment_id=f"hbf_{structure}[n_rf={n_rf}]",
-                    algorithm=f"hbf_{structure}",
-                    parameter="n_rf",
-                    value=float(n_rf),
-                    f_obj=f_obj,
-                    f_tilde_obj=hb.residual**2 / system.num_subcarriers,
-                    iterations=int(hb.residual_trace.size),
-                    seed=hb.seed,
-                    wall_time_s=time.perf_counter() - t0,
-                )
-            )
+        point = copy.deepcopy(config)
+        point["algorithms"] = [{"hbf": {"structure": structure, **fit}}]
+        values = [n for n in n_rf_values if _chains_fit(structure, n, system.num_antennas)]
+        records += _sweep_records(point, "n_rf", values, seed, workers)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records_csv(out_dir / "results.csv", records)
     write_provenance(out_dir, config, time.perf_counter() - start, [])
@@ -716,17 +689,12 @@ def cmd_gain_map(config: dict, beamformer_path: Path, out_dir: Path) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"beamformer file: {exc}") from None
     beams = effective_beamformer_matrix(system, grid, bf)
+    report = build_fit_report(system, grid, target, bf, algorithm="stored")
     thetas = _theta_grid_from(config)
     gains = gain_map(system, grid, beams, thetas)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
-    with (out_dir / "fit_report.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment_id", "algorithm", "f_obj", "f_tilde_obj", "iterations", "seed"])
-        writer.writerow(
-            ["gain-map", "stored", _fmt(fit_objective(target, beams)),
-             _fmt(objective_tilde(system, grid, target, bf)), "0", ""]
-        )
+    write_fit_report(out_dir, "gain-map", RunOutput(label="stored", report=report), grid)
     write_provenance(out_dir, config, time.perf_counter() - start, [])
     return EXIT_OK
 
@@ -755,8 +723,7 @@ def _design_maps(config: dict, target_block: dict, out_dir: Path, stem: str, the
     system, grid, target = _prepare(point)
     ideal = gain_map(system, grid, target.unit_vectors, theta)
     write_gain_map_csv(out_dir / f"ideal_{stem}.csv", grid, ideal, theta)
-    bf, _ = design_jpta(system, grid, target)
-    beams = effective_beamformer_matrix(system, grid, bf)
+    beams = run_algorithm(point, system, grid, target, {"jpta": {}}).beams
     write_gain_map_csv(out_dir / f"jpta_{stem}.csv", grid, gain_map(system, grid, beams, theta), theta)
 
 
@@ -766,23 +733,6 @@ def _reproduce_fig4(config: dict, out_dir: Path, seed: int, workers: int) -> Non
     _design_maps(config, PRESET_BEHAVIOR2, out_dir, "behavior2", theta)
 
 
-def _sweep_records(config: dict, parameter: str, values, seed: int, workers: int) -> list[ResultRecord]:
-    blocks = algorithm_blocks(config)
-    tasks = [
-        (config, i, parameter, float(v), seed)
-        for v in values
-        for i, block in enumerate(blocks)
-        if not (parameter == "max_iter" and "jpta" not in block)
-        and not (parameter == "n_rf" and "hbf" not in block)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_point, tasks))
-    else:
-        rows = [_run_sweep_point(task) for task in tasks]
-    return [ResultRecord(**row) for row in rows if row]
-
-
 _JPTA_ALGOS = [
     {"jpta": {"variant": "line_search", "label": "jpta_line_search"}},
     {"jpta": {"variant": "wls", "label": "jpta_wls"}},
@@ -790,35 +740,35 @@ _JPTA_ALGOS = [
 ]
 
 
-def _reproduce_fig5(config: dict, out_dir: Path, seed: int, workers: int) -> None:
-    m = config["system"]["num_antennas"]
-    counts = [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m and m % n == 0]
+def _preset_sweep(config: dict, parameter: str, cases, seed: int, workers: int) -> list[ResultRecord]:
+    """Line-search, wLS and closed-form records over one value list per (name, target) case."""
     records = []
-    for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2)):
+    for name, target_block, values in cases:
         point = copy.deepcopy(config)
         point["target"] = target_block
         point["algorithms"] = copy.deepcopy(_JPTA_ALGOS)
-        for record in _sweep_records(point, "num_ttds", counts, seed, workers):
+        for record in _sweep_records(point, parameter, values, seed, workers):
             record.experiment_id = f"{name}:{record.experiment_id}"
             records.append(record)
+    return records
+
+
+def _reproduce_fig5(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+    m = config["system"]["num_antennas"]
+    counts = [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m and m % n == 0]
+    cases = [("behavior1", PRESET_BEHAVIOR1, counts), ("behavior2", PRESET_BEHAVIOR2, counts)]
+    records = _preset_sweep(config, "num_ttds", cases, seed, workers)
     write_records_csv(out_dir / "f_obj_vs_num_ttds.csv", records)
 
 
 def _reproduce_fig6(config: dict, out_dir: Path, seed: int, workers: int) -> None:
     m = config["system"]["num_antennas"]
-    kappas_b1 = [2, 4, 8, 12, 18, m * math.sin(math.pi / 8), 32, m * math.sin(math.pi / 4), 52, 64]
-    kappas_b2 = [0.5, 1, 2, 3, 4, 6, 8, 16, 32, 64]
-    records = []
-    for name, target_block, kappas in (
-        ("behavior1", PRESET_BEHAVIOR1, kappas_b1),
-        ("behavior2", PRESET_BEHAVIOR2, kappas_b2),
-    ):
-        point = copy.deepcopy(config)
-        point["target"] = target_block
-        point["algorithms"] = copy.deepcopy(_JPTA_ALGOS)
-        for record in _sweep_records(point, "delay_range", kappas, seed, workers):
-            record.experiment_id = f"{name}:{record.experiment_id}"
-            records.append(record)
+    cases = [
+        ("behavior1", PRESET_BEHAVIOR1,
+         [2, 4, 8, 12, 18, m * math.sin(math.pi / 8), 32, m * math.sin(math.pi / 4), 52, 64]),
+        ("behavior2", PRESET_BEHAVIOR2, [0.5, 1, 2, 3, 4, 6, 8, 16, 32, 64]),
+    ]
+    records = _preset_sweep(config, "delay_range", cases, seed, workers)
     write_records_csv(out_dir / "f_obj_vs_delay_range.csv", records)
 
 
@@ -869,13 +819,11 @@ def _reproduce_fig7(config: dict, out_dir: Path, seed: int, workers: int) -> Non
 
 
 def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> None:
-    records = []
     for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2)):
         point = copy.deepcopy(config)
         point["target"] = target_block
         point["compare"] = {"n_rf_values": [1, 2, 4, 8, 12, 16, 22, 32, 64]}
-        sub_dir = out_dir / name
-        cmd_compare_hbf(point, sub_dir, seed, workers)
+        cmd_compare_hbf(point, out_dir / name, seed, workers)
     # merge per-behavior results into one CSV
     merged = out_dir / "f_obj_vs_n_rf.csv"
     with merged.open("w", encoding="utf-8", newline="") as fh:
@@ -901,14 +849,11 @@ def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> Non
         point = copy.deepcopy(config)
         point["target"] = target_block
         system, grid, target = _prepare(point)
-        if n_rf > system.num_antennas or (structure == "pc" and system.num_antennas % n_rf):
+        if not _chains_fit(structure, n_rf, system.num_antennas):
             continue  # preset chain counts assume the stock 64-antenna array
-        matrix = stack_target(target)
-        if structure == "fc":
-            hb = pe_altmin_fc(matrix, n_rf, seed=seed)
-        else:
-            hb = altmin_pc(matrix, n_rf, seed=seed)
-        gains = gain_map(system, grid, hb.unit_effective_vectors(), theta)
+        block = {"hbf": {"structure": structure, "n_rf": n_rf}}
+        beams = run_algorithm(point, system, grid, target, block, base_seed=seed).beams
+        gains = gain_map(system, grid, beams, theta)
         write_gain_map_csv(out_dir / f"hbf_{structure}_{n_rf}rf_{name}.csv", grid, gains, theta)
 
 
@@ -973,7 +918,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare-hbf", help="chain-count sweep of the hybrid baselines")
     add_common(p_cmp)
-    p_cmp.add_argument("--workers", type=int, default=1)
+    p_cmp.add_argument("--workers", type=int, default=1, help="parallel hybrid-fit workers")
 
     p_rep = sub.add_parser("reproduce", help="run a stock figure preset")
     p_rep.add_argument("figure", help="figure id: fig4 fig5 fig6 fig7 fig8 fig9 fig11")
@@ -981,7 +926,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--fast", action="store_true",
                        help=f"use {FAST_SUBCARRIERS} subcarriers instead of the full grid")
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--workers", type=int, default=1)
+    p_rep.add_argument("--workers", type=int, default=1,
+                       help="parallel sweep workers; only fig5, fig6 and fig8 use them")
     p_rep.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE")
 

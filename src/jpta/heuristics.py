@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig
+from .array_model import SubcarrierGrid, SystemConfig, steering_vectors
 from .design import JptaBeamformer, _digital_alignment, shift_nonnegative, wrap_angle
 
 __all__ = [
@@ -174,11 +174,7 @@ def _assemble(
     nonnegative: bool,
 ) -> JptaBeamformer:
     """Digital weights for given analog settings: flat magnitudes, aligned phases."""
-    ratio = grid.frequencies / config.carrier_freq
-    m0 = np.arange(config.num_antennas)
-    unit = np.exp(
-        1j * np.pi * np.outer(np.sin(angles_per_subcarrier) * ratio, m0)
-    ) / math.sqrt(config.num_antennas)
+    unit = steering_vectors(config, grid.frequencies, angles_per_subcarrier) / math.sqrt(config.num_antennas)
     u = _digital_alignment(grid.frequencies, unit, phi, tau[config.ttd_index_per_antenna()])
     magnitude = math.sqrt(config.total_power / config.num_subcarriers)
     alpha = magnitude * np.exp(1j * np.angle(u))

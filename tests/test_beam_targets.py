@@ -211,3 +211,15 @@ def test_beam_target_power_check():
     with pytest.raises(ValueError, match="budget"):
         BeamTarget(vectors=vectors, weights=np.ones(4), power_budget=7.9)
     BeamTarget(vectors=vectors, weights=np.ones(4), power_budget=8.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_beam_target_rejects_non_finite_entries(bad):
+    vectors = np.ones((4, 2), dtype=complex)
+    vectors[1, 0] = complex(bad, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        BeamTarget(vectors=vectors, weights=np.ones(4), power_budget=8.0)
+    weights = np.ones(4)
+    weights[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        BeamTarget(vectors=np.ones((4, 2), dtype=complex), weights=weights, power_budget=8.0)

@@ -1,6 +1,10 @@
+import ast
 import csv
+import importlib.util
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -8,7 +12,9 @@ from jpta import cli
 from jpta.array_model import build_grid, effective_beamformer_matrix
 from jpta.beam_targets import behavior1_target
 from jpta.cli import main, parse_beamformer_file
-from jpta.metrics import fit_objective
+from jpta.metrics import fit_objective, linear_to_db
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 BASE_CONFIG = {
     "system": {
@@ -189,11 +195,15 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     config = json.loads(json.dumps(BASE_CONFIG))
     config["sweep"] = {"parameter": "delay_range", "values": [2, 4, 8]}
     config["output"] = {}
-    cfg = write_config(tmp_path, config)
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    assert main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
-    assert main(["sweep", "--config", str(cfg), "--out", str(pooled), "--workers", "2"]) == 0
-    assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes()
+    hybrid = json.loads(json.dumps(BASE_CONFIG))
+    hybrid.pop("algorithm")
+    hybrid["compare"] = {"n_rf_values": [1, 2, 3, 4], "structures": ["fc", "pc"], "restarts": 2}
+    for command, cfg_dict in (("sweep", config), ("compare-hbf", hybrid)):
+        cfg = write_config(tmp_path, cfg_dict, f"{command}.json")
+        serial, pooled = tmp_path / f"{command}-serial", tmp_path / f"{command}-pooled"
+        assert main([command, "--config", str(cfg), "--out", str(serial), "--seed", "1"]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(pooled), "--seed", "1", "--workers", "2"]) == 0
+        assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes(), command
 
 
 def test_sweep_requires_sweep_block(tmp_path, capsys):
@@ -214,6 +224,18 @@ def test_compare_hbf_emits_reference_and_structures(tmp_path):
     assert algos == {"jpta_line_search", "hbf_fc", "hbf_pc"}
     fc = {float(r["value"]): float(r["f_obj"]) for r in rows if r["algorithm"] == "hbf_fc"}
     assert len(fc) == 3
+
+
+def test_compare_hbf_bad_fields_are_config_errors(tmp_path, capsys):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    for compare, field in (
+        ({"n_rf_values": [1, 2], "iters": "many"}, "compare.iters"),
+        ({"n_rf_values": [0, 2], "structures": ["pc"]}, "compare.n_rf_values"),
+    ):
+        config["compare"] = compare
+        cfg = write_config(tmp_path, config)
+        assert main(["compare-hbf", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2, field
+        assert field in capsys.readouterr().err
 
 
 def test_gain_map_subcommand_round_trip(tmp_path):
@@ -304,3 +326,89 @@ def test_custom_target_flow(tmp_path):
     out = tmp_path / "run"
     assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
     assert float(read_rows(out / "fit_report.csv")[0]["f_obj"]) > 0.9
+
+
+def test_non_finite_system_field_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    for raw in ("NaN", "Infinity", "-Infinity"):
+        code = main(["design", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--set", f"system.delay_range={raw}"])
+        assert code == 2, raw
+        assert "system.delay_range" in capsys.readouterr().err, raw
+
+
+def test_custom_target_with_nan_entry_is_config_error(tmp_path, capsys):
+    from jpta.beam_targets import write_custom_target
+
+    system = cli.build_system(BASE_CONFIG)
+    grid = build_grid(system)
+    tfile = tmp_path / "target.txt"
+    write_custom_target(tfile, behavior1_target(system, grid, 0.2, 0.3).vectors)
+    lines = tfile.read_text().splitlines()
+    lines[3] = "nan,0 " + lines[3].split(" ", 1)[1]
+    tfile.write_text("\n".join(lines) + "\n")
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["target"] = {"custom_file": str(tfile)}
+    cfg = write_config(tmp_path, config)
+    assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_beamformer_file_with_nan_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    text = (out / "beamformer.txt").read_text()
+    head, _, tail = text.partition("[phases_rad]\n")
+    (out / "beamformer.txt").write_text(head + "[phases_rad]\nnan\n" + tail.split("\n", 1)[1])
+    code = main(["gain-map", "--config", str(cfg), "--out", str(tmp_path / "map"),
+                 "--beamformer", str(out / "beamformer.txt")])
+    assert code == 2
+    assert "phases_rad" in capsys.readouterr().err
+
+
+def test_gain_map_csv_bytes_match_csv_writer(tmp_path):
+    system = cli.build_system({"system": {**BASE_CONFIG["system"], "num_subcarriers": 3}})
+    grid = build_grid(system)
+    thetas = np.deg2rad([-90.0, -0.0, 37.5])
+    gains = np.array([
+        [64.0, 0.0, 1e-11],
+        [0.123456789012345, 3.0, 2.5e-3],
+        [7.0, 63.99999999999, 1e-12],
+    ])
+    path = tmp_path / "gain_map.csv"
+    cli.write_gain_map_csv(path, grid, gains, thetas)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["k", "f_hz", "theta_deg", "gain_linear", "gain_db"])
+    db = linear_to_db(gains)
+    for i, k in enumerate(grid.indices):
+        for t, theta_deg in enumerate(np.rad2deg(thetas)):
+            writer.writerow([int(k)] + [format(float(v), ".12g")
+                                        for v in (grid.frequencies[i], theta_deg, gains[i, t], db[i, t])])
+    data = path.read_bytes()
+    assert data == expected.getvalue().encode("ascii")
+    assert data.count(b"\r\n") == 1 + gains.size
+    assert b"\r\n-1,96666666666.7,-0,0,-100\r\n" in data  # integer k, -0 angle, zero gain at the floor
+    assert data.count(b",-100\r\n") == 3  # the dB floor
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_binds_every_name_the_benchmark_uses():
+    # tracing.bindings() drops a missing name silently, so its layer would read 0
+    tracing = _load_bench_module("tracing")
+    unbound = [name for name in tracing.BINDING_LAYERS if not callable(getattr(cli, name, None))]
+    assert unbound == []
+    tree = ast.parse((BENCH_DIR / "worker.py").read_text(encoding="utf-8"))
+    called = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cli"
+    }
+    assert {"_build_parser", "_preset_config", "apply_overrides", "build_system", "main"} <= called
+    assert [name for name in called if not hasattr(cli, name)] == []
