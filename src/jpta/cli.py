@@ -154,6 +154,15 @@ def _get(block: dict, key: str, path: str, kind, default=None, required: bool = 
     raise AssertionError(f"unhandled kind {kind}")
 
 
+def _float_list(block: dict, key: str, path: str, required: bool = False) -> list[float] | None:
+    values = _get(block, key, path, list, required=required)
+    if values is None:
+        return None
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in values):
+        raise ConfigError(f"{path}.{key}: expected finite numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
 def _angle_rad(block: dict, key: str, path: str, required: bool = True) -> float | None:
     deg = _get(block, key, path, float, required=required)
     if deg is None:
@@ -337,17 +346,21 @@ def run_algorithm(
                 f"algorithm.jpta.variant: unknown variant {variant!r} "
                 f"(choose from {[v.value for v in TtdUpdate]})"
             ) from None
-        discrete_ns = _get(body, "discrete_delays_ns", "algorithm.jpta", list)
+        discrete_ns = _float_list(body, "discrete_delays_ns", "algorithm.jpta")
         seed = _get(body, "init_phase_seed", "algorithm.jpta", int)
-        options = DesignOptions(
+        fields = dict(
             ttd_update=ttd_update,
             max_iter=_get(body, "max_iter", "algorithm.jpta", int, default=10),
             line_search_grid=_get(body, "grid", "algorithm.jpta", int, default=4096),
-            discrete_delays=None if discrete_ns is None else tuple(float(v) * NS for v in discrete_ns),
+            discrete_delays=None if discrete_ns is None else tuple(v * NS for v in discrete_ns),
             enforce_nonnegative_delays=_get(body, "nonnegative", "algorithm.jpta", bool, default=True),
             convergence_epsilon=_get(body, "epsilon", "algorithm.jpta", float),
             init_phase_seed=seed,
         )
+        try:
+            options = DesignOptions(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"algorithm.jpta: {exc}") from None
         bf, trace = design_jpta(system, grid, target, options)
         report = build_fit_report(
             system, grid, target, bf, trace,
@@ -562,6 +575,7 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
 
 
 _SWEEP_PARAMETERS = ("num_ttds", "delay_range", "max_iter", "n_rf")
+_INTEGER_SWEEP_PARAMETERS = ("num_ttds", "max_iter", "n_rf")
 
 
 def _sweep_point_config(config: dict, parameter: str, value: float) -> dict:
@@ -625,9 +639,11 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     start = time.perf_counter()
     sweep = _get(config, "sweep", "", dict, required=True)
     parameter = _get(sweep, "parameter", "sweep", str, required=True)
-    values = _get(sweep, "values", "sweep", list, required=True)
+    values = _float_list(sweep, "values", "sweep", required=True)
     if not values:
         raise ConfigError("sweep.values: must not be empty")
+    if parameter in _INTEGER_SWEEP_PARAMETERS and not all(v.is_integer() for v in values):
+        raise ConfigError(f"sweep.values: {parameter} takes integers, got {values!r}")
     _prepare(config)  # validate the base config before queuing work
     records = _sweep_records(config, parameter, values, seed, workers)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,14 @@
 """Alternating design of delay, phase-shifter, and digital settings.
 
-The optimizer cycles conditionally optimal updates: each delay line is
-refreshed by a grid line-search (or by a closed-form weighted least-squares
-fit on unwrapped target phases), the attached phase-shifters follow in closed
-form, the delay vector is pushed back to the center of its feasible window
-with the digital phases compensating, and finally the digital phases are
-re-aligned per subcarrier.  Magnitudes of the digital weights are set once up
-front: the optimal power split simply copies the per-subcarrier target norms.
+The optimizer cycles conditionally optimal updates.  With the digital phases
+fixed the delay lines decouple, so all lines are refreshed at once by a grid
+line-search (or by a closed-form weighted least-squares fit on unwrapped
+target phases), and every phase-shifter follows in closed form.  The delay
+vector is then pushed back to the center of its feasible window with the
+digital phases compensating, and finally the digital phases are re-aligned
+per subcarrier.  Magnitudes of the digital weights are set once up front: the
+optimal power split simply copies the per-subcarrier target norms.  The public
+per-line updates run the optimizer's batched updates on a single line.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12  # grid values closer than this count as tied; smallest tau wins
+_RANGE_RTOL = 1e-12  # relative slack of a discrete set's top value above kappa/W
 
 
 class TtdUpdate(str, Enum):
@@ -54,9 +57,9 @@ class DesignOptions:
     ``line_search_grid`` points span the centered search window
     ``[-kappa/(2W), kappa/(2W)]``; the best grid point is polished by parabolic
     interpolation through its neighbors.  ``discrete_delays`` (seconds, sorted,
-    inside ``[0, kappa/W]``) snaps the finished delays to hardware-realizable
-    values.  ``init_phase_seed`` switches the digital-phase start from all
-    zeros to a seeded uniform draw.
+    finite, inside ``[0, kappa/W]``) snaps the finished, nonnegative delays to
+    hardware-realizable values.  ``init_phase_seed`` switches the digital-phase
+    start from all zeros to a seeded uniform draw.
     """
 
     ttd_update: TtdUpdate = TtdUpdate.LINE_SEARCH
@@ -77,6 +80,8 @@ class DesignOptions:
             values = tuple(float(v) for v in self.discrete_delays)
             if not values:
                 raise ValueError("discrete delay set must not be empty")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError("discrete delay set must be finite")
             if any(b < a for a, b in zip(values, values[1:])):
                 raise ValueError("discrete delay set must be sorted ascending")
             object.__setattr__(self, "discrete_delays", values)
@@ -125,15 +130,24 @@ def _group_columns(config: SystemConfig, n: int) -> np.ndarray:
     return np.asarray(config.ttd_groups[n - 1], dtype=np.intp) - 1
 
 
-def _alignment_coeffs(target: BeamTarget, alpha_phases: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(K, |group|) coefficients  w_k e^{j ang_k} conj(bbar_{k,m})  of the delay objective."""
+def _layout(config: SystemConfig, lines) -> tuple[np.ndarray, np.ndarray]:
+    """Antenna columns of ``lines`` (1-based), line after line, and where each line's run starts."""
+    groups = [_group_columns(config, n) for n in lines]
+    return np.concatenate(groups), np.cumsum([0] + [g.size for g in groups[:-1]])
+
+
+def _delay_table(freqs: np.ndarray, taus) -> np.ndarray:
+    """(K, T) table of  e^{-j 2 pi f_k tau_t}."""
+    return np.exp(-2j * np.pi * np.outer(freqs, taus))
+
+
+def _line_objective(config: SystemConfig, lines, target: BeamTarget, alpha_phases, table) -> np.ndarray:
+    """(lines, T) delay objective: per line, the sum over its antennas m of
+    ``|sum_k w_k e^{j ang_k} conj(bbar_{k,m}) e^{-j 2 pi f_k tau_t}|``."""
+    cols, starts = _layout(config, lines)
     rot = target.weights * np.exp(1j * np.asarray(alpha_phases, dtype=np.float64))
-    return rot[:, None] * np.conj(target.unit_vectors[:, cols])
-
-
-def _ttd_objective_on_grid(coeffs: np.ndarray, phase_table: np.ndarray) -> np.ndarray:
-    # coeffs: (K, Mn); phase_table: (K, G) holding e^{-j 2 pi f tau_g}
-    return np.abs(coeffs.T @ phase_table).sum(axis=0)
+    coeffs = rot[:, None] * np.conj(target.unit_vectors[:, cols])
+    return np.add.reduceat(np.abs(coeffs.T @ table), starts, axis=0)
 
 
 def ttd_objective(
@@ -150,10 +164,33 @@ def ttd_objective(
     subcarrier series rotated by the candidate delay.  Periodic in ``tau``
     with period K/W.
     """
-    cols = _group_columns(config, n)
-    coeffs = _alignment_coeffs(target, alpha_phases, cols)
-    table = np.exp(-2j * np.pi * grid.frequencies * float(tau))[:, None]
-    return float(np.abs(coeffs.T @ table).sum())
+    table = _delay_table(grid.frequencies, [float(tau)])
+    return float(_line_objective(config, [n], target, alpha_phases, table)[0, 0])
+
+
+def _line_search(
+    config: SystemConfig, grid: SubcarrierGrid, lines, target: BeamTarget, alpha_phases, taus, table
+) -> np.ndarray:
+    """Best delay of each line on the grid ``taus`` (tabulated in ``table``), then refined.
+
+    Ties within ``_TIE_TOL`` go to the smallest delay; a line keeps its
+    parabolic vertex only when it beats the line's best grid value.
+    """
+    values = _line_objective(config, lines, target, alpha_phases, table)
+    rows = np.arange(values.shape[0])
+    best = np.argmax(values >= values.max(axis=1, keepdims=True) - _TIE_TOL, axis=1)
+    mid = np.clip(best, 1, taus.size - 2)
+    x1, x2, x3 = taus[mid - 1], taus[mid], taus[mid + 1]
+    y1, y2, y3 = values[rows, mid - 1], values[rows, mid], values[rows, mid + 1]
+    denom = (x2 - x1) * (y2 - y3) - (x2 - x3) * (y2 - y1)
+    interior = (best == mid) & (np.abs(denom) > 0.0)
+    denom = np.where(interior, denom, 1.0)
+    vertex = x2 - 0.5 * ((x2 - x1) ** 2 * (y2 - y3) - (x2 - x3) ** 2 * (y2 - y1)) / denom
+    vertex = np.clip(vertex, x1, x3)
+    refined = np.diagonal(
+        _line_objective(config, lines, target, alpha_phases, _delay_table(grid.frequencies, vertex))
+    )
+    return np.where(interior & (refined > values[rows, best]), vertex, taus[best])
 
 
 def ttd_update_line_search(
@@ -170,38 +207,14 @@ def ttd_update_line_search(
     kept when it actually improves on the best grid value, so the result never
     trails any grid point.
     """
-    cols = _group_columns(config, n)
-    coeffs = _alignment_coeffs(target, alpha_phases, cols)
     half = config.delay_range / (2.0 * config.bandwidth)
     taus = np.linspace(-half, half, options.line_search_grid)
-    table = np.exp(-2j * np.pi * np.outer(grid.frequencies, taus))
-    values = _ttd_objective_on_grid(coeffs, table)
-    return _refine_grid_peak(coeffs, grid.frequencies, taus, values)
-
-
-def _refine_grid_peak(
-    coeffs: np.ndarray,
-    freqs: np.ndarray,
-    taus: np.ndarray,
-    values: np.ndarray,
-) -> float:
-    best = int(np.argmax(values >= values.max() - _TIE_TOL))
-    tau = float(taus[best])
-    if 0 < best < taus.size - 1:
-        x1, x2, x3 = taus[best - 1 : best + 2]
-        y1, y2, y3 = values[best - 1 : best + 2]
-        denom = (x2 - x1) * (y2 - y3) - (x2 - x3) * (y2 - y1)
-        if abs(denom) > 0.0:
-            vertex = x2 - 0.5 * ((x2 - x1) ** 2 * (y2 - y3) - (x2 - x3) ** 2 * (y2 - y1)) / denom
-            vertex = min(max(vertex, float(x1)), float(x3))
-            table = np.exp(-2j * np.pi * freqs * vertex)[:, None]
-            if float(np.abs(coeffs.T @ table).sum()) > values[best]:
-                tau = float(vertex)
-    return tau
+    table = _delay_table(grid.frequencies, taus)
+    return float(_line_search(config, grid, [n], target, alpha_phases, taus, table)[0])
 
 
 def phase_unwrap(seq: np.ndarray) -> np.ndarray:
-    """Remove 2*pi jumps from a phase sequence over ascending subcarriers.
+    """Remove 2*pi jumps from phase sequences over ascending subcarriers (last axis).
 
     Each element is shifted by an integer multiple of 2*pi so adjacent
     differences stay within [-pi, pi]; the first element is untouched.
@@ -209,11 +222,37 @@ def phase_unwrap(seq: np.ndarray) -> np.ndarray:
     x = np.asarray(seq, dtype=np.float64)
     if x.size == 0:
         raise ValueError("phase sequence must be nonempty")
-    if x.size == 1:
-        return x.copy()
-    steps = np.round((x[:-1] - x[1:]) / (2.0 * np.pi))
-    turns = np.concatenate(([0.0], np.cumsum(steps)))
+    steps = np.round((x[..., :-1] - x[..., 1:]) / (2.0 * np.pi))
+    turns = np.concatenate((np.zeros(x.shape[:-1] + (1,)), np.cumsum(steps, axis=-1)), axis=-1)
     return x + 2.0 * np.pi * turns
+
+
+def _wls_delays(
+    config: SystemConfig, grid: SubcarrierGrid, lines, target: BeamTarget, alpha_phases
+) -> np.ndarray:
+    """Closed-form weighted least-squares delay of each line in ``lines``."""
+    active = target.weights > 0.0
+    if not np.any(active):
+        raise ValueError("all subcarrier weights vanish; the delay lines are unconstrained")
+    cols, starts = _layout(config, lines)
+    f = grid.frequencies[active]
+    block = target.unit_vectors[np.ix_(np.flatnonzero(active), cols)].T  # (antennas, K)
+    v = target.weights[active] * np.abs(block)
+    sv = v.sum(axis=1)
+    seen = np.add.reduceat(sv, starts)
+    if np.any(seen == 0.0):
+        raise ValueError(f"all fit weights vanish for delay line {lines[int(np.argmax(seen == 0.0))]}")
+    c = phase_unwrap(np.angle(block) - np.asarray(alpha_phases, dtype=np.float64)[active])
+    sv = np.where(sv == 0.0, 1.0, sv)[:, None]  # antennas without fit weight add nothing
+    df = f - (v * f).sum(axis=1, keepdims=True) / sv
+    dc = c - (v * c).sum(axis=1, keepdims=True) / sv
+    num = np.add.reduceat((v * df * dc).sum(axis=1), starts)
+    den = np.add.reduceat((v * df * df).sum(axis=1), starts)
+    tau = np.divide(-num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den != 0.0)
+    period = config.num_subcarriers / config.bandwidth
+    tau = np.mod(tau + period / 2.0, period) - period / 2.0
+    half = config.delay_range / (2.0 * config.bandwidth)
+    return np.clip(tau, -half, half)
 
 
 def ttd_update_wls(
@@ -231,50 +270,14 @@ def ttd_update_wls(
     scalar quadratic whose minimizer is returned after wrapping into the
     period ``[-K/(2W), K/(2W))`` and clamping to ``[-kappa/(2W), kappa/(2W)]``.
     """
-    cols = _group_columns(config, n)
-    active = target.weights > 0.0
-    if not np.any(active):
-        raise ValueError(f"all subcarrier weights vanish; delay line {n} is unconstrained")
-    f = grid.frequencies[active]
-    w = target.weights[active]
-    ang = np.asarray(alpha_phases, dtype=np.float64)[active]
-    block = target.unit_vectors[np.ix_(np.flatnonzero(active), cols)]
-    num = 0.0
-    den = 0.0
-    weight_seen = 0.0
-    for j in range(block.shape[1]):
-        v = w * np.abs(block[:, j])
-        sv = float(v.sum())
-        weight_seen += sv
-        if sv == 0.0:
-            continue
-        c = phase_unwrap(np.angle(block[:, j]) - ang)
-        f_bar = float((v * f).sum()) / sv
-        c_bar = float((v * c).sum()) / sv
-        df = f - f_bar
-        num += float((v * df * (c - c_bar)).sum())
-        den += float((v * df * df).sum())
-    if weight_seen == 0.0:
-        raise ValueError(f"all fit weights vanish for delay line {n}")
-    tau = 0.0 if den == 0.0 else -num / (2.0 * np.pi * den)
-    period = config.num_subcarriers / config.bandwidth
-    tau = math.fmod(tau + period / 2.0, period)
-    if tau < 0.0:
-        tau += period
-    tau -= period / 2.0
-    half = config.delay_range / (2.0 * config.bandwidth)
-    return float(min(max(tau, -half), half))
+    return float(_wls_delays(config, grid, [n], target, alpha_phases)[0])
 
 
-def _ps_update_block(
-    freqs: np.ndarray,
-    target: BeamTarget,
-    cols: np.ndarray,
-    alpha_phases: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    rot = target.weights * np.exp(1j * (2.0 * np.pi * freqs * float(tau) - np.asarray(alpha_phases)))
-    s = rot @ target.unit_vectors[:, cols]
+def _ps_phases(grid: SubcarrierGrid, target: BeamTarget, alpha_phases, cols, tau_of_col) -> np.ndarray:
+    """Closed-form phase of each antenna column in ``cols`` given its line's delay."""
+    turn = np.outer(2.0 * np.pi * grid.frequencies, tau_of_col) - np.asarray(alpha_phases)[:, None]
+    rot = target.weights[:, None] * np.exp(1j * turn)
+    s = (rot * target.unit_vectors[:, cols]).sum(axis=0)
     if np.any(np.abs(s) == 0.0):
         warnings.warn("degenerate target: phase-shifter sum vanished; defaulting to 0", stacklevel=3)
     return np.asarray(wrap_angle(np.angle(s)), dtype=np.float64)
@@ -291,8 +294,7 @@ def ps_update(
     """Closed-form phase for antenna ``m`` (1-based) given its line's delay."""
     if not 1 <= m <= config.num_antennas:
         raise ValueError(f"antenna number {m} out of range 1..{config.num_antennas}")
-    col = np.asarray([m - 1], dtype=np.intp)
-    return float(_ps_update_block(grid.frequencies, target, col, alpha_phases, tau)[0])
+    return float(_ps_phases(grid, target, alpha_phases, [m - 1], [float(tau)])[0])
 
 
 def _digital_alignment(
@@ -352,6 +354,19 @@ def shift_nonnegative(
     return JptaBeamformer(delays=bf.delays - t_min, phases=bf.phases, alpha=alpha)
 
 
+def _discrete_set(config: SystemConfig, discrete_set) -> np.ndarray:
+    """The sorted delay set within ``[0, kappa/W]``; a top value that ns-to-s
+    rounding lifted above kappa/W (``0.8 * 1e-9 > 8e-10``) is taken as kappa/W."""
+    values = np.asarray(discrete_set, dtype=np.float64)
+    if values.size == 0:
+        raise ValueError("discrete delay set must not be empty")
+    if np.any(np.diff(values) < 0.0):
+        raise ValueError("discrete delay set must be sorted ascending")
+    if values[0] < 0.0 or values[-1] > config.max_delay * (1.0 + _RANGE_RTOL):
+        raise ValueError("discrete delay set must lie within [0, kappa/W]")
+    return np.minimum(values, config.max_delay)
+
+
 def quantize_delays(
     config: SystemConfig,
     grid: SubcarrierGrid,
@@ -364,23 +379,13 @@ def quantize_delays(
     Equidistant candidates resolve to the smaller value.  The phase-shifters
     are re-optimized once against the snapped delays; digital weights are kept.
     """
-    values = np.asarray(discrete_set, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("discrete delay set must not be empty")
-    if np.any(np.diff(values) < 0.0):
-        raise ValueError("discrete delay set must be sorted ascending")
-    if values[0] < 0.0 or values[-1] > config.max_delay:
-        raise ValueError("discrete delay set must lie within [0, kappa/W]")
-    snapped = np.empty_like(bf.delays)
-    for i, tau in enumerate(bf.delays):
-        pos = int(np.searchsorted(values, tau))
-        lo = max(pos - 1, 0)
-        hi = min(pos, values.size - 1)
-        snapped[i] = values[lo] if abs(tau - values[lo]) <= abs(values[hi] - tau) else values[hi]
-    ang = bf.alpha_phases
-    phases = np.empty_like(bf.phases)
-    for n, cols in enumerate(config.group_indices()):
-        phases[cols] = _ps_update_block(grid.frequencies, target, cols, ang, float(snapped[n]))
+    values = _discrete_set(config, discrete_set)
+    pos = np.searchsorted(values, bf.delays)
+    lo = values[np.maximum(pos - 1, 0)]
+    hi = values[np.minimum(pos, values.size - 1)]
+    snapped = np.where(np.abs(bf.delays - lo) <= np.abs(hi - bf.delays), lo, hi)
+    cols = np.arange(config.num_antennas)
+    phases = _ps_phases(grid, target, bf.alpha_phases, cols, snapped[config.ttd_index_per_antenna()])
     return JptaBeamformer(delays=snapped, phases=phases, alpha=bf.alpha)
 
 
@@ -395,7 +400,8 @@ def design_jpta(
     The trace holds the weighted alignment objective after every completed
     iteration; with the line-search update it is non-decreasing up to grid
     resolution.  An optional early stop triggers once the improvement falls
-    below ``options.convergence_epsilon``.
+    below ``options.convergence_epsilon``.  A discrete delay set is applied
+    to the nonnegative delays, whatever ``enforce_nonnegative_delays`` says.
     """
     kn = grid.num_subcarriers
     if target.vectors.shape != (kn, config.num_antennas):
@@ -404,11 +410,11 @@ def design_jpta(
             f"(K, M) = {(kn, config.num_antennas)}"
         )
     if options.discrete_delays is not None:
-        if options.discrete_delays[0] < 0.0 or options.discrete_delays[-1] > config.max_delay:
-            raise ValueError("discrete delay set must lie within [0, kappa/W]")
+        _discrete_set(config, options.discrete_delays)
 
     freqs = grid.frequencies
-    groups = config.group_indices()
+    lines = range(1, config.num_ttds + 1)
+    cols = np.arange(config.num_antennas)
     tau_of_antenna = config.ttd_index_per_antenna()
     root_m = math.sqrt(config.num_antennas)
 
@@ -418,26 +424,20 @@ def design_jpta(
     else:
         ang = np.random.default_rng(options.init_phase_seed).uniform(-np.pi, np.pi, kn)
 
-    tau = np.zeros(config.num_ttds)
-    phi = np.zeros(config.num_antennas)
-
     use_line_search = options.ttd_update is TtdUpdate.LINE_SEARCH
     if use_line_search:
         half = config.delay_range / (2.0 * config.bandwidth)
         taus_grid = np.linspace(-half, half, options.line_search_grid)
-        phase_table = np.exp(-2j * np.pi * np.outer(freqs, taus_grid))
+        phase_table = _delay_table(freqs, taus_grid)
 
     trace: list[float] = []
     previous = None
     for _ in range(options.max_iter):
-        for n, cols in enumerate(groups):
-            if use_line_search:
-                coeffs = _alignment_coeffs(target, ang, cols)
-                values = _ttd_objective_on_grid(coeffs, phase_table)
-                tau[n] = _refine_grid_peak(coeffs, freqs, taus_grid, values)
-            else:
-                tau[n] = ttd_update_wls(config, grid, n + 1, target, ang)
-            phi[cols] = _ps_update_block(freqs, target, cols, ang, float(tau[n]))
+        if use_line_search:
+            tau = _line_search(config, grid, lines, target, ang, taus_grid, phase_table)
+        else:
+            tau = _wls_delays(config, grid, lines, target, ang)
+        phi = _ps_phases(grid, target, ang, cols, tau[tau_of_antenna])
         tau, offset = center_delays(config, tau)
         ang = ang - 2.0 * np.pi * freqs * offset
         u = _digital_alignment(freqs, target.unit_vectors, phi, tau[tau_of_antenna])
@@ -457,7 +457,7 @@ def design_jpta(
         phases=np.asarray(wrap_angle(phi), dtype=np.float64),
         alpha=magnitudes * np.exp(1j * ang),
     )
-    if options.enforce_nonnegative_delays:
+    if options.enforce_nonnegative_delays or options.discrete_delays is not None:
         bf = shift_nonnegative(config, grid, bf)
     if options.discrete_delays is not None:
         bf = quantize_delays(config, grid, bf, target, np.asarray(options.discrete_delays))

@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from jpta import cli
 from jpta.array_model import build_grid, effective_beamformer_matrix
@@ -212,6 +213,24 @@ def test_sweep_requires_sweep_block(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "sweep.values=[\"a\"]",
+        "sweep.values=[true]",
+        "sweep.values=[NaN]",
+        "sweep.values=[2.5]",
+        "sweep={\"parameter\": \"max_iter\", \"values\": [2, 3.5]}",
+    ],
+)
+def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, override):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["sweep"] = {"parameter": "num_ttds", "values": [1, 2]}
+    cfg = write_config(tmp_path, config)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x"), "--set", override]) == 2
+    assert "sweep.values" in capsys.readouterr().err
+
+
 def test_compare_hbf_emits_reference_and_structures(tmp_path):
     config = json.loads(json.dumps(BASE_CONFIG))
     config.pop("algorithm")
@@ -335,6 +354,33 @@ def test_non_finite_system_field_is_config_error(tmp_path, capsys):
                      "--set", f"system.delay_range={raw}"])
         assert code == 2, raw
         assert "system.delay_range" in capsys.readouterr().err, raw
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("algorithm.jpta.discrete_delays_ns=[NaN]", "algorithm.jpta.discrete_delays_ns"),
+        ("algorithm.jpta.discrete_delays_ns=[\"x\"]", "algorithm.jpta.discrete_delays_ns"),
+        ("algorithm.jpta.discrete_delays_ns=[0.6,0.2]", "discrete delay set must be sorted"),
+        ("algorithm.jpta.grid=2", "grid"),
+    ],
+)
+def test_bad_jpta_options_are_config_errors(tmp_path, capsys, override, field):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "x"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "algorithm.jpta" in err and field in err
+
+
+def test_discrete_delays_ns_may_end_at_the_tuning_range(tmp_path):
+    # 8 / 10 GHz = 0.8 ns, but 0.8 * 1e-9 lands an ulp above 8e-10
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    code = main(["design", "--config", str(cfg), "--out", str(out),
+                 "--set", "algorithm.jpta.discrete_delays_ns=[0,0.2,0.4,0.6,0.8]"])
+    assert code == 0
+    delays_ns = parse_beamformer_file(out / "beamformer.txt").delays / 1e-9
+    assert set(np.round(delays_ns, 9)) <= {0.0, 0.2, 0.4, 0.6, 0.8}
 
 
 def test_custom_target_with_nan_entry_is_config_error(tmp_path, capsys):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jpta.array_model import build_grid, effective_beamformer_matrix
+from jpta.array_model import SystemConfig, build_grid, effective_beamformer_matrix
 from jpta.beam_targets import BeamTarget, behavior1_target, behavior2_target
 from jpta.design import (
     DesignOptions,
@@ -492,8 +494,6 @@ def test_design_single_subcarrier_degenerate_grid():
 
 
 def test_design_with_interleaved_ttd_groups():
-    from jpta.array_model import SystemConfig
-
     cfg = SystemConfig(num_antennas=6, num_ttds=2, carrier_freq=100e9, bandwidth=10e9,
                        num_subcarriers=16, delay_range=6.0, ttd_groups=((1, 3, 5), (2, 4, 6)))
     grid = build_grid(cfg)
@@ -515,6 +515,9 @@ def test_options_validation():
         DesignOptions(discrete_delays=())
     with pytest.raises(ValueError):
         DesignOptions(discrete_delays=(2e-9, 1e-9))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DesignOptions(discrete_delays=(0.0, bad))
     with pytest.raises(ValueError):
         DesignOptions(ttd_update="newton")
     assert DesignOptions(ttd_update="wls").ttd_update is TtdUpdate.WLS
@@ -526,3 +529,88 @@ def test_design_rejects_discrete_set_outside_range():
     target = behavior1_target(cfg, grid, 0.3, 0.2)
     with pytest.raises(ValueError):
         design_jpta(cfg, grid, target, DesignOptions(discrete_delays=(0.0, 2 * cfg.max_delay)))
+
+
+def test_discrete_set_top_value_from_ns_is_accepted():
+    # k/10 ns converted to seconds overshoots kappa/W = k/10 ns by an ulp for
+    # about half of these ranges; the set's top value still counts as kappa/W
+    hits = 0
+    for k in range(1, 200):
+        cfg = make_config(num_antennas=2, num_ttds=2, num_subcarriers=4, delay_range=float(k))
+        grid = build_grid(cfg)
+        target = behavior2_target(cfg, grid, 0.1, 0.2)
+        top = (k / 10) * 1e-9
+        hits += top > cfg.max_delay
+        bf = JptaBeamformer(delays=np.array([0.0, cfg.max_delay]), phases=np.zeros(2),
+                            alpha=np.ones(4, dtype=complex))
+        out = quantize_delays(cfg, grid, bf, target, np.array([0.0, top]))
+        assert np.array_equal(out.delays, [0.0, min(top, cfg.max_delay)])
+    assert hits > 0
+
+
+def test_discrete_set_ignores_nonnegative_flag():
+    # the set lives in [0, kappa/W], so delays are shifted there before snapping
+    cfg = make_config(num_antennas=16, num_ttds=16, num_subcarriers=128, delay_range=16.0)
+    grid = build_grid(cfg)
+    target = behavior1_target(cfg, grid, math.pi / 6, math.pi / 4)
+    levels = tuple(np.linspace(0.0, cfg.max_delay, 33))
+    shifted, _ = design_jpta(cfg, grid, target, DesignOptions(discrete_delays=levels))
+    centered, _ = design_jpta(
+        cfg, grid, target, DesignOptions(discrete_delays=levels, enforce_nonnegative_delays=False)
+    )
+    for name in ("delays", "phases", "alpha"):
+        assert np.array_equal(getattr(shifted, name), getattr(centered, name)), name
+    assert fit_objective(target, effective_beamformer_matrix(cfg, grid, centered)) > 0.9
+
+
+@pytest.mark.parametrize("groups", [((4, 5, 6), (1, 2, 3)), ((1, 3, 5), (2, 4, 6))])
+@pytest.mark.parametrize("variant", list(TtdUpdate))
+def test_one_design_iteration_matches_per_line_updates(groups, variant):
+    cfg = SystemConfig(num_antennas=6, num_ttds=2, carrier_freq=100e9, bandwidth=10e9,
+                       num_subcarriers=16, delay_range=6.0, ttd_groups=groups)
+    grid = build_grid(cfg)
+    target = behavior1_target(cfg, grid, 0.3, 0.4)
+    opts = DesignOptions(ttd_update=variant, max_iter=1, enforce_nonnegative_delays=False)
+    bf, trace = design_jpta(cfg, grid, target, opts)
+
+    ang = np.zeros(16)
+    if variant is TtdUpdate.LINE_SEARCH:
+        tau = [ttd_update_line_search(cfg, grid, n, target, ang, opts) for n in (1, 2)]
+    else:
+        tau = [ttd_update_wls(cfg, grid, n, target, ang) for n in (1, 2)]
+    line_of = {m: n for n, group in enumerate(groups) for m in group}
+    phases = np.array([ps_update(cfg, grid, m, tau[line_of[m]], target, ang) for m in range(1, 7)])
+    delays, _ = center_delays(cfg, np.array(tau))
+    alpha_phases = np.array(
+        [digital_phase_update(cfg, grid, int(k), delays, phases, target) for k in grid.indices]
+    )
+    assert np.max(np.abs(bf.delays - delays)) <= 1e-12 * cfg.max_delay
+    assert np.max(np.abs(np.exp(1j * bf.phases) - np.exp(1j * phases))) <= 1e-12
+    assert np.max(np.abs(bf.alpha - target.norms * np.exp(1j * alpha_phases))) <= 1e-12
+    expected = alignment_objective_direct(cfg, grid, target, delays, phases, alpha_phases)
+    assert trace[0] == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from([(2, 1), (2, 2), (4, 2), (4, 4), (6, 3), (8, 2), (8, 4), (8, 8)]),
+    num_subcarriers=st.sampled_from([4, 8, 16, 32]),
+    variant=st.sampled_from(list(TtdUpdate)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_relabelling_delay_lines_permutes_delays_only(shape, num_subcarriers, variant, seed, data):
+    num_antennas, num_ttds = shape
+    cfg = make_config(num_antennas=num_antennas, num_ttds=num_ttds, num_subcarriers=num_subcarriers)
+    perm = data.draw(st.permutations(range(num_ttds)))
+    relabelled = make_config(num_antennas=num_antennas, num_ttds=num_ttds, num_subcarriers=num_subcarriers,
+                             ttd_groups=tuple(cfg.ttd_groups[p] for p in perm))
+    grid = build_grid(cfg)
+    target = random_steered_target(cfg, grid, np.random.default_rng(seed))
+    opts = DesignOptions(ttd_update=variant, max_iter=3, line_search_grid=256)
+    a, trace_a = design_jpta(cfg, grid, target, opts)
+    b, trace_b = design_jpta(relabelled, grid, target, opts)
+    assert np.max(np.abs(b.delays - a.delays[list(perm)])) <= 1e-9 * cfg.max_delay
+    assert np.max(np.abs(np.exp(1j * b.phases) - np.exp(1j * a.phases))) <= 1e-9
+    assert np.max(np.abs(b.alpha - a.alpha)) <= 1e-9
+    assert np.max(np.abs(trace_b - trace_a)) <= 1e-9
