@@ -52,7 +52,7 @@ from .beam_targets import (
     custom_target,
     multi_angle_target,
 )
-from .design import DesignOptions, JptaBeamformer, TtdUpdate, design_jpta
+from .design import DesignOptions, JptaBeamformer, TtdUpdate, _discrete_set, design_jpta
 from .hbf import HbfBeamformer, altmin_pc, pe_altmin_fc, stack_target
 from .heuristics import heuristic_behavior1, heuristic_behavior2
 # objective_tilde is unused here but stays bound: bench/tracing.py wraps each name it lists in this module
@@ -347,20 +347,28 @@ def run_algorithm(
                 f"(choose from {[v.value for v in TtdUpdate]})"
             ) from None
         discrete_ns = _float_list(body, "discrete_delays_ns", "algorithm.jpta")
+        discrete = None if discrete_ns is None else tuple(v * NS for v in discrete_ns)
         seed = _get(body, "init_phase_seed", "algorithm.jpta", int)
-        fields = dict(
-            ttd_update=ttd_update,
-            max_iter=_get(body, "max_iter", "algorithm.jpta", int, default=10),
-            line_search_grid=_get(body, "grid", "algorithm.jpta", int, default=4096),
-            discrete_delays=None if discrete_ns is None else tuple(v * NS for v in discrete_ns),
-            enforce_nonnegative_delays=_get(body, "nonnegative", "algorithm.jpta", bool, default=True),
-            convergence_epsilon=_get(body, "epsilon", "algorithm.jpta", float),
-            init_phase_seed=seed,
-        )
-        try:
-            options = DesignOptions(**fields)
-        except ValueError as exc:
-            raise ConfigError(f"algorithm.jpta: {exc}") from None
+        # config key -> (DesignOptions field, value); every field is checked on its own so
+        # that an error names the key it came from
+        fields = {
+            "variant": ("ttd_update", ttd_update),
+            "max_iter": ("max_iter", _get(body, "max_iter", "algorithm.jpta", int, default=10)),
+            "grid": ("line_search_grid", _get(body, "grid", "algorithm.jpta", int, default=4096)),
+            "discrete_delays_ns": ("discrete_delays", discrete),
+            "nonnegative": ("enforce_nonnegative_delays",
+                            _get(body, "nonnegative", "algorithm.jpta", bool, default=True)),
+            "epsilon": ("convergence_epsilon", _get(body, "epsilon", "algorithm.jpta", float)),
+            "init_phase_seed": ("init_phase_seed", seed),
+        }
+        for key, (field, value) in fields.items():
+            try:
+                DesignOptions(**{field: value})
+                if key == "discrete_delays_ns" and value is not None:
+                    _discrete_set(system, value)
+            except ValueError as exc:
+                raise ConfigError(f"algorithm.jpta.{key}: {exc}") from None
+        options = DesignOptions(**dict(fields.values()))
         bf, trace = design_jpta(system, grid, target, options)
         report = build_fit_report(
             system, grid, target, bf, trace,

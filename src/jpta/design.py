@@ -137,8 +137,33 @@ def _layout(config: SystemConfig, lines) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _delay_table(freqs: np.ndarray, taus) -> np.ndarray:
-    """(K, T) table of  e^{-j 2 pi f_k tau_t}."""
-    return np.exp(-2j * np.pi * np.outer(freqs, taus))
+    """(K, T) table of  e^{-j 2 pi f_k tau_t}, built in place in one complex array."""
+    table = np.empty((np.size(freqs), np.size(taus)), dtype=np.complex128)
+    np.multiply.outer(freqs, taus, out=table)
+    table *= -2j * np.pi
+    return np.exp(table, out=table)
+
+
+_GRID_TABLE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # the last line-search grid and its table
+
+
+def _grid_table(config: SystemConfig, grid: SubcarrierGrid, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only line-search delays over ``[-kappa/(2W), kappa/(2W)]`` and their phase table.
+
+    The pair depends only on the subcarrier frequencies, the window and the
+    point count, so the last one built is kept; the slot is emptied before a
+    new table is built, so at most one table is resident.
+    """
+    half = config.delay_range / (2.0 * config.bandwidth)
+    key = (grid.frequencies.tobytes(), half, points)
+    if key not in _GRID_TABLE:
+        _GRID_TABLE.clear()
+        taus = np.linspace(-half, half, points)
+        table = _delay_table(grid.frequencies, taus)
+        taus.setflags(write=False)
+        table.setflags(write=False)
+        _GRID_TABLE[key] = (taus, table)
+    return _GRID_TABLE[key]
 
 
 def _line_objective(config: SystemConfig, lines, target: BeamTarget, alpha_phases, table) -> np.ndarray:
@@ -207,9 +232,7 @@ def ttd_update_line_search(
     kept when it actually improves on the best grid value, so the result never
     trails any grid point.
     """
-    half = config.delay_range / (2.0 * config.bandwidth)
-    taus = np.linspace(-half, half, options.line_search_grid)
-    table = _delay_table(grid.frequencies, taus)
+    taus, table = _grid_table(config, grid, options.line_search_grid)
     return float(_line_search(config, grid, [n], target, alpha_phases, taus, table)[0])
 
 
@@ -426,9 +449,7 @@ def design_jpta(
 
     use_line_search = options.ttd_update is TtdUpdate.LINE_SEARCH
     if use_line_search:
-        half = config.delay_range / (2.0 * config.bandwidth)
-        taus_grid = np.linspace(-half, half, options.line_search_grid)
-        phase_table = _delay_table(freqs, taus_grid)
+        taus_grid, phase_table = _grid_table(config, grid, options.line_search_grid)
 
     trace: list[float] = []
     previous = None

@@ -363,13 +363,19 @@ def test_non_finite_system_field_is_config_error(tmp_path, capsys):
         ("algorithm.jpta.discrete_delays_ns=[\"x\"]", "algorithm.jpta.discrete_delays_ns"),
         ("algorithm.jpta.discrete_delays_ns=[0.6,0.2]", "discrete delay set must be sorted"),
         ("algorithm.jpta.grid=2", "grid"),
+        ("algorithm.jpta.discrete_delays_ns=[]", "must not be empty"),
+        # kappa/W = 8 / 10 GHz = 0.8 ns
+        ("algorithm.jpta.discrete_delays_ns=[0,0.9]", "within [0, kappa/W]"),
+        ("algorithm.jpta.discrete_delays_ns=[-0.1,0.4]", "within [0, kappa/W]"),
+        ("algorithm.jpta.max_iter=0", "at least 1"),
     ],
 )
 def test_bad_jpta_options_are_config_errors(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "x"), "--set", override]) == 2
     err = capsys.readouterr().err
-    assert "algorithm.jpta" in err and field in err
+    key = override.partition("=")[0]
+    assert f"config error: {key}: " in err and field in err
 
 
 def test_discrete_delays_ns_may_end_at_the_tuning_range(tmp_path):

@@ -23,6 +23,7 @@ from jpta.design import (
     ttd_update_line_search,
     ttd_update_wls,
 )
+from jpta.design import _GRID_TABLE, _delay_table, _grid_table
 from jpta.heuristics import heuristic_behavior1
 from jpta.metrics import fit_objective
 
@@ -614,3 +615,103 @@ def test_relabelling_delay_lines_permutes_delays_only(shape, num_subcarriers, va
     assert np.max(np.abs(np.exp(1j * b.phases) - np.exp(1j * a.phases))) <= 1e-9
     assert np.max(np.abs(b.alpha - a.alpha)) <= 1e-9
     assert np.max(np.abs(trace_b - trace_a)) <= 1e-9
+
+
+@pytest.mark.parametrize("taus", ["grid", "single"])
+def test_delay_table_is_bit_identical_to_the_direct_formula(taus):
+    cfg = make_config(num_subcarriers=255)
+    freqs = build_grid(cfg).frequencies
+    half = cfg.delay_range / (2.0 * cfg.bandwidth)
+    taus = np.linspace(-half, half, 257) if taus == "grid" else [0.3 * half]
+    built = _delay_table(freqs, taus)
+    direct = np.exp(-2j * np.pi * np.outer(freqs, taus))
+    assert built.shape == direct.shape and built.dtype == direct.dtype
+    assert np.array_equal(built.view(np.uint64), direct.view(np.uint64))
+
+
+def _design_bits(cfg, opts):
+    grid = build_grid(cfg)
+    bf, trace = design_jpta(cfg, grid, behavior1_target(cfg, grid, 0.3, 0.4), opts)
+    return [a.view(np.uint64).tobytes() for a in (bf.delays, bf.phases, bf.alpha, trace)]
+
+
+@pytest.mark.parametrize(
+    "other, other_points",
+    [({"delay_range": 4.0}, 512), ({"num_subcarriers": 16}, 512), ({}, 257)],
+)
+def test_designs_after_a_grid_switch_equal_cold_designs(other, other_points):
+    cfg_a = make_config(num_antennas=8, num_ttds=4, num_subcarriers=32)
+    cfg_b = make_config(**{**dict(num_antennas=8, num_ttds=4, num_subcarriers=32), **other})
+    opts_a = DesignOptions(line_search_grid=512)
+    opts_b = DesignOptions(line_search_grid=other_points)
+    _GRID_TABLE.clear()
+    cold_a = _design_bits(cfg_a, opts_a)
+    _GRID_TABLE.clear()
+    cold_b = _design_bits(cfg_b, opts_b)
+    _GRID_TABLE.clear()
+    assert _design_bits(cfg_a, opts_a) == cold_a
+    assert _design_bits(cfg_b, opts_b) == cold_b
+    assert _design_bits(cfg_a, opts_a) == cold_a
+
+
+def test_grid_table_memo_holds_one_read_only_table():
+    cfg = make_config(num_subcarriers=32)
+    grid = build_grid(cfg)
+    taus, table = _grid_table(cfg, grid, 300)
+    assert _grid_table(cfg, grid, 300)[1] is table
+    wider = make_config(num_subcarriers=32, delay_range=16.0)
+    taus, table = _grid_table(wider, grid, 300)
+    ((_, only),) = _GRID_TABLE.values()
+    assert only is table
+    half = wider.delay_range / (2.0 * wider.bandwidth)
+    assert np.array_equal(taus, np.linspace(-half, half, 300))
+    assert table.shape == (32, 300)
+    for arr in (taus, table):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+_SMALL_SHAPES = [(2, 1), (2, 2), (4, 2), (4, 4), (6, 3), (8, 2), (8, 4), (8, 8)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(_SMALL_SHAPES),
+    num_subcarriers=st.sampled_from([4, 8, 16, 32]),
+    variant=st.sampled_from(list(TtdUpdate)),
+    gaussian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_design_fit_objective_lies_in_unit_interval(shape, num_subcarriers, variant, gaussian, seed):
+    num_antennas, num_ttds = shape
+    cfg = make_config(num_antennas=num_antennas, num_ttds=num_ttds, num_subcarriers=num_subcarriers)
+    grid = build_grid(cfg)
+    rng = np.random.default_rng(seed)
+    target = (random_gaussian_target if gaussian else random_steered_target)(cfg, grid, rng)
+    bf, _ = design_jpta(cfg, grid, target, DesignOptions(ttd_update=variant, max_iter=3, line_search_grid=256))
+    f_obj = fit_objective(target, effective_beamformer_matrix(cfg, grid, bf))
+    assert 0.0 <= f_obj <= 1.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(_SMALL_SHAPES),
+    num_subcarriers=st.sampled_from([4, 8, 16, 32]),
+    variant=st.sampled_from(list(TtdUpdate)),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(-math.pi, math.pi),
+)
+def test_common_target_phase_leaves_fit_objective_unchanged(shape, num_subcarriers, variant, seed, c):
+    num_antennas, num_ttds = shape
+    cfg = make_config(num_antennas=num_antennas, num_ttds=num_ttds, num_subcarriers=num_subcarriers)
+    grid = build_grid(cfg)
+    target = random_steered_target(cfg, grid, np.random.default_rng(seed))
+    rotated = BeamTarget(vectors=target.vectors * np.exp(1j * c), weights=target.weights,
+                         power_budget=target.power_budget)
+    opts = DesignOptions(ttd_update=variant, max_iter=3, line_search_grid=256)
+    fits = [
+        fit_objective(t, effective_beamformer_matrix(cfg, grid, design_jpta(cfg, grid, t, opts)[0]))
+        for t in (target, rotated)
+    ]
+    assert fits[1] == pytest.approx(fits[0], abs=1e-9)
