@@ -128,39 +128,38 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _is(value, kind) -> bool:
+    """JSON `value` is a `kind`: bool is not a number, and a float must be finite."""
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
 def _get(block: dict, key: str, path: str, kind, default=None, required: bool = False):
-    if key not in block or block[key] is None:
+    field = f"{path}.{key}" if path else key
+    value = block.get(key)
+    if value is None:
         if required:
-            raise ConfigError(f"{path}.{key}: required field is missing")
+            raise ConfigError(f"{field}: required field is missing")
         return default
-    value = block[key]
-    try:
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError
-            if not math.isfinite(value):
-                raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError
-            return int(value)
-        if kind in (bool, str, list, dict):
-            if not isinstance(value, kind):
-                raise TypeError
-            return value
-    except TypeError:
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}") from None
-    raise AssertionError(f"unhandled kind {kind}")
+    if not _is(value, kind):
+        expected = "a finite number" if kind is float else kind.__name__
+        raise ConfigError(f"{field}: expected {expected}, got {value!r}")
+    return kind(value) if kind in (int, float) else value
 
 
-def _float_list(block: dict, key: str, path: str, required: bool = False) -> list[float] | None:
-    values = _get(block, key, path, list, required=required)
-    if values is None:
-        return None
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in values):
-        raise ConfigError(f"{path}.{key}: expected finite numbers, got {values!r}")
-    return [float(v) for v in values]
+def _items(values, field: str, kind) -> list:
+    if not isinstance(values, list) or not all(_is(v, kind) for v in values):
+        noun = "integers" if kind is int else "finite numbers"
+        raise ConfigError(f"{field}: expected a list of {noun}, got {values!r}")
+    return [kind(v) for v in values]
+
+
+def _list(block: dict, key: str, path: str, kind=float, default=None, required: bool = False) -> list | None:
+    values = _get(block, key, path, list, default=default, required=required)
+    return None if values is None else _items(values, f"{path}.{key}", kind)
 
 
 def _angle_rad(block: dict, key: str, path: str, required: bool = True) -> float | None:
@@ -210,7 +209,9 @@ def load_config_file(path: str | Path) -> dict:
 
 def build_system(config: dict) -> SystemConfig:
     block = _get(config, "system", "", dict, required=True)
-    groups = block.get("ttd_groups")
+    groups = _get(block, "ttd_groups", "system", list)
+    if groups is not None:
+        groups = tuple(tuple(_items(g, "system.ttd_groups", int)) for g in groups)
     try:
         return SystemConfig(
             num_antennas=_get(block, "num_antennas", "system", int, required=True),
@@ -220,10 +221,14 @@ def build_system(config: dict) -> SystemConfig:
             num_subcarriers=_get(block, "num_subcarriers", "system", int, required=True),
             delay_range=_get(block, "delay_range", "system", float, required=True),
             total_power=_get(block, "total_power", "system", float),
-            ttd_groups=None if groups is None else tuple(tuple(g) for g in groups),
+            ttd_groups=groups,
         )
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
+
+
+# target behavior -> its angle fields, in the argument order of the target and closed-form builders
+_BEHAVIOR_ANGLES = {1: ("theta0_deg", "delta_theta_deg"), 2: ("theta1_deg", "theta2_deg")}
 
 
 def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
@@ -247,29 +252,14 @@ def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> Be
                 scheme=scheme,
             )
         behavior = _get(block, "behavior", "target", int, required=True)
-        if behavior == 1:
-            return behavior1_target(
-                system,
-                grid,
-                _angle_rad(block, "theta0_deg", "target"),
-                _angle_rad(block, "delta_theta_deg", "target"),
-                scheme,
-            )
-        if behavior == 2:
-            return behavior2_target(
-                system,
-                grid,
-                _angle_rad(block, "theta1_deg", "target"),
-                _angle_rad(block, "theta2_deg", "target"),
-                scheme,
-            )
+        if behavior in _BEHAVIOR_ANGLES:
+            angles = [_angle_rad(block, key, "target") for key in _BEHAVIOR_ANGLES[behavior]]
+            return (behavior1_target if behavior == 1 else behavior2_target)(system, grid, *angles, scheme)
         if behavior == 3:
-            edges = _get(block, "band_edges", "target", list, required=True)
-            angles_deg = _get(block, "angles_deg", "target", list, required=True)
-            angles = [
-                SteeringAngle(math.radians(float(a))).theta for a in angles_deg
-            ]
-            return multi_angle_target(system, grid, [int(e) for e in edges], angles, scheme)
+            edges = _list(block, "band_edges", "target", int, required=True)
+            angles_deg = _list(block, "angles_deg", "target", required=True)
+            angles = [SteeringAngle(math.radians(a)).theta for a in angles_deg]
+            return multi_angle_target(system, grid, edges, angles, scheme)
     except ConfigError:
         raise
     except (ValueError, OSError) as exc:
@@ -281,35 +271,21 @@ _ALGO_KINDS = ("jpta", "heuristic", "hbf")
 
 
 def algorithm_blocks(config: dict) -> list[dict]:
-    if "algorithms" in config and config["algorithms"] is not None:
-        blocks = _get(config, "algorithms", "", list, required=True)
-    elif "algorithm" in config and config["algorithm"] is not None:
-        blocks = [_get(config, "algorithm", "", dict, required=True)]
+    blocks = _get(config, "algorithms", "", list)
+    if blocks is not None:
+        paths = [f"algorithms[{i}]" for i in range(len(blocks))]
+    elif config.get("algorithm") is not None:
+        blocks, paths = [_get(config, "algorithm", "", dict)], ["algorithm"]
     else:
         raise ConfigError("algorithm: provide an 'algorithm' block or an 'algorithms' list")
-    out = []
-    for i, block in enumerate(blocks):
+    for path, block in zip(paths, blocks):
         if not isinstance(block, dict):
-            raise ConfigError(f"algorithms[{i}]: each entry must be an object")
+            raise ConfigError(f"{path}: each entry must be an object")
         kinds = [k for k in _ALGO_KINDS if k in block]
         if len(kinds) != 1:
-            raise ConfigError(
-                f"algorithms[{i}]: exactly one of {_ALGO_KINDS} per entry, found {kinds or 'none'}"
-            )
-        out.append(block)
-    return out
-
-
-def _algo_label(block: dict) -> str:
-    kind = next(k for k in _ALGO_KINDS if k in block)
-    body = block[kind] or {}
-    if "label" in body:
-        return str(body["label"])
-    if kind == "jpta":
-        return f"jpta_{body.get('variant', 'line_search')}"
-    if kind == "hbf":
-        return f"hbf_{body.get('structure', 'fc')}"
-    return "heuristic"
+            raise ConfigError(f"{path}: exactly one of {_ALGO_KINDS} per entry, found {kinds or 'none'}")
+        _get(block, kinds[0], path, dict)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +311,7 @@ def run_algorithm(
     base_seed: int = 0,
 ) -> RunOutput:
     kind = next(k for k in _ALGO_KINDS if k in block)
-    body = dict(block[kind] or {})
-    label = _algo_label(block)
+    body = block[kind] or {}
     if kind == "jpta":
         variant = _get(body, "variant", "algorithm.jpta", str, default="line_search")
         try:
@@ -346,7 +321,7 @@ def run_algorithm(
                 f"algorithm.jpta.variant: unknown variant {variant!r} "
                 f"(choose from {[v.value for v in TtdUpdate]})"
             ) from None
-        discrete_ns = _float_list(body, "discrete_delays_ns", "algorithm.jpta")
+        discrete_ns = _list(body, "discrete_delays_ns", "algorithm.jpta")
         discrete = None if discrete_ns is None else tuple(v * NS for v in discrete_ns)
         seed = _get(body, "init_phase_seed", "algorithm.jpta", int)
         # config key -> (DesignOptions field, value); every field is checked on its own so
@@ -369,6 +344,7 @@ def run_algorithm(
             except ValueError as exc:
                 raise ConfigError(f"algorithm.jpta.{key}: {exc}") from None
         options = DesignOptions(**dict(fields.values()))
+        label = str(body.get("label", f"jpta_{ttd_update.value}"))
         bf, trace = design_jpta(system, grid, target, options)
         report = build_fit_report(
             system, grid, target, bf, trace,
@@ -377,22 +353,13 @@ def run_algorithm(
         return RunOutput(label=label, report=report, beamformer=bf,
                          beams=effective_beamformer_matrix(system, grid, bf))
     if kind == "heuristic":
-        tgt_block = _get(config, "target", "", dict, required=True)
-        behavior = _get(tgt_block, "behavior", "target", int)
-        if behavior == 1:
-            bf = heuristic_behavior1(
-                system, grid,
-                _angle_rad(tgt_block, "theta0_deg", "target"),
-                _angle_rad(tgt_block, "delta_theta_deg", "target"),
-            )
-        elif behavior == 2:
-            bf = heuristic_behavior2(
-                system, grid,
-                _angle_rad(tgt_block, "theta1_deg", "target"),
-                _angle_rad(tgt_block, "theta2_deg", "target"),
-            )
-        else:
+        target_block = _get(config, "target", "", dict, required=True)
+        behavior = _get(target_block, "behavior", "target", int)
+        if behavior not in _BEHAVIOR_ANGLES:
             raise ConfigError("algorithm.heuristic: closed-form designs exist only for behaviors 1 and 2")
+        angles = [_angle_rad(target_block, key, "target") for key in _BEHAVIOR_ANGLES[behavior]]
+        bf = (heuristic_behavior1 if behavior == 1 else heuristic_behavior2)(system, grid, *angles)
+        label = str(body.get("label", "heuristic"))
         report = build_fit_report(system, grid, target, bf, None, algorithm=label)
         return RunOutput(label=label, report=report, beamformer=bf,
                          beams=effective_beamformer_matrix(system, grid, bf))
@@ -400,6 +367,7 @@ def run_algorithm(
     structure = _get(body, "structure", "algorithm.hbf", str, default="fc")
     if structure not in ("fc", "pc"):
         raise ConfigError(f"algorithm.hbf.structure: expected 'fc' or 'pc', got {structure!r}")
+    label = str(body.get("label", f"hbf_{structure}"))
     n_rf = _get(body, "n_rf", "algorithm.hbf", int, required=True)
     iters = _get(body, "iters", "algorithm.hbf", int, default=50)
     restarts = _get(body, "restarts", "algorithm.hbf", int, default=5)
@@ -486,42 +454,33 @@ def write_gain_map_csv(
                header=",".join(GAIN_MAP_HEADER), comments="", newline="\r\n")
 
 
+def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_fit_report(out_dir: Path, experiment_id: str, output: RunOutput, grid: SubcarrierGrid) -> None:
     report = output.report
-    with (out_dir / "fit_report.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment_id", "algorithm", "f_obj", "f_tilde_obj", "iterations", "seed"])
-        seed = report.metadata.get("seed")
-        writer.writerow(
-            [
-                experiment_id,
-                output.label,
-                _fmt(report.f_obj),
-                _fmt(report.f_tilde_obj),
-                str(report.iterations),
-                "" if seed is None else str(seed),
-            ]
-        )
-    with (out_dir / "per_subcarrier_match.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "match"])
-        for k, match in zip(grid.indices, report.per_subcarrier_match):
-            writer.writerow([int(k), _fmt(match)])
+    seed = report.metadata.get("seed")
+    row = [experiment_id, output.label, _fmt(report.f_obj), _fmt(report.f_tilde_obj), report.iterations,
+           "" if seed is None else seed]
+    _write_rows(out_dir / "fit_report.csv",
+                ["experiment_id", "algorithm", "f_obj", "f_tilde_obj", "iterations", "seed"], [row])
+    _write_rows(out_dir / "per_subcarrier_match.csv", ["k", "match"],
+                ([int(k), _fmt(match)] for k, match in zip(grid.indices, report.per_subcarrier_match)))
     if report.convergence_trace.size:
-        with (out_dir / "convergence_trace.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective"])
-            for i, value in enumerate(report.convergence_trace, start=1):
-                writer.writerow([i, _fmt(value)])
+        _write_rows(out_dir / "convergence_trace.csv", ["iteration", "objective"],
+                    ([i, _fmt(value)] for i, value in enumerate(report.convergence_trace, start=1)))
+
+
+def _result_rows(records: list[ResultRecord]) -> list[list[str]]:
+    return [r.csv_row() for r in sorted(records, key=lambda r: (r.parameter, r.value, r.algorithm))]
 
 
 def write_records_csv(path: Path, records: list[ResultRecord]) -> None:
-    records = sorted(records, key=lambda r: (r.parameter, r.value, r.algorithm))
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_HEADER)
-        for record in records:
-            writer.writerow(record.csv_row())
+    _write_rows(path, RESULT_HEADER, _result_rows(records))
 
 
 def write_provenance(out_dir: Path, resolved: dict, wall_time_s: float, notes: list[str]) -> None:
@@ -549,8 +508,7 @@ def _prepare(config: dict) -> tuple[SystemConfig, SubcarrierGrid, BeamTarget]:
 
 
 def _theta_grid_from(config: dict) -> np.ndarray:
-    out_block = config.get("output") or {}
-    step = _get(out_block, "theta_step_deg", "output", float, default=1.0)
+    step = _get(_get(config, "output", "", dict, default={}), "theta_step_deg", "output", float, default=1.0)
     if step <= 0.0:
         raise ConfigError("output.theta_step_deg: must be positive")
     return default_theta_grid(step)
@@ -567,14 +525,11 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
     if output.beamformer is not None:
         write_beamformer_file(out_dir / "beamformer.txt", output.beamformer, config)
     if output.hbf is not None:
-        np.savetxt(out_dir / "hbf_analog_re_im.csv",
-                   np.column_stack([output.hbf.analog.real, output.hbf.analog.imag]),
-                   delimiter=",", fmt="%.12g")
-        np.savetxt(out_dir / "hbf_digital_re_im.csv",
-                   np.column_stack([output.hbf.digital.real, output.hbf.digital.imag]),
-                   delimiter=",", fmt="%.12g")
+        for name, matrix in (("analog", output.hbf.analog), ("digital", output.hbf.digital)):
+            np.savetxt(out_dir / f"hbf_{name}_re_im.csv", np.column_stack([matrix.real, matrix.imag]),
+                       delimiter=",", fmt="%.12g")
     write_fit_report(out_dir, "design", output, grid)
-    if (config.get("output") or {}).get("gain_map"):
+    if _get(_get(config, "output", "", dict, default={}), "gain_map", "output", bool, default=False):
         thetas = _theta_grid_from(config)
         gains = gain_map(system, grid, output.beams, thetas)
         write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
@@ -582,24 +537,30 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK
 
 
-_SWEEP_PARAMETERS = ("num_ttds", "delay_range", "max_iter", "n_rf")
-_INTEGER_SWEEP_PARAMETERS = ("num_ttds", "max_iter", "n_rf")
+# sweep parameter -> (config section it sets, value type).  An algorithm section sets the
+# field in every block of that kind, and the sweep skips blocks of other kinds.
+_SWEEPS = {
+    "num_ttds": ("system", int),
+    "delay_range": ("system", float),
+    "max_iter": ("jpta", int),
+    "n_rf": ("hbf", int),
+}
 
 
 def _sweep_point_config(config: dict, parameter: str, value: float) -> dict:
     point = copy.deepcopy(config)
-    if parameter == "num_ttds":
-        point["system"]["num_ttds"] = int(value)
-    elif parameter == "delay_range":
-        point["system"]["delay_range"] = float(value)
-    else:
-        kind = "jpta" if parameter == "max_iter" else "hbf"
-        for block in algorithm_blocks(point):
-            if kind in block:
-                body = dict(block[kind] or {})
-                body[parameter] = int(value)
-                block[kind] = body
+    section, kind = _SWEEPS[parameter]
+    holders = [point] if section == "system" else [b for b in algorithm_blocks(point) if section in b]
+    for holder in holders:
+        holder[section] = {**(holder[section] or {}), parameter: kind(value)}
     return point
+
+
+def _record(output: RunOutput, experiment_id: str, parameter: str, value: float,
+            wall_time_s: float) -> ResultRecord:
+    report = output.report
+    return ResultRecord(experiment_id, output.label, parameter, float(value), report.f_obj,
+                        report.f_tilde_obj, report.iterations, report.metadata.get("seed"), wall_time_s)
 
 
 def _run_sweep_point(args: tuple[dict, int, str, float, int]) -> ResultRecord:
@@ -607,35 +568,19 @@ def _run_sweep_point(args: tuple[dict, int, str, float, int]) -> ResultRecord:
     point = _sweep_point_config(config, parameter, value)
     start = time.perf_counter()
     system, grid, target = _prepare(point)
-    block = algorithm_blocks(point)[block_index]
-    output = run_algorithm(point, system, grid, target, block, base_seed=seed)
-    report = output.report
-    return ResultRecord(
-        experiment_id=f"{output.label}[{parameter}={value:g}]",
-        algorithm=output.label,
-        parameter=parameter,
-        value=float(value),
-        f_obj=report.f_obj,
-        f_tilde_obj=report.f_tilde_obj,
-        iterations=report.iterations,
-        seed=report.metadata.get("seed"),
-        wall_time_s=time.perf_counter() - start,
-    )
+    output = run_algorithm(point, system, grid, target, algorithm_blocks(point)[block_index], base_seed=seed)
+    experiment_id = f"{output.label}[{parameter}={value:g}]"
+    return _record(output, experiment_id, parameter, value, time.perf_counter() - start)
 
 
 def _sweep_records(config: dict, parameter: str, values, seed: int, workers: int) -> list[ResultRecord]:
     """One record per (value, algorithm block); blocks the parameter does not touch are skipped."""
-    if parameter not in _SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"sweep.parameter: unknown parameter {parameter!r} (choose from {_SWEEP_PARAMETERS})"
-        )
-    blocks = algorithm_blocks(config)
+    section = _SWEEPS[parameter][0]
     tasks = [
         (config, i, parameter, float(v), seed)
         for v in values
-        for i, block in enumerate(blocks)
-        if not (parameter == "max_iter" and "jpta" not in block)
-        and not (parameter == "n_rf" and "hbf" not in block)
+        for i, block in enumerate(algorithm_blocks(config))
+        if section == "system" or section in block
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -643,20 +588,25 @@ def _sweep_records(config: dict, parameter: str, values, seed: int, workers: int
     return [_run_sweep_point(task) for task in tasks]
 
 
+def _write_results(out_dir: Path, config: dict, start: float, records: list[ResultRecord]) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_records_csv(out_dir / "results.csv", records)
+    write_provenance(out_dir, config, time.perf_counter() - start, [])
+
+
 def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     start = time.perf_counter()
     sweep = _get(config, "sweep", "", dict, required=True)
     parameter = _get(sweep, "parameter", "sweep", str, required=True)
-    values = _float_list(sweep, "values", "sweep", required=True)
+    if parameter not in _SWEEPS:
+        raise ConfigError(f"sweep.parameter: unknown parameter {parameter!r} (choose from {tuple(_SWEEPS)})")
+    values = _list(sweep, "values", "sweep", required=True)
     if not values:
         raise ConfigError("sweep.values: must not be empty")
-    if parameter in _INTEGER_SWEEP_PARAMETERS and not all(v.is_integer() for v in values):
+    if _SWEEPS[parameter][1] is int and not all(v.is_integer() for v in values):
         raise ConfigError(f"sweep.values: {parameter} takes integers, got {values!r}")
     _prepare(config)  # validate the base config before queuing work
-    records = _sweep_records(config, parameter, values, seed, workers)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_records_csv(out_dir / "results.csv", records)
-    write_provenance(out_dir, config, time.perf_counter() - start, [])
+    _write_results(out_dir, config, start, _sweep_records(config, parameter, values, seed, workers))
     return EXIT_OK
 
 
@@ -665,13 +615,12 @@ def _chains_fit(structure: str, n_rf: int, num_antennas: int) -> bool:
     return n_rf <= num_antennas and (structure == "fc" or num_antennas % n_rf == 0)
 
 
-def cmd_compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> int:
+def _compare_hbf(config: dict, seed: int, workers: int) -> list[ResultRecord]:
     """Chain-count sweep for both structures plus a delay-phase reference design."""
-    start = time.perf_counter()
     system, grid, target = _prepare(config)
     compare = _get(config, "compare", "", dict, default={})
-    n_rf_values = _get(compare, "n_rf_values", "compare", list, default=[1, 2, 4, 8, 16, 32, 64])
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_rf_values):
+    n_rf_values = _list(compare, "n_rf_values", "compare", int, default=[1, 2, 4, 8, 16, 32, 64])
+    if not all(n >= 1 for n in n_rf_values):
         raise ConfigError(f"compare.n_rf_values: expected positive integers, got {n_rf_values!r}")
     structures = _get(compare, "structures", "compare", list, default=["fc", "pc"])
     for structure in structures:
@@ -681,27 +630,20 @@ def cmd_compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> int
         "iters": _get(compare, "iters", "compare", int, default=50),
         "restarts": _get(compare, "restarts", "compare", int, default=5),
     }
-    reference = run_algorithm(config, system, grid, target, {"jpta": {}}).report
-    records = [
-        ResultRecord(
-            experiment_id="jpta[reference]",
-            algorithm="jpta_line_search",
-            parameter="n_rf",
-            value=1.0,
-            f_obj=reference.f_obj,
-            f_tilde_obj=reference.f_tilde_obj,
-            iterations=reference.iterations,
-            seed=None,
-        )
-    ]
+    start = time.perf_counter()
+    reference = run_algorithm(config, system, grid, target, {"jpta": {}})
+    records = [_record(reference, "jpta[reference]", "n_rf", 1.0, time.perf_counter() - start)]
     for structure in structures:
         point = copy.deepcopy(config)
         point["algorithms"] = [{"hbf": {"structure": structure, **fit}}]
         values = [n for n in n_rf_values if _chains_fit(structure, n, system.num_antennas)]
         records += _sweep_records(point, "n_rf", values, seed, workers)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_records_csv(out_dir / "results.csv", records)
-    write_provenance(out_dir, config, time.perf_counter() - start, [])
+    return records
+
+
+def cmd_compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> int:
+    start = time.perf_counter()
+    _write_results(out_dir, config, start, _compare_hbf(config, seed, workers))
     return EXIT_OK
 
 
@@ -712,6 +654,12 @@ def cmd_gain_map(config: dict, beamformer_path: Path, out_dir: Path) -> int:
         bf = parse_beamformer_file(beamformer_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"beamformer file: {exc}") from None
+    for name, values, count in (("delays_ns", bf.delays, system.num_ttds),
+                                ("phases_rad", bf.phases, system.num_antennas),
+                                ("alpha_re_im", bf.alpha, system.num_subcarriers)):
+        if values.size != count:
+            raise ConfigError(f"beamformer file: section [{name}] holds {values.size} values, "
+                              f"the config needs {count}")
     beams = effective_beamformer_matrix(system, grid, bf)
     report = build_fit_report(system, grid, target, bf, algorithm="stored")
     thetas = _theta_grid_from(config)
@@ -830,35 +778,23 @@ def _reproduce_fig7(config: dict, out_dir: Path, seed: int, workers: int) -> Non
     rows = []
     for behavior in (1, 2):
         ratios = _convergence_draws(config, behavior, draws, iters, seed + behavior)
-        mean = ratios.mean(axis=0)
-        p10 = np.percentile(ratios, 10, axis=0)
-        p90 = np.percentile(ratios, 90, axis=0)
-        for i in range(iters):
-            rows.append((f"behavior{behavior}", i + 1, mean[i], p10[i], p90[i]))
-    with (out_dir / "convergence_ratio.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["behavior", "iteration", "mean_ratio", "p10_ratio", "p90_ratio"])
-        for behavior, i, mean, p10, p90 in rows:
-            writer.writerow([behavior, i, _fmt(mean), _fmt(p10), _fmt(p90)])
+        stats = np.column_stack([ratios.mean(axis=0), np.percentile(ratios, [10, 90], axis=0).T])
+        rows += [[f"behavior{behavior}", i, *map(_fmt, row)] for i, row in enumerate(stats, start=1)]
+    _write_rows(out_dir / "convergence_ratio.csv",
+                ["behavior", "iteration", "mean_ratio", "p10_ratio", "p90_ratio"], rows)
 
 
 def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+    rows = []
     for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2)):
+        start = time.perf_counter()
         point = copy.deepcopy(config)
         point["target"] = target_block
         point["compare"] = {"n_rf_values": [1, 2, 4, 8, 12, 16, 22, 32, 64]}
-        cmd_compare_hbf(point, out_dir / name, seed, workers)
-    # merge per-behavior results into one CSV
-    merged = out_dir / "f_obj_vs_n_rf.csv"
-    with merged.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["behavior"] + RESULT_HEADER)
-        for name in ("behavior1", "behavior2"):
-            with (out_dir / name / "results.csv").open("r", encoding="utf-8") as src:
-                reader = csv.reader(src)
-                next(reader)
-                for row in reader:
-                    writer.writerow([name] + row)
+        records = _compare_hbf(point, seed, workers)
+        _write_results(out_dir / name, point, start, records)
+        rows += [[name, *row] for row in _result_rows(records)]
+    _write_rows(out_dir / "f_obj_vs_n_rf.csv", ["behavior", *RESULT_HEADER], rows)
 
 
 def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> None:
@@ -918,6 +854,13 @@ def cmd_reproduce(figure: str, out_dir: Path, fast: bool, seed: int, workers: in
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jpta",
@@ -938,11 +881,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the configured parameter sweep")
     add_common(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+    p_sweep.add_argument("--workers", type=_positive_int, default=1, help="parallel sweep workers")
 
     p_cmp = sub.add_parser("compare-hbf", help="chain-count sweep of the hybrid baselines")
     add_common(p_cmp)
-    p_cmp.add_argument("--workers", type=int, default=1, help="parallel hybrid-fit workers")
+    p_cmp.add_argument("--workers", type=_positive_int, default=1, help="parallel hybrid-fit workers")
 
     p_rep = sub.add_parser("reproduce", help="run a stock figure preset")
     p_rep.add_argument("figure", help="figure id: fig4 fig5 fig6 fig7 fig8 fig9 fig11")
@@ -950,7 +893,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--fast", action="store_true",
                        help=f"use {FAST_SUBCARRIERS} subcarriers instead of the full grid")
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--workers", type=int, default=1,
+    p_rep.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel sweep workers; only fig5, fig6 and fig8 use them")
     p_rep.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE")

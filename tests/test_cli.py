@@ -30,6 +30,10 @@ BASE_CONFIG = {
     "algorithm": {"jpta": {"variant": "line_search", "max_iter": 10}},
     "output": {"gain_map": True},
 }
+TINY_PRESET = [
+    "--set", "system.num_antennas=4", "--set", "system.num_ttds=4",
+    "--set", "system.num_subcarriers=16", "--set", "system.delay_range=4",
+]
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -231,6 +235,41 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
     assert "sweep.values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("design", "algorithm.jpta=5", "algorithm.jpta: expected dict, got 5"),
+        ("design", 'algorithm={"hbf":5}', "algorithm.hbf: expected dict, got 5"),
+        ("design", "system.ttd_groups=5", "system.ttd_groups: expected list, got 5"),
+        ("design", "output=5", "output: expected dict, got 5"),
+        ("design", "output=[1]", "output: expected dict, got [1]"),
+        ("design", "output.gain_map=1", "output.gain_map: expected bool, got 1"),
+        ("design", "system.ttd_groups=[[1.5,2],[3,4],[5,6],[7,8]]",
+         "system.ttd_groups: expected a list of integers, got [1.5, 2]"),
+        ("design", 'target={"behavior":3,"band_edges":[-5.7,5],"angles_deg":[-45,0,30]}',
+         "target.band_edges: expected a list of integers, got [-5.7, 5]"),
+        ("design", 'target={"behavior":3,"band_edges":[-5,5],"angles_deg":[true,10,20]}',
+         "target.angles_deg: expected a list of finite numbers, got [True, 10, 20]"),
+        ("compare-hbf", "compare=5", "compare: expected dict, got 5"),
+    ],
+)
+def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), "--set", override]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare-hbf", "reproduce"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_must_be_positive(tmp_path, capsys, command, workers):
+    args = ["fig5"] if command == "reproduce" else ["--config", str(write_config(tmp_path, BASE_CONFIG))]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--out", str(tmp_path / "x"), "--workers", workers])
+    assert exc.value.code == 2
+    assert f"--workers: expected a positive integer, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_compare_hbf_emits_reference_and_structures(tmp_path):
     config = json.loads(json.dumps(BASE_CONFIG))
     config.pop("algorithm")
@@ -271,6 +310,27 @@ def test_gain_map_subcommand_round_trip(tmp_path):
     assert abs(stored - recomputed) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "override, section, stored, needed",
+    [
+        ("system.num_antennas=16", "phases_rad", 8, 16),
+        ("system.num_subcarriers=32", "alpha_re_im", 16, 32),
+        ("system.num_ttds=8", "delays_ns", 4, 8),
+    ],
+)
+def test_gain_map_rejects_a_beamformer_file_of_another_shape(tmp_path, capsys, override, section, stored, needed):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["gain-map", "--config", str(cfg), "--out", str(tmp_path / "map"),
+                 "--beamformer", str(out / "beamformer.txt"), "--set", override])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: beamformer file: section [{section}] holds {stored} values, the config needs {needed}\n"
+    )
+
+
 def test_reproduce_unknown_figure(tmp_path, capsys):
     assert main(["reproduce", "fig99", "--out", str(tmp_path / "x")]) == 2
     assert "unknown figure" in capsys.readouterr().err
@@ -305,15 +365,11 @@ def test_reproduce_fig11_three_angle_maps(tmp_path):
 
 
 def test_reproduce_sweep_presets_smoke(tmp_path):
-    tiny = [
-        "--set", "system.num_antennas=4", "--set", "system.num_ttds=4",
-        "--set", "system.num_subcarriers=16", "--set", "system.delay_range=4",
-    ]
     cases = [
-        ("fig5", tiny, "f_obj_vs_num_ttds.csv"),
-        ("fig6", tiny, "f_obj_vs_delay_range.csv"),
-        ("fig7", tiny, "convergence_ratio.csv"),
-        ("fig8", tiny, "f_obj_vs_n_rf.csv"),
+        ("fig5", TINY_PRESET, "f_obj_vs_num_ttds.csv"),
+        ("fig6", TINY_PRESET, "f_obj_vs_delay_range.csv"),
+        ("fig7", TINY_PRESET, "convergence_ratio.csv"),
+        ("fig8", TINY_PRESET, "f_obj_vs_n_rf.csv"),
         (
             "fig9",
             [
@@ -328,6 +384,31 @@ def test_reproduce_sweep_presets_smoke(tmp_path):
         code = main(["reproduce", figure, "--out", str(out), "--fast", *overrides])
         assert code == 0, figure
         assert (out / artifact).exists(), figure
+
+
+def test_fig8_merges_the_per_behavior_results(tmp_path):
+    out = tmp_path / "fig8"
+    assert main(["reproduce", "fig8", "--out", str(out), "--fast", *TINY_PRESET]) == 0
+    with open(out / "f_obj_vs_n_rf.csv", newline="") as fh:
+        merged = list(csv.reader(fh))
+    expected = []
+    for name in ("behavior1", "behavior2"):
+        with open(out / name / "results.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        expected += [[name, *row] for row in rows]
+    assert merged[0] == ["behavior", *header]
+    assert merged[1:] == expected
+    assert {row[0] for row in expected} == {"behavior1", "behavior2"} and len(expected) > 2
+
+
+def test_fig7_ratio_rows_end_at_one(tmp_path):
+    out = tmp_path / "fig7"
+    assert main(["reproduce", "fig7", "--out", str(out), "--fast", *TINY_PRESET]) == 0
+    rows = read_rows(out / "convergence_ratio.csv")
+    assert [(r["behavior"], int(r["iteration"])) for r in rows] == [
+        (f"behavior{b}", i) for b in (1, 2) for i in range(1, 31)
+    ]
+    assert [r["mean_ratio"] for r in rows if r["iteration"] == "30"] == ["1", "1"]
 
 
 def test_custom_target_flow(tmp_path):
@@ -464,3 +545,21 @@ def test_cli_binds_every_name_the_benchmark_uses():
     }
     assert {"_build_parser", "_preset_config", "apply_overrides", "build_system", "main"} <= called
     assert [name for name in called if not hasattr(cli, name)] == []
+
+
+def test_traced_presets_record_every_layer(tmp_path):
+    # a binding captured in a table or default argument escapes the tracer, and its layer reads 0
+    tracing = _load_bench_module("tracing")
+    tracer = tracing.Tracer("test")
+    tracer.install(cli)
+    try:
+        for figure in ("fig4", "fig8"):
+            argv = ["reproduce", figure, "--out", str(tmp_path / figure), "--fast", *TINY_PRESET]
+            assert tracer.run(cli.main, argv) == 0
+    finally:
+        tracer.uninstall(cli)
+    summary = tracer.summary()
+    layers = ("design", "array_model.gain_map", "hbf.fc", "hbf.pc", "beam_targets", "metrics", "cli.write")
+    assert [layer for layer in layers if summary[f"{layer}.calls"] < 1] == []
+    called = {span["name"] for span in tracer.spans}
+    assert {"behavior1_target", "behavior2_target", "build_fit_report", "fit_objective"} <= called
