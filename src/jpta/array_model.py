@@ -21,6 +21,8 @@ __all__ = [
     "SystemConfig",
     "SubcarrierGrid",
     "SteeringAngle",
+    "check_angle",
+    "check_sweep",
     "contiguous_ttd_groups",
     "build_grid",
     "steering_vectors",
@@ -169,6 +171,21 @@ class SubcarrierGrid:
         return float(self.frequencies[self.position(k)])
 
 
+def check_angle(theta: float, name: str) -> float:
+    """``theta`` as a float, or a ValueError naming ``name`` in degrees if it leaves [-pi/2, pi/2]."""
+    theta = float(theta)
+    if not -math.pi / 2 <= theta <= math.pi / 2:
+        raise ValueError(f"{name}: {math.degrees(theta):.10g} deg outside the field of view [-90, 90]")
+    return theta
+
+
+def check_sweep(theta0: float, delta_theta: float, name: str = "theta0", width: str = "delta_theta") -> None:
+    """Check both edges ``theta0 -/+ |delta_theta|/2`` of a swept beam; the width may exceed pi/2."""
+    half = abs(delta_theta) / 2.0
+    check_angle(theta0 - half, f"{name} - {width}/2")
+    check_angle(theta0 + half, f"{name} + {width}/2")
+
+
 @dataclass(frozen=True)
 class SteeringAngle:
     """Departure angle in radians, limited to the linear array's field of view."""
@@ -176,8 +193,7 @@ class SteeringAngle:
     theta: float
 
     def __post_init__(self) -> None:
-        if not -math.pi / 2 <= self.theta <= math.pi / 2:
-            raise ValueError(f"steering angle {self.theta} rad outside [-pi/2, pi/2]")
+        check_angle(self.theta, "steering angle")
 
 
 def _as_radians(theta: float | SteeringAngle) -> float:

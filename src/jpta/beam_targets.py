@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, steering_vectors
+from .array_model import SubcarrierGrid, SystemConfig, check_angle, check_sweep, steering_vectors
 
 __all__ = [
     "WeightScheme",
@@ -102,13 +102,6 @@ class BeamTarget:
         return self.vectors.shape[1]
 
 
-def _check_angle(value: float, name: str) -> float:
-    theta = float(value)
-    if not -math.pi / 2 <= theta <= math.pi / 2:
-        raise ValueError(f"{name} = {theta} rad outside [-pi/2, pi/2]")
-    return theta
-
-
 def _steered_target(
     config: SystemConfig,
     grid: SubcarrierGrid,
@@ -134,8 +127,7 @@ def behavior1_target(
     scheme: WeightScheme = WeightScheme.UNIFORM,
 ) -> BeamTarget:
     """Linearly swept beam: subcarrier k steers to theta0 + k*delta_theta/K."""
-    _check_angle(theta0 - abs(delta_theta) / 2.0, "theta0 - delta_theta/2")
-    _check_angle(theta0 + abs(delta_theta) / 2.0, "theta0 + delta_theta/2")
+    check_sweep(theta0, delta_theta)
     angles = theta0 + grid.indices * (delta_theta / config.num_subcarriers)
     return _steered_target(config, grid, angles, scheme)
 
@@ -148,9 +140,7 @@ def behavior2_target(
     scheme: WeightScheme = WeightScheme.UNIFORM,
 ) -> BeamTarget:
     """Half-band split beam: theta1 below the center subcarrier, theta2 at and above."""
-    t1 = _check_angle(theta1, "theta1")
-    t2 = _check_angle(theta2, "theta2")
-    angles = np.where(grid.indices < 0, t1, t2)
+    angles = np.where(grid.indices < 0, check_angle(theta1, "theta1"), check_angle(theta2, "theta2"))
     return _steered_target(config, grid, angles, scheme)
 
 
@@ -180,7 +170,7 @@ def multi_angle_target(
                 f"band edges must be strictly increasing and split {lo}..{hi}; got {edges}"
             )
         prev = e
-    checked = np.array([_check_angle(a, f"angles[{i}]") for i, a in enumerate(angles)])
+    checked = np.array([check_angle(a, f"angles[{i}]") for i, a in enumerate(angles)])
     band = np.searchsorted(np.asarray(edges, dtype=np.int64), grid.indices, side="right")
     return _steered_target(config, grid, checked[band], scheme)
 

@@ -36,10 +36,11 @@ import numpy as np
 
 from . import __version__
 from .array_model import (
-    SteeringAngle,
     SubcarrierGrid,
     SystemConfig,
     build_grid,
+    check_angle,
+    check_sweep,
     default_theta_grid,
     effective_beamformer_matrix,
     gain_map,
@@ -162,14 +163,12 @@ def _list(block: dict, key: str, path: str, kind=float, default=None, required: 
     return None if values is None else _items(values, f"{path}.{key}", kind)
 
 
-def _angle_rad(block: dict, key: str, path: str, required: bool = True) -> float | None:
-    deg = _get(block, key, path, float, required=required)
-    if deg is None:
-        return None
+def _angle_rad(deg: float, field: str) -> float:
+    """A config angle in degrees as radians inside the array's field of view."""
     try:
-        return SteeringAngle(math.radians(deg)).theta
+        return check_angle(math.radians(deg), field)
     except ValueError as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
 
 def apply_overrides(config: dict, overrides: Iterable[str]) -> dict:
@@ -227,8 +226,20 @@ def build_system(config: dict) -> SystemConfig:
         raise ConfigError(f"system: {exc}") from None
 
 
-# target behavior -> its angle fields, in the argument order of the target and closed-form builders
-_BEHAVIOR_ANGLES = {1: ("theta0_deg", "delta_theta_deg"), 2: ("theta1_deg", "theta2_deg")}
+def _target_angles(block: dict, behavior: int) -> list[float]:
+    """Radians of a behavior-1 (theta0, delta_theta) or behavior-2 (theta1, theta2) target, in
+    the argument order of the target and closed-form builders.  A sweep width is checked only
+    through the sweep edges, so it may exceed 90 degrees."""
+    if behavior == 2:
+        return [_angle_rad(_get(block, key, "target", float, required=True), f"target.{key}")
+                for key in ("theta1_deg", "theta2_deg")]
+    theta0 = _angle_rad(_get(block, "theta0_deg", "target", float, required=True), "target.theta0_deg")
+    width = math.radians(_get(block, "delta_theta_deg", "target", float, required=True))
+    try:
+        check_sweep(theta0, width, "target.theta0_deg", "target.delta_theta_deg")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return [theta0, width]
 
 
 def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
@@ -252,13 +263,13 @@ def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> Be
                 scheme=scheme,
             )
         behavior = _get(block, "behavior", "target", int, required=True)
-        if behavior in _BEHAVIOR_ANGLES:
-            angles = [_angle_rad(block, key, "target") for key in _BEHAVIOR_ANGLES[behavior]]
+        if behavior in (1, 2):
+            angles = _target_angles(block, behavior)
             return (behavior1_target if behavior == 1 else behavior2_target)(system, grid, *angles, scheme)
         if behavior == 3:
             edges = _list(block, "band_edges", "target", int, required=True)
-            angles_deg = _list(block, "angles_deg", "target", required=True)
-            angles = [SteeringAngle(math.radians(a)).theta for a in angles_deg]
+            angles = [_angle_rad(a, f"target.angles_deg[{i}]")
+                      for i, a in enumerate(_list(block, "angles_deg", "target", required=True))]
             return multi_angle_target(system, grid, edges, angles, scheme)
     except ConfigError:
         raise
@@ -355,9 +366,9 @@ def run_algorithm(
     if kind == "heuristic":
         target_block = _get(config, "target", "", dict, required=True)
         behavior = _get(target_block, "behavior", "target", int)
-        if behavior not in _BEHAVIOR_ANGLES:
+        if behavior not in (1, 2):
             raise ConfigError("algorithm.heuristic: closed-form designs exist only for behaviors 1 and 2")
-        angles = [_angle_rad(target_block, key, "target") for key in _BEHAVIOR_ANGLES[behavior]]
+        angles = _target_angles(target_block, behavior)
         bf = (heuristic_behavior1 if behavior == 1 else heuristic_behavior2)(system, grid, *angles)
         label = str(body.get("label", "heuristic"))
         report = build_fit_report(system, grid, target, bf, None, algorithm=label)
@@ -626,10 +637,11 @@ def _compare_hbf(config: dict, seed: int, workers: int) -> list[ResultRecord]:
     for structure in structures:
         if structure not in ("fc", "pc"):
             raise ConfigError(f"compare.structures: expected 'fc' or 'pc', got {structure!r}")
-    fit = {
-        "iters": _get(compare, "iters", "compare", int, default=50),
-        "restarts": _get(compare, "restarts", "compare", int, default=5),
-    }
+    fit = {"iters": _get(compare, "iters", "compare", int, default=50),
+           "restarts": _get(compare, "restarts", "compare", int, default=5)}
+    for key, value in fit.items():
+        if value < 1:
+            raise ConfigError(f"compare.{key}: expected a positive integer, got {value}")
     start = time.perf_counter()
     reference = run_algorithm(config, system, grid, target, {"jpta": {}})
     records = [_record(reference, "jpta[reference]", "n_rf", 1.0, time.perf_counter() - start)]

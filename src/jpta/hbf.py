@@ -171,10 +171,10 @@ def altmin_pc(
     """
     b = target_matrix.matrix
     m, _ = b.shape
+    if n_rf < 1 or iters < 1 or restarts < 1:
+        raise ValueError("n_rf, iters and restarts must be positive")
     if m % n_rf != 0:
         raise ValueError(f"n_rf ({n_rf}) must divide the antenna count ({m})")
-    if iters < 1 or restarts < 1:
-        raise ValueError("iters and restarts must be positive")
     block = m // n_rf
     owner = np.repeat(np.arange(n_rf), block)
     rows = np.arange(m)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -10,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, steering_vectors
+from .array_model import SubcarrierGrid, SystemConfig, check_angle, check_sweep, steering_vectors
 from .design import JptaBeamformer, _digital_alignment, shift_nonnegative, wrap_angle
 
 __all__ = [
@@ -45,34 +44,12 @@ class HeuristicParams:
         if self.behavior is Behavior.ONE:
             if self.theta0 is None or self.delta_theta is None:
                 raise ValueError("swept behavior needs theta0 and delta_theta")
-            _check_fov(self.theta0 - abs(self.delta_theta) / 2.0, "theta0 - delta_theta/2")
-            _check_fov(self.theta0 + abs(self.delta_theta) / 2.0, "theta0 + delta_theta/2")
+            check_sweep(self.theta0, self.delta_theta)
         else:
             if self.theta1 is None or self.theta2 is None:
                 raise ValueError("split behavior needs theta1 and theta2")
-            _check_fov(self.theta1, "theta1")
-            _check_fov(self.theta2, "theta2")
-
-    def midpoint_beam(self, num_antennas: int) -> np.ndarray:
-        """Unit-norm sum of the two split-band steering responses (split behavior only)."""
-        if self.behavior is not Behavior.TWO:
-            raise ValueError("midpoint beam only exists for the split behavior")
-        return _midpoint_beam(num_antennas, self.theta1, self.theta2)
-
-
-def _check_fov(theta: float, name: str) -> None:
-    if not -math.pi / 2 <= theta <= math.pi / 2:
-        raise ValueError(f"{name} = {theta} rad outside [-pi/2, pi/2]")
-
-
-@functools.lru_cache(maxsize=64)
-def _midpoint_beam(num_antennas: int, theta_a: float, theta_b: float) -> np.ndarray:
-    m = np.arange(1, num_antennas + 1)
-    beam = (
-        np.exp(1j * np.pi * m * math.sin(theta_a)) + np.exp(1j * np.pi * m * math.sin(theta_b))
-    ) / math.sqrt(2 * num_antennas)
-    beam.setflags(write=False)
-    return beam
+            check_angle(self.theta1, "theta1")
+            check_angle(self.theta2, "theta2")
 
 
 def heuristic_behavior1(
@@ -87,8 +64,7 @@ def heuristic_behavior1(
     Each delay line takes the mean of its antennas' target phase-vs-frequency
     slopes; the phase-shifters pin an exact match at the center subcarrier.
     """
-    _check_fov(theta0 - abs(delta_theta) / 2.0, "theta0 - delta_theta/2")
-    _check_fov(theta0 + abs(delta_theta) / 2.0, "theta0 + delta_theta/2")
+    check_sweep(theta0, delta_theta)
     f = grid.frequencies
     f_min, f_max = float(f[0]), float(f[-1])
     slope = (
@@ -96,19 +72,9 @@ def heuristic_behavior1(
         - math.sin(theta0 + delta_theta / 2.0) * f_max
     ) / (2.0 * config.bandwidth * config.carrier_freq)
     tau = np.array([slope * np.mean(np.asarray(g, dtype=np.float64)) for g in config.ttd_groups])
-    tau -= tau.mean()
-    half = config.delay_range / (2.0 * config.bandwidth)
-    tau = np.clip(tau, -half, half)
-    m0 = np.arange(config.num_antennas)  # (m - 1) for 1-based antenna m
-    phi = np.asarray(
-        wrap_angle(
-            np.pi * m0 * math.sin(theta0)
-            + 2.0 * np.pi * config.carrier_freq * tau[config.ttd_index_per_antenna()]
-        ),
-        dtype=np.float64,
-    )
+    ramp = np.angle(steering_vectors(config, config.carrier_freq, theta0))
     angles = theta0 + grid.indices * (delta_theta / config.num_subcarriers)
-    return _assemble(config, grid, tau, phi, angles_per_subcarrier=angles, nonnegative=nonnegative)
+    return _assemble(config, grid, tau, ramp, angles_per_subcarrier=angles, nonnegative=nonnegative)
 
 
 def heuristic_behavior2(
@@ -117,31 +83,27 @@ def heuristic_behavior2(
     theta1: float,
     theta2: float,
     nonnegative: bool = True,
-    single_angle_midpoint: bool = False,
 ) -> JptaBeamformer:
     """Closed-form delays and phases for the half-band split beam.
 
     Delays come from a linear-phase approximation of the per-antenna step
     response, anchored on the midpoint beam (the sum of the two steering
-    responses) and its rotation at the one-third subcarrier.  With
-    ``single_angle_midpoint`` the midpoint beam uses the second angle in both
-    terms instead of summing the two responses.
+    responses at the carrier) and its rotation at the one-third subcarrier.
+    This closed form numbers antennas from 1, so each response keeps its phase
+    origin at antenna 1: ``exp(j*pi*m*sin(theta)*f/f0)``, m = 1..M.
     """
-    _check_fov(theta1, "theta1")
-    _check_fov(theta2, "theta2")
-    m = np.arange(1, config.num_antennas + 1)
-    first_angle = theta2 if single_angle_midpoint else theta1
-    b_mid = _midpoint_beam(config.num_antennas, first_angle, theta2)
+    thetas = np.array([check_angle(theta1, "theta1"), check_angle(theta2, "theta2"), theta2])
+    freqs = np.array([config.carrier_freq, config.carrier_freq, grid.frequency(config.num_subcarriers // 3)])
+    origin = np.exp(1j * np.pi * np.sin(thetas) * (freqs / config.carrier_freq))
+    first, second, third = steering_vectors(config, freqs, thetas) * origin[:, None]
+    b_mid = (first + second) / math.sqrt(2 * config.num_antennas)
     dead = np.abs(b_mid) <= _CANCEL_TOL  # antipodal steering responses cancel
     if np.any(dead):
         warnings.warn(
             "antipodal split angles: midpoint beam entries vanished; their phase defaults to 0",
             stacklevel=2,
         )
-    f_third = grid.frequency(config.num_subcarriers // 3)
-    probe = np.conj(b_mid) * np.exp(
-        1j * np.pi * m * math.sin(theta2) * (f_third / config.carrier_freq)
-    )
+    probe = np.conj(b_mid) * third
     tau = np.empty(config.num_ttds)
     for n, cols in enumerate(config.group_indices()):
         s = probe[cols].sum()
@@ -150,32 +112,32 @@ def heuristic_behavior2(
             tau[n] = 0.0
         else:
             tau[n] = -3.0 / (2.0 * np.pi * config.bandwidth) * float(np.angle(s))
-    tau -= tau.mean()
-    half = config.delay_range / (2.0 * config.bandwidth)
-    tau = np.clip(tau, -half, half)
     mid_angle = np.angle(b_mid)
     mid_angle[dead] = 0.0
-    phi = np.asarray(
-        wrap_angle(
-            mid_angle + 2.0 * np.pi * config.carrier_freq * tau[config.ttd_index_per_antenna()]
-        ),
-        dtype=np.float64,
-    )
     angles = np.where(grid.indices < 0, theta1, theta2)
-    return _assemble(config, grid, tau, phi, angles_per_subcarrier=angles, nonnegative=nonnegative)
+    return _assemble(config, grid, tau, mid_angle, angles_per_subcarrier=angles, nonnegative=nonnegative)
 
 
 def _assemble(
     config: SystemConfig,
     grid: SubcarrierGrid,
     tau: np.ndarray,
-    phi: np.ndarray,
+    carrier_phase: np.ndarray,
     angles_per_subcarrier: np.ndarray,
     nonnegative: bool,
 ) -> JptaBeamformer:
-    """Digital weights for given analog settings: flat magnitudes, aligned phases."""
+    """Closed-form beamformer from raw delays and the per-antenna phase wanted at the carrier.
+
+    The delays are centered and clipped to the tuning range, the phase-shifters
+    add back the delays' carrier phase, and the digital weights get flat
+    magnitudes and aligned phases.
+    """
+    half = config.delay_range / (2.0 * config.bandwidth)
+    tau = np.clip(tau - tau.mean(), -half, half)
+    tau_per_antenna = tau[config.ttd_index_per_antenna()]
+    phi = wrap_angle(carrier_phase + 2.0 * np.pi * config.carrier_freq * tau_per_antenna)
     unit = steering_vectors(config, grid.frequencies, angles_per_subcarrier) / math.sqrt(config.num_antennas)
-    u = _digital_alignment(grid.frequencies, unit, phi, tau[config.ttd_index_per_antenna()])
+    u = _digital_alignment(grid.frequencies, unit, phi, tau_per_antenna)
     magnitude = math.sqrt(config.total_power / config.num_subcarriers)
     alpha = magnitude * np.exp(1j * np.angle(u))
     bf = JptaBeamformer(delays=tau, phases=phi, alpha=alpha)

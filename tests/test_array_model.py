@@ -15,7 +15,9 @@ from jpta.array_model import (
     effective_beamformer_matrix,
     gain_map,
 )
+from jpta.beam_targets import behavior1_target, behavior2_target, multi_angle_target
 from jpta.design import JptaBeamformer
+from jpta.heuristics import HeuristicParams, heuristic_behavior1, heuristic_behavior2
 
 from helpers import make_config
 
@@ -104,6 +106,36 @@ def test_steering_angle_range():
     SteeringAngle(math.pi / 2)
     with pytest.raises(ValueError):
         SteeringAngle(1.7)
+
+
+_FOV_CFG = make_config(num_antennas=4, num_ttds=2, num_subcarriers=8)
+_FOV_GRID = build_grid(_FOV_CFG)
+
+# every public entry point that takes a steering angle, called with that angle as `t`; the
+# ".edge" variants put `t` on a sweep edge through the width alone (0 +/- 2t/2 is exact)
+_ANGLE_ENTRY_POINTS = {
+    "SteeringAngle": lambda t: SteeringAngle(t),
+    "behavior1_target.theta0": lambda t: behavior1_target(_FOV_CFG, _FOV_GRID, t, 0.0),
+    "behavior1_target.edge": lambda t: behavior1_target(_FOV_CFG, _FOV_GRID, 0.0, 2.0 * t),
+    "behavior2_target.theta1": lambda t: behavior2_target(_FOV_CFG, _FOV_GRID, t, 0.3),
+    "behavior2_target.theta2": lambda t: behavior2_target(_FOV_CFG, _FOV_GRID, 0.3, t),
+    "multi_angle_target": lambda t: multi_angle_target(_FOV_CFG, _FOV_GRID, [0], [0.3, t]),
+    "heuristic_behavior1.theta0": lambda t: heuristic_behavior1(_FOV_CFG, _FOV_GRID, t, 0.0),
+    "heuristic_behavior1.edge": lambda t: heuristic_behavior1(_FOV_CFG, _FOV_GRID, 0.0, 2.0 * t),
+    "heuristic_behavior2.theta1": lambda t: heuristic_behavior2(_FOV_CFG, _FOV_GRID, t, 0.3),
+    "heuristic_behavior2.theta2": lambda t: heuristic_behavior2(_FOV_CFG, _FOV_GRID, 0.3, t),
+    "HeuristicParams.one": lambda t: HeuristicParams(behavior="one", theta0=0.0, delta_theta=2.0 * t),
+    "HeuristicParams.two": lambda t: HeuristicParams(behavior="two", theta1=0.3, theta2=t),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("entry", list(_ANGLE_ENTRY_POINTS))
+def test_field_of_view_is_closed_at_plus_minus_90_degrees(entry, sign):
+    call = _ANGLE_ENTRY_POINTS[entry]
+    call(sign * math.pi / 2)
+    with pytest.raises(ValueError, match=r"deg outside the field of view \[-90, 90\]"):
+        call(np.nextafter(sign * math.pi / 2, sign * 2.0))
 
 
 def test_array_response_accepts_steering_angle_objects():

@@ -101,6 +101,16 @@ def test_malformed_angle_names_the_field(tmp_path, capsys):
     assert "theta0_deg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["jpta", "heuristic"])
+def test_sweep_wider_than_90_degrees_designs(tmp_path, algorithm):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["target"] = {"behavior": 1, "theta0_deg": 0, "delta_theta_deg": 120}
+    config["algorithm"] = {algorithm: {}}
+    cfg = write_config(tmp_path, config)
+    assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    assert 0.0 < float(read_rows(tmp_path / "x" / "fit_report.csv")[0]["f_obj"]) <= 1.0
+
+
 def test_out_of_range_angle_is_config_error(tmp_path, capsys):
     bad = json.loads(json.dumps(BASE_CONFIG))
     bad["target"]["theta0_deg"] = 95.0
@@ -251,6 +261,12 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
         ("design", 'target={"behavior":3,"band_edges":[-5,5],"angles_deg":[true,10,20]}',
          "target.angles_deg: expected a list of finite numbers, got [True, 10, 20]"),
         ("compare-hbf", "compare=5", "compare: expected dict, got 5"),
+        ("design", 'target={"behavior":3,"band_edges":[-5,5],"angles_deg":[95,0,1]}',
+         "target.angles_deg[0]: 95 deg outside the field of view [-90, 90]"),
+        ("design", 'target={"behavior":1,"theta0_deg":80,"delta_theta_deg":45}',
+         "target.theta0_deg + target.delta_theta_deg/2: 102.5 deg outside the field of view [-90, 90]"),
+        ("design", 'algorithm={"hbf":{"structure":"pc","n_rf":0}}',
+         "algorithm.hbf: n_rf, iters and restarts must be positive"),
     ],
 )
 def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):
@@ -289,6 +305,8 @@ def test_compare_hbf_bad_fields_are_config_errors(tmp_path, capsys):
     for compare, field in (
         ({"n_rf_values": [1, 2], "iters": "many"}, "compare.iters"),
         ({"n_rf_values": [0, 2], "structures": ["pc"]}, "compare.n_rf_values"),
+        ({"n_rf_values": [1, 2], "iters": 0}, "compare.iters: expected a positive integer, got 0"),
+        ({"n_rf_values": [1, 2], "restarts": 0}, "compare.restarts: expected a positive integer, got 0"),
     ):
         config["compare"] = compare
         cfg = write_config(tmp_path, config)

@@ -25,7 +25,7 @@ from jpta.design import (
 )
 from jpta.design import _GRID_TABLE, _delay_table, _grid_table
 from jpta.heuristics import heuristic_behavior1
-from jpta.metrics import fit_objective
+from jpta.metrics import build_fit_report, fit_objective
 
 from helpers import (
     alignment_objective_direct,
@@ -715,3 +715,28 @@ def test_common_target_phase_leaves_fit_objective_unchanged(shape, num_subcarrie
         for t in (target, rotated)
     ]
     assert fits[1] == pytest.approx(fits[0], abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(_SMALL_SHAPES),
+    num_subcarriers=st.sampled_from([4, 8, 16, 32]),
+    variant=st.sampled_from(list(TtdUpdate)),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-1.0, 1.0),
+)
+def test_common_delay_shift_with_digital_compensation_leaves_fit_unchanged(
+    shape, num_subcarriers, variant, seed, shift
+):
+    num_antennas, num_ttds = shape
+    cfg = make_config(num_antennas=num_antennas, num_ttds=num_ttds, num_subcarriers=num_subcarriers)
+    grid = build_grid(cfg)
+    target = random_steered_target(cfg, grid, np.random.default_rng(seed))
+    bf, _ = design_jpta(cfg, grid, target, DesignOptions(ttd_update=variant, max_iter=3, line_search_grid=256))
+    c = shift * cfg.max_delay
+    # every beam picks up exp(-2j*pi*f_k*c); the digital weights take it back out
+    shifted = JptaBeamformer(delays=bf.delays + c, phases=bf.phases,
+                             alpha=bf.alpha * np.exp(2j * np.pi * grid.frequencies * c))
+    before, after = (build_fit_report(cfg, grid, target, b) for b in (bf, shifted))
+    assert after.f_obj == pytest.approx(before.f_obj, abs=1e-10)
+    assert after.f_tilde_obj == pytest.approx(before.f_tilde_obj, abs=1e-10)

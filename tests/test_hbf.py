@@ -128,6 +128,16 @@ def test_pc_requires_divisible_chain_count():
         altmin_pc(tm, 3)
 
 
+@pytest.mark.parametrize("n_rf", [0, -2])
+@pytest.mark.parametrize("fit", [altmin_pc, pe_altmin_fc])
+def test_chain_count_below_one_is_rejected(fit, n_rf):
+    cfg = _wideband(num_subcarriers=8, num_antennas=8)
+    grid = build_grid(cfg)
+    tm = stack_target(behavior1_target(cfg, grid, 0.3, 0.4))
+    with pytest.raises(ValueError, match="n_rf, iters and restarts must be positive"):
+        fit(tm, n_rf)
+
+
 def test_fc_beats_pc_at_equal_chain_count():
     cfg = _wideband()
     grid = build_grid(cfg)

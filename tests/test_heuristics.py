@@ -94,15 +94,27 @@ def test_behavior2_delay_spread_within_budget():
     assert bf.delays.max() - bf.delays.min() <= 3.0 / cfg.bandwidth + 1e-15
 
 
-def test_behavior2_single_angle_midpoint_mode_differs():
-    cfg = make_config(num_antennas=8, num_ttds=8, num_subcarriers=32, delay_range=8.0)
+def test_behavior2_follows_the_one_based_midpoint_formula():
+    # the closed form numbers antennas m = 1..M: midpoint beam
+    # (e^{j pi m sin t1} + e^{j pi m sin t2}) / sqrt(2M), probed at the one-third subcarrier
+    cfg = make_config(num_antennas=16, num_ttds=4, num_subcarriers=64, delay_range=64.0)
     grid = build_grid(cfg)
-    a = heuristic_behavior2(cfg, grid, -0.7, 0.4)
-    b = heuristic_behavior2(cfg, grid, -0.7, 0.4, single_angle_midpoint=True)
-    assert not np.allclose(a.phases, b.phases)
-    c = heuristic_behavior2(cfg, grid, 0.4, 0.4, single_angle_midpoint=True)
-    d = heuristic_behavior2(cfg, grid, 0.4, 0.4)
-    assert np.allclose(c.phases, d.phases)  # modes coincide when the angles do
+    t1, t2 = -math.pi / 4, math.pi / 6
+    f3 = grid.frequency(cfg.num_subcarriers // 3) / cfg.carrier_freq
+    mid, probe = [], []
+    for m in range(1, cfg.num_antennas + 1):
+        b = np.exp(1j * np.pi * m * math.sin(t1)) + np.exp(1j * np.pi * m * math.sin(t2))
+        b /= math.sqrt(2 * cfg.num_antennas)
+        mid.append(b)
+        probe.append(np.conj(b) * np.exp(1j * np.pi * m * math.sin(t2) * f3))
+    tau = np.array([-3 / (2 * np.pi * cfg.bandwidth) * np.angle(sum(probe[m - 1] for m in g))
+                    for g in cfg.ttd_groups])
+    tau -= tau.mean()
+    assert np.max(np.abs(tau)) <= cfg.delay_range / (2 * cfg.bandwidth)  # no clipping
+    bf = heuristic_behavior2(cfg, grid, t1, t2, nonnegative=False)
+    assert np.max(np.abs(bf.delays - tau)) <= 1e-22
+    phi = np.angle(mid) + 2 * np.pi * cfg.carrier_freq * tau[cfg.ttd_index_per_antenna()]
+    assert np.max(np.abs(np.exp(1j * bf.phases) - np.exp(1j * phi))) <= 1e-10
 
 
 def test_behavior2_antipodal_angles_flagged():
@@ -135,11 +147,7 @@ def test_heuristic_params_validation():
         HeuristicParams(behavior=Behavior.TWO, theta1=0.3)
     with pytest.raises(ValueError):
         HeuristicParams(behavior=Behavior.ONE, theta0=1.5, delta_theta=0.5)
-    params = HeuristicParams(behavior="two", theta1=-0.2, theta2=0.3)
-    beam = params.midpoint_beam(4)
-    assert np.linalg.norm(beam) <= 1.0 + 1e-12
-    with pytest.raises(ValueError):
-        HeuristicParams(behavior=Behavior.ONE, theta0=0.0, delta_theta=0.1).midpoint_beam(4)
+    assert HeuristicParams(behavior="two", theta1=-0.2, theta2=0.3).behavior is Behavior.TWO
 
 
 def test_iterative_design_strictly_beats_closed_forms():
