@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .array_model import (
-    SteeringAngle,
     SubcarrierGrid,
     SystemConfig,
     array_gain,
@@ -45,14 +44,13 @@ from .hbf import (
     HbfStructure,
     TargetMatrix,
     altmin_pc,
+    chains_fit,
     min_rf_chains,
     orthogonal_column_count,
     pe_altmin_fc,
     stack_target,
 )
 from .heuristics import (
-    Behavior,
-    HeuristicParams,
     heuristic_behavior1,
     heuristic_behavior2,
     required_delay_budget,

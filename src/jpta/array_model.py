@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SystemConfig",
     "SubcarrierGrid",
-    "SteeringAngle",
     "check_angle",
     "check_sweep",
     "contiguous_ttd_groups",
@@ -186,22 +185,6 @@ def check_sweep(theta0: float, delta_theta: float, name: str = "theta0", width: 
     check_angle(theta0 + half, f"{name} + {width}/2")
 
 
-@dataclass(frozen=True)
-class SteeringAngle:
-    """Departure angle in radians, limited to the linear array's field of view."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        check_angle(self.theta, "steering angle")
-
-
-def _as_radians(theta: float | SteeringAngle) -> float:
-    if isinstance(theta, SteeringAngle):
-        return theta.theta
-    return float(theta)
-
-
 def build_grid(config: SystemConfig) -> SubcarrierGrid:
     """Centered OFDM grid: indices floor((1-K)/2)..floor((K-1)/2), f_k = f0 + k*W/K."""
     k = config.num_subcarriers
@@ -230,7 +213,7 @@ def array_response(
     config: SystemConfig,
     grid: SubcarrierGrid,
     k: int,
-    theta: float | SteeringAngle,
+    theta: float,
 ) -> np.ndarray:
     """Plane-wave response of the array at subcarrier ``k`` toward ``theta``.
 
@@ -238,7 +221,7 @@ def array_response(
     half-wavelength spacing is set at the carrier, so off-carrier subcarriers
     pick up the beam-squint factor ``f_k/f0``.
     """
-    return steering_vectors(config, grid.frequency(k), _as_radians(theta))
+    return steering_vectors(config, grid.frequency(k), float(theta))
 
 
 def effective_beamformer(
@@ -275,7 +258,7 @@ def array_gain(
     grid: SubcarrierGrid,
     w_k: np.ndarray,
     k: int,
-    theta: float | SteeringAngle,
+    theta: float,
 ) -> float:
     """Array gain |a_k(theta)^H w_k|^2 of a beam vector at one (k, theta) pair."""
     w = np.asarray(w_k)

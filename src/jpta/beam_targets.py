@@ -102,6 +102,24 @@ class BeamTarget:
         return self.vectors.shape[1]
 
 
+def _behavior_angles(
+    config: SystemConfig,
+    grid: SubcarrierGrid,
+    behavior: int,
+    first: float,
+    second: float,
+) -> np.ndarray:
+    """Per-subcarrier steering angles of a stock behavior.
+
+    Behavior 1 sweeps ``first + k*second/K`` for (theta0, delta_theta);
+    behavior 2 steers to ``first`` below the center subcarrier and to
+    ``second`` at and above it, for (theta1, theta2).
+    """
+    if behavior == 1:
+        return first + grid.indices * (second / config.num_subcarriers)
+    return np.where(grid.indices < 0, first, second)
+
+
 def _steered_target(
     config: SystemConfig,
     grid: SubcarrierGrid,
@@ -128,8 +146,7 @@ def behavior1_target(
 ) -> BeamTarget:
     """Linearly swept beam: subcarrier k steers to theta0 + k*delta_theta/K."""
     check_sweep(theta0, delta_theta)
-    angles = theta0 + grid.indices * (delta_theta / config.num_subcarriers)
-    return _steered_target(config, grid, angles, scheme)
+    return _steered_target(config, grid, _behavior_angles(config, grid, 1, theta0, delta_theta), scheme)
 
 
 def behavior2_target(
@@ -140,7 +157,7 @@ def behavior2_target(
     scheme: WeightScheme = WeightScheme.UNIFORM,
 ) -> BeamTarget:
     """Half-band split beam: theta1 below the center subcarrier, theta2 at and above."""
-    angles = np.where(grid.indices < 0, check_angle(theta1, "theta1"), check_angle(theta2, "theta2"))
+    angles = _behavior_angles(config, grid, 2, check_angle(theta1, "theta1"), check_angle(theta2, "theta2"))
     return _steered_target(config, grid, angles, scheme)
 
 

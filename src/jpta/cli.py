@@ -54,7 +54,7 @@ from .beam_targets import (
     multi_angle_target,
 )
 from .design import DesignOptions, JptaBeamformer, TtdUpdate, _discrete_set, design_jpta
-from .hbf import HbfBeamformer, altmin_pc, pe_altmin_fc, stack_target
+from .hbf import HbfBeamformer, HbfStructure, altmin_pc, chains_fit, pe_altmin_fc, stack_target
 from .heuristics import heuristic_behavior1, heuristic_behavior2
 # objective_tilde is unused here but stays bound: bench/tracing.py wraps each name it lists in this module
 from .metrics import (
@@ -95,7 +95,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class ResultRecord:
-    """One aggregated run result; wall time is reported via run_meta.json only."""
+    """One aggregated run result.
+
+    ``wall_time_s`` is measured per run but written to no output yet; it is kept
+    for the per-stage timing recorder that ROADMAP item 2 plans.
+    """
 
     experiment_id: str
     algorithm: str
@@ -153,7 +157,7 @@ def _get(block: dict, key: str, path: str, kind, default=None, required: bool = 
 
 def _items(values, field: str, kind) -> list:
     if not isinstance(values, list) or not all(_is(v, kind) for v in values):
-        noun = "integers" if kind is int else "finite numbers"
+        noun = {int: "integers", str: "strings"}.get(kind, "finite numbers")
         raise ConfigError(f"{field}: expected a list of {noun}, got {values!r}")
     return [kind(v) for v in values]
 
@@ -161,6 +165,22 @@ def _items(values, field: str, kind) -> list:
 def _list(block: dict, key: str, path: str, kind=float, default=None, required: bool = False) -> list | None:
     values = _get(block, key, path, list, default=default, required=required)
     return None if values is None else _items(values, f"{path}.{key}", kind)
+
+
+def _choice(value, field: str, enum):
+    """A config value as a member of ``enum``, None for a key left out, or a ConfigError naming
+    the field and the choices."""
+    if value is None:
+        return None
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(f"{field}: unknown value {value!r} (choose from {[m.value for m in enum]})") from None
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments a config sets; a missing key leaves the library default."""
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def _angle_rad(deg: float, field: str) -> float:
@@ -244,33 +264,21 @@ def _target_angles(block: dict, behavior: int) -> list[float]:
 
 def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
     block = _get(config, "target", "", dict, required=True)
-    scheme_name = _get(block, "weight_scheme", "target", str, default="uniform")
-    try:
-        scheme = WeightScheme(scheme_name)
-    except ValueError:
-        raise ConfigError(
-            f"target.weight_scheme: unknown scheme {scheme_name!r} "
-            f"(choose from {[s.value for s in WeightScheme]})"
-        ) from None
+    scheme = _given(scheme=_choice(block.get("weight_scheme"), "target.weight_scheme", WeightScheme))
     custom_file = _get(block, "custom_file", "target", str)
     try:
         if custom_file is not None:
-            return custom_target(
-                system,
-                grid,
-                custom_file,
-                rescale=_get(block, "rescale", "target", bool, default=False),
-                scheme=scheme,
-            )
+            rescale = _given(rescale=_get(block, "rescale", "target", bool))
+            return custom_target(system, grid, custom_file, **rescale, **scheme)
         behavior = _get(block, "behavior", "target", int, required=True)
         if behavior in (1, 2):
             angles = _target_angles(block, behavior)
-            return (behavior1_target if behavior == 1 else behavior2_target)(system, grid, *angles, scheme)
+            return (behavior1_target if behavior == 1 else behavior2_target)(system, grid, *angles, **scheme)
         if behavior == 3:
             edges = _list(block, "band_edges", "target", int, required=True)
             angles = [_angle_rad(a, f"target.angles_deg[{i}]")
                       for i, a in enumerate(_list(block, "angles_deg", "target", required=True))]
-            return multi_angle_target(system, grid, edges, angles, scheme)
+            return multi_angle_target(system, grid, edges, angles, **scheme)
     except ConfigError:
         raise
     except (ValueError, OSError) as exc:
@@ -324,42 +332,33 @@ def run_algorithm(
     kind = next(k for k in _ALGO_KINDS if k in block)
     body = block[kind] or {}
     if kind == "jpta":
-        variant = _get(body, "variant", "algorithm.jpta", str, default="line_search")
-        try:
-            ttd_update = TtdUpdate(variant)
-        except ValueError:
-            raise ConfigError(
-                f"algorithm.jpta.variant: unknown variant {variant!r} "
-                f"(choose from {[v.value for v in TtdUpdate]})"
-            ) from None
         discrete_ns = _list(body, "discrete_delays_ns", "algorithm.jpta")
-        discrete = None if discrete_ns is None else tuple(v * NS for v in discrete_ns)
-        seed = _get(body, "init_phase_seed", "algorithm.jpta", int)
-        # config key -> (DesignOptions field, value); every field is checked on its own so
-        # that an error names the key it came from
+        # config key -> (DesignOptions field, value); a key left out keeps the DesignOptions
+        # default, and each given field is checked on its own so that an error names its key
         fields = {
-            "variant": ("ttd_update", ttd_update),
-            "max_iter": ("max_iter", _get(body, "max_iter", "algorithm.jpta", int, default=10)),
-            "grid": ("line_search_grid", _get(body, "grid", "algorithm.jpta", int, default=4096)),
-            "discrete_delays_ns": ("discrete_delays", discrete),
-            "nonnegative": ("enforce_nonnegative_delays",
-                            _get(body, "nonnegative", "algorithm.jpta", bool, default=True)),
+            "variant": ("ttd_update", _choice(body.get("variant"), "algorithm.jpta.variant", TtdUpdate)),
+            "max_iter": ("max_iter", _get(body, "max_iter", "algorithm.jpta", int)),
+            "grid": ("line_search_grid", _get(body, "grid", "algorithm.jpta", int)),
+            "discrete_delays_ns": ("discrete_delays",
+                                   None if discrete_ns is None else tuple(v * NS for v in discrete_ns)),
+            "nonnegative": ("enforce_nonnegative_delays", _get(body, "nonnegative", "algorithm.jpta", bool)),
             "epsilon": ("convergence_epsilon", _get(body, "epsilon", "algorithm.jpta", float)),
-            "init_phase_seed": ("init_phase_seed", seed),
+            "init_phase_seed": ("init_phase_seed", _get(body, "init_phase_seed", "algorithm.jpta", int)),
         }
-        for key, (field, value) in fields.items():
+        given = {key: pair for key, pair in fields.items() if pair[1] is not None}
+        for key, (field, value) in given.items():
             try:
                 DesignOptions(**{field: value})
-                if key == "discrete_delays_ns" and value is not None:
+                if key == "discrete_delays_ns":
                     _discrete_set(system, value)
             except ValueError as exc:
                 raise ConfigError(f"algorithm.jpta.{key}: {exc}") from None
-        options = DesignOptions(**dict(fields.values()))
-        label = str(body.get("label", f"jpta_{ttd_update.value}"))
+        options = DesignOptions(**dict(given.values()))
+        label = str(body.get("label", f"jpta_{options.ttd_update.value}"))
         bf, trace = design_jpta(system, grid, target, options)
         report = build_fit_report(
-            system, grid, target, bf, trace,
-            algorithm=label, seed=seed, max_iter=options.max_iter, variant=ttd_update.value,
+            system, grid, target, bf, trace, algorithm=label, seed=options.init_phase_seed,
+            max_iter=options.max_iter, variant=options.ttd_update.value,
         )
         return RunOutput(label=label, report=report, beamformer=bf,
                          beams=effective_beamformer_matrix(system, grid, bf))
@@ -375,20 +374,19 @@ def run_algorithm(
         return RunOutput(label=label, report=report, beamformer=bf,
                          beams=effective_beamformer_matrix(system, grid, bf))
     # hbf
-    structure = _get(body, "structure", "algorithm.hbf", str, default="fc")
-    if structure not in ("fc", "pc"):
-        raise ConfigError(f"algorithm.hbf.structure: expected 'fc' or 'pc', got {structure!r}")
-    label = str(body.get("label", f"hbf_{structure}"))
+    structure = (_choice(body.get("structure"), "algorithm.hbf.structure", HbfStructure)
+                 or HbfStructure.FULLY_CONNECTED)
+    label = str(body.get("label", f"hbf_{structure.value}"))
     n_rf = _get(body, "n_rf", "algorithm.hbf", int, required=True)
-    iters = _get(body, "iters", "algorithm.hbf", int, default=50)
-    restarts = _get(body, "restarts", "algorithm.hbf", int, default=5)
+    fit = _given(iters=_get(body, "iters", "algorithm.hbf", int),
+                 restarts=_get(body, "restarts", "algorithm.hbf", int))
     seed = _get(body, "seed", "algorithm.hbf", int, default=base_seed)
     matrix = stack_target(target)
     try:
-        if structure == "fc":
-            hb = pe_altmin_fc(matrix, n_rf, iters=iters, seed=seed, restarts=restarts)
+        if structure is HbfStructure.FULLY_CONNECTED:
+            hb = pe_altmin_fc(matrix, n_rf, seed=seed, **fit)
         else:
-            hb = altmin_pc(matrix, n_rf, iters=iters, seed=seed, restarts=restarts)
+            hb = altmin_pc(matrix, n_rf, seed=seed, **fit)
     except ValueError as exc:
         raise ConfigError(f"algorithm.hbf: {exc}") from None
     beams = hb.unit_effective_vectors()
@@ -397,7 +395,7 @@ def run_algorithm(
         f_tilde_obj=hb.residual**2 / system.num_subcarriers,
         per_subcarrier_match=per_subcarrier_match(target, beams),
         convergence_trace=hb.residual_trace,
-        metadata={"algorithm": label, "seed": hb.seed, "n_rf": n_rf, "structure": structure},
+        metadata={"algorithm": label, "seed": hb.seed, "n_rf": n_rf, "structure": structure.value},
     )
     return RunOutput(label=label, report=report, hbf=hb, beams=beams)
 
@@ -621,11 +619,6 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     return EXIT_OK
 
 
-def _chains_fit(structure: str, n_rf: int, num_antennas: int) -> bool:
-    """At most one chain per antenna; partially connected chains split the array evenly."""
-    return n_rf <= num_antennas and (structure == "fc" or num_antennas % n_rf == 0)
-
-
 def _compare_hbf(config: dict, seed: int, workers: int) -> list[ResultRecord]:
     """Chain-count sweep for both structures plus a delay-phase reference design."""
     system, grid, target = _prepare(config)
@@ -633,12 +626,9 @@ def _compare_hbf(config: dict, seed: int, workers: int) -> list[ResultRecord]:
     n_rf_values = _list(compare, "n_rf_values", "compare", int, default=[1, 2, 4, 8, 16, 32, 64])
     if not all(n >= 1 for n in n_rf_values):
         raise ConfigError(f"compare.n_rf_values: expected positive integers, got {n_rf_values!r}")
-    structures = _get(compare, "structures", "compare", list, default=["fc", "pc"])
-    for structure in structures:
-        if structure not in ("fc", "pc"):
-            raise ConfigError(f"compare.structures: expected 'fc' or 'pc', got {structure!r}")
-    fit = {"iters": _get(compare, "iters", "compare", int, default=50),
-           "restarts": _get(compare, "restarts", "compare", int, default=5)}
+    structures = [_choice(s, "compare.structures", HbfStructure)
+                  for s in _list(compare, "structures", "compare", str, default=[s.value for s in HbfStructure])]
+    fit = _given(iters=_get(compare, "iters", "compare", int), restarts=_get(compare, "restarts", "compare", int))
     for key, value in fit.items():
         if value < 1:
             raise ConfigError(f"compare.{key}: expected a positive integer, got {value}")
@@ -647,8 +637,8 @@ def _compare_hbf(config: dict, seed: int, workers: int) -> list[ResultRecord]:
     records = [_record(reference, "jpta[reference]", "n_rf", 1.0, time.perf_counter() - start)]
     for structure in structures:
         point = copy.deepcopy(config)
-        point["algorithms"] = [{"hbf": {"structure": structure, **fit}}]
-        values = [n for n in n_rf_values if _chains_fit(structure, n, system.num_antennas)]
+        point["algorithms"] = [{"hbf": {"structure": structure.value, **fit}}]
+        values = [n for n in n_rf_values if chains_fit(structure, n, system.num_antennas)]
         records += _sweep_records(point, "n_rf", values, seed, workers)
     return records
 
@@ -717,11 +707,7 @@ def _reproduce_fig4(config: dict, out_dir: Path, seed: int, workers: int) -> Non
     _design_maps(config, PRESET_BEHAVIOR2, out_dir, "behavior2", theta)
 
 
-_JPTA_ALGOS = [
-    {"jpta": {"variant": "line_search", "label": "jpta_line_search"}},
-    {"jpta": {"variant": "wls", "label": "jpta_wls"}},
-    {"heuristic": {}},
-]
+_JPTA_ALGOS = [{"jpta": {}}, {"jpta": {"variant": "wls"}}, {"heuristic": {}}]
 
 
 def _preset_sweep(config: dict, parameter: str, cases, seed: int, workers: int) -> list[ResultRecord]:
@@ -780,7 +766,7 @@ def _convergence_draws(config: dict, behavior: int, draws: int, iters: int, seed
                 "theta2_deg": math.degrees(float(rng.uniform(-np.pi / 3, np.pi / 3))),
             }
         system, grid, target = _prepare(point)
-        _, trace = design_jpta(system, grid, target, DesignOptions(max_iter=iters))
+        trace = run_algorithm(point, system, grid, target, {"jpta": {"max_iter": iters}}).report.convergence_trace
         ratios[d] = trace / trace[-1]
     return ratios
 
@@ -821,7 +807,7 @@ def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> Non
         point = copy.deepcopy(config)
         point["target"] = target_block
         system, grid, target = _prepare(point)
-        if not _chains_fit(structure, n_rf, system.num_antennas):
+        if not chains_fit(structure, n_rf, system.num_antennas):
             continue  # preset chain counts assume the stock 64-antenna array
         block = {"hbf": {"structure": structure, "n_rf": n_rf}}
         beams = run_algorithm(point, system, grid, target, block, base_seed=seed).beams
@@ -854,6 +840,10 @@ def cmd_reproduce(figure: str, out_dir: Path, fast: bool, seed: int, workers: in
         raise ConfigError(f"figure: unknown figure id {figure!r} (choose from {sorted(_FIGURES)})")
     start = time.perf_counter()
     config = apply_overrides(_preset_config(fast), overrides)
+    for item in overrides:
+        key = item.partition("=")[0]
+        if key.split(".")[0] != "system":
+            raise ConfigError(f"{key}: reproduce presets take only system.* overrides")
     build_system(config)  # validate early
     out_dir.mkdir(parents=True, exist_ok=True)
     _FIGURES[figure](config, out_dir, seed, workers)

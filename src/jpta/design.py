@@ -106,10 +106,6 @@ class JptaBeamformer:
         object.__setattr__(self, "alpha", alpha)
 
     @property
-    def alpha_magnitudes(self) -> np.ndarray:
-        return np.abs(self.alpha)
-
-    @property
     def alpha_phases(self) -> np.ndarray:
         return np.angle(self.alpha)
 

@@ -25,6 +25,7 @@ __all__ = [
     "stack_target",
     "pe_altmin_fc",
     "altmin_pc",
+    "chains_fit",
     "min_rf_chains",
     "orthogonal_column_count",
 ]
@@ -35,8 +36,24 @@ _REL_STOP = 1e-8  # stop alternating once the relative residual improvement drop
 
 
 class HbfStructure(str, Enum):
-    FULLY_CONNECTED = "fully_connected"
-    PARTIALLY_CONNECTED = "partially_connected"
+    FULLY_CONNECTED = "fc"
+    PARTIALLY_CONNECTED = "pc"
+
+
+def chains_fit(structure: HbfStructure | str, n_rf: int, num_antennas: int) -> bool:
+    """The one chain-count rule of both fits: at least one chain and at most one per antenna,
+    and partially connected chains split the array evenly."""
+    return 1 <= n_rf <= num_antennas and (
+        HbfStructure(structure) is HbfStructure.FULLY_CONNECTED or num_antennas % n_rf == 0
+    )
+
+
+def _check_fit(structure: HbfStructure, n_rf: int, num_antennas: int, iters: int, restarts: int) -> None:
+    if n_rf < 1 or iters < 1 or restarts < 1:
+        raise ValueError("n_rf, iters and restarts must be positive")
+    if not chains_fit(structure, n_rf, num_antennas):
+        rule = "not exceed" if structure is HbfStructure.FULLY_CONNECTED else "divide"
+        raise ValueError(f"n_rf ({n_rf}) must {rule} the antenna count ({num_antennas})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +128,7 @@ def pe_altmin_fc(
     """
     b = target_matrix.matrix
     m, _ = b.shape
-    if n_rf > m:
-        raise ValueError(f"n_rf ({n_rf}) must not exceed the antenna count ({m})")
-    if n_rf < 1 or iters < 1 or restarts < 1:
-        raise ValueError("n_rf, iters and restarts must be positive")
+    _check_fit(HbfStructure.FULLY_CONNECTED, n_rf, m, iters, restarts)
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
@@ -171,10 +185,7 @@ def altmin_pc(
     """
     b = target_matrix.matrix
     m, _ = b.shape
-    if n_rf < 1 or iters < 1 or restarts < 1:
-        raise ValueError("n_rf, iters and restarts must be positive")
-    if m % n_rf != 0:
-        raise ValueError(f"n_rf ({n_rf}) must divide the antenna count ({m})")
+    _check_fit(HbfStructure.PARTIALLY_CONNECTED, n_rf, m, iters, restarts)
     block = m // n_rf
     owner = np.repeat(np.arange(n_rf), block)
     rows = np.arange(m)

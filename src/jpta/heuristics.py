@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .array_model import SubcarrierGrid, SystemConfig, check_angle, check_sweep, steering_vectors
+from .beam_targets import _behavior_angles
 from .design import JptaBeamformer, _digital_alignment, shift_nonnegative, wrap_angle
 
 __all__ = [
-    "Behavior",
-    "HeuristicParams",
     "heuristic_behavior1",
     "heuristic_behavior2",
     "required_delay_budget",
@@ -22,34 +19,6 @@ __all__ = [
 
 
 _CANCEL_TOL = 1e-12  # midpoint-beam entries below this count as cancelled
-
-
-class Behavior(str, Enum):
-    ONE = "one"
-    TWO = "two"
-
-
-@dataclass(frozen=True)
-class HeuristicParams:
-    """Angles of a closed-form design; swept (theta0, delta_theta) or split (theta1, theta2)."""
-
-    behavior: Behavior
-    theta0: float | None = None
-    delta_theta: float | None = None
-    theta1: float | None = None
-    theta2: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "behavior", Behavior(self.behavior))
-        if self.behavior is Behavior.ONE:
-            if self.theta0 is None or self.delta_theta is None:
-                raise ValueError("swept behavior needs theta0 and delta_theta")
-            check_sweep(self.theta0, self.delta_theta)
-        else:
-            if self.theta1 is None or self.theta2 is None:
-                raise ValueError("split behavior needs theta1 and theta2")
-            check_angle(self.theta1, "theta1")
-            check_angle(self.theta2, "theta2")
 
 
 def heuristic_behavior1(
@@ -73,7 +42,7 @@ def heuristic_behavior1(
     ) / (2.0 * config.bandwidth * config.carrier_freq)
     tau = np.array([slope * np.mean(np.asarray(g, dtype=np.float64)) for g in config.ttd_groups])
     ramp = np.angle(steering_vectors(config, config.carrier_freq, theta0))
-    angles = theta0 + grid.indices * (delta_theta / config.num_subcarriers)
+    angles = _behavior_angles(config, grid, 1, theta0, delta_theta)
     return _assemble(config, grid, tau, ramp, angles_per_subcarrier=angles, nonnegative=nonnegative)
 
 
@@ -114,7 +83,7 @@ def heuristic_behavior2(
             tau[n] = -3.0 / (2.0 * np.pi * config.bandwidth) * float(np.angle(s))
     mid_angle = np.angle(b_mid)
     mid_angle[dead] = 0.0
-    angles = np.where(grid.indices < 0, theta1, theta2)
+    angles = _behavior_angles(config, grid, 2, theta1, theta2)
     return _assemble(config, grid, tau, mid_angle, angles_per_subcarrier=angles, nonnegative=nonnegative)
 
 
@@ -146,8 +115,12 @@ def _assemble(
     return bf
 
 
-def required_delay_budget(config: SystemConfig, params: HeuristicParams) -> float:
-    """Delay range (seconds) the closed-form designs need to avoid clipping."""
-    if params.behavior is Behavior.ONE:
-        return config.num_antennas * abs(math.sin(params.delta_theta / 2.0)) / config.bandwidth
+def required_delay_budget(config: SystemConfig, delta_theta: float | None = None) -> float:
+    """Delay range (seconds) the closed-form designs need to avoid clipping.
+
+    Pass the sweep width ``delta_theta`` for the swept beam; leave it out for
+    the split beam.
+    """
+    if delta_theta is not None:
+        return config.num_antennas * abs(math.sin(delta_theta / 2.0)) / config.bandwidth
     return 3.0 / config.bandwidth

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from jpta.array_model import (
-    SteeringAngle,
     SystemConfig,
     array_gain,
     array_response,
@@ -17,7 +16,7 @@ from jpta.array_model import (
 )
 from jpta.beam_targets import behavior1_target, behavior2_target, multi_angle_target
 from jpta.design import JptaBeamformer
-from jpta.heuristics import HeuristicParams, heuristic_behavior1, heuristic_behavior2
+from jpta.heuristics import heuristic_behavior1, heuristic_behavior2
 
 from helpers import make_config
 
@@ -102,19 +101,12 @@ def test_array_response_rejects_off_grid_subcarrier():
         array_response(cfg, grid, 99, 0.0)
 
 
-def test_steering_angle_range():
-    SteeringAngle(math.pi / 2)
-    with pytest.raises(ValueError):
-        SteeringAngle(1.7)
-
-
 _FOV_CFG = make_config(num_antennas=4, num_ttds=2, num_subcarriers=8)
 _FOV_GRID = build_grid(_FOV_CFG)
 
 # every public entry point that takes a steering angle, called with that angle as `t`; the
 # ".edge" variants put `t` on a sweep edge through the width alone (0 +/- 2t/2 is exact)
 _ANGLE_ENTRY_POINTS = {
-    "SteeringAngle": lambda t: SteeringAngle(t),
     "behavior1_target.theta0": lambda t: behavior1_target(_FOV_CFG, _FOV_GRID, t, 0.0),
     "behavior1_target.edge": lambda t: behavior1_target(_FOV_CFG, _FOV_GRID, 0.0, 2.0 * t),
     "behavior2_target.theta1": lambda t: behavior2_target(_FOV_CFG, _FOV_GRID, t, 0.3),
@@ -124,8 +116,6 @@ _ANGLE_ENTRY_POINTS = {
     "heuristic_behavior1.edge": lambda t: heuristic_behavior1(_FOV_CFG, _FOV_GRID, 0.0, 2.0 * t),
     "heuristic_behavior2.theta1": lambda t: heuristic_behavior2(_FOV_CFG, _FOV_GRID, t, 0.3),
     "heuristic_behavior2.theta2": lambda t: heuristic_behavior2(_FOV_CFG, _FOV_GRID, 0.3, t),
-    "HeuristicParams.one": lambda t: HeuristicParams(behavior="one", theta0=0.0, delta_theta=2.0 * t),
-    "HeuristicParams.two": lambda t: HeuristicParams(behavior="two", theta1=0.3, theta2=t),
 }
 
 
@@ -136,15 +126,6 @@ def test_field_of_view_is_closed_at_plus_minus_90_degrees(entry, sign):
     call(sign * math.pi / 2)
     with pytest.raises(ValueError, match=r"deg outside the field of view \[-90, 90\]"):
         call(np.nextafter(sign * math.pi / 2, sign * 2.0))
-
-
-def test_array_response_accepts_steering_angle_objects():
-    cfg = make_config()
-    grid = build_grid(cfg)
-    assert np.array_equal(
-        array_response(cfg, grid, 0, SteeringAngle(0.4)),
-        array_response(cfg, grid, 0, 0.4),
-    )
 
 
 def _random_beamformer(cfg, rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jpta import beam_targets, heuristics
 from jpta.array_model import array_response, build_grid
 from jpta.beam_targets import (
     BeamTarget,
@@ -24,6 +25,30 @@ def test_behavior1_zero_sweep_matches_squint_corrected_steering():
     for pos, k in enumerate(grid.indices):
         a = array_response(cfg, grid, int(k), 0.4) / math.sqrt(8)
         assert np.allclose(target.unit_vectors[pos], a, atol=1e-14)
+
+
+@pytest.mark.parametrize("num_subcarriers", [15, 16, 2048])
+def test_targets_and_closed_forms_share_the_per_subcarrier_angle_rules(monkeypatch, num_subcarriers):
+    cfg = make_config(num_subcarriers=num_subcarriers)
+    grid = build_grid(cfg)
+    theta0, dtheta, theta1, theta2 = math.pi / 6, math.pi / 4, -math.pi / 4, math.pi / 6
+    swept = theta0 + grid.indices * (dtheta / num_subcarriers)
+    split = np.where(grid.indices < 0, theta1, theta2)
+    seen, rule = [], beam_targets._behavior_angles
+
+    def spy(*args):
+        seen.append(rule(*args))
+        return seen[-1]
+
+    for module in (beam_targets, heuristics):
+        monkeypatch.setattr(module, "_behavior_angles", spy)
+    behavior1_target(cfg, grid, theta0, dtheta)
+    heuristics.heuristic_behavior1(cfg, grid, theta0, dtheta)
+    behavior2_target(cfg, grid, theta1, theta2)
+    heuristics.heuristic_behavior2(cfg, grid, theta1, theta2)
+    assert len(seen) == 4
+    for angles, expected in zip(seen, (swept, swept, split, split)):
+        assert np.array_equal(angles, expected)
 
 
 def test_behavior1_center_subcarrier_exact():

@@ -4,18 +4,25 @@ import importlib.util
 import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpta import cli
 from jpta.array_model import build_grid, effective_beamformer_matrix
 from jpta.beam_targets import behavior1_target
 from jpta.cli import main, parse_beamformer_file
+from jpta.design import DesignOptions, design_jpta
+from jpta.hbf import altmin_pc, pe_altmin_fc, stack_target
 from jpta.metrics import fit_objective, linear_to_db
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_DIR = ROOT / "bench"
 
 BASE_CONFIG = {
     "system": {
@@ -221,6 +228,86 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
         assert (serial / "results.csv").read_bytes() == (pooled / "results.csv").read_bytes(), command
 
 
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4), (8, 8)]),
+    num_subcarriers=st.sampled_from([8, 16]),
+    sweep=st.sampled_from([
+        {"parameter": "num_ttds", "values": [1, 2, 4]},
+        {"parameter": "delay_range", "values": [1, 3.5, 8]},
+        {"parameter": "max_iter", "values": [1, 2]},
+        {"parameter": "n_rf", "values": [1, 2, 4]},
+    ]),
+    seed=st.integers(0, 100),
+)
+def test_pooled_sweep_writes_the_serial_results(shape, num_subcarriers, sweep, seed):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["system"].update(num_antennas=shape[0], num_ttds=shape[1], num_subcarriers=num_subcarriers)
+    config.pop("algorithm")
+    config["algorithms"] = [
+        {"jpta": {"max_iter": 2}},
+        {"jpta": {"variant": "wls", "max_iter": 2}},
+        {"heuristic": {}},
+        {"hbf": {"structure": "fc", "n_rf": 1, "restarts": 2}},
+        {"hbf": {"structure": "pc", "n_rf": 1, "iters": 5}},
+    ]
+    config["sweep"] = sweep
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = write_config(tmp, config)
+        for name, workers in (("serial", "1"), ("pooled", "2")):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp / name),
+                         "--seed", str(seed), "--workers", workers]) == 0
+        assert (tmp / "serial" / "results.csv").read_bytes() == (tmp / "pooled" / "results.csv").read_bytes()
+
+
+def test_empty_jpta_block_designs_with_the_design_options_defaults():
+    config = json.loads(json.dumps(BASE_CONFIG))
+    system = cli.build_system(config)
+    grid = build_grid(system)
+    target = cli.build_target(config, system, grid)
+    output = cli.run_algorithm(config, system, grid, target, {"jpta": {}})
+    bf, trace = design_jpta(system, grid, target, DesignOptions())
+    for name in ("delays", "phases", "alpha"):
+        assert np.array_equal(getattr(output.beamformer, name), getattr(bf, name)), name
+    assert np.array_equal(output.report.convergence_trace, trace)
+    assert output.label == "jpta_line_search"
+    assert output.report.metadata["max_iter"] == DesignOptions().max_iter
+
+
+@pytest.mark.parametrize("structure, fit", [("fc", pe_altmin_fc), ("pc", altmin_pc)])
+def test_hbf_block_without_iters_and_restarts_fits_with_the_library_defaults(structure, fit):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    system = cli.build_system(config)
+    grid = build_grid(system)
+    target = cli.build_target(config, system, grid)
+    # at seed 32 both fits keep their fifth (last default) restart, and the fc fit runs all 50 iterations
+    output = cli.run_algorithm(config, system, grid, target, {"hbf": {"structure": structure, "n_rf": 2}},
+                               base_seed=32)
+    expected = fit(stack_target(target), 2, seed=32)
+    assert expected.seed == 32 + 4
+    for name in ("analog", "digital", "residual_trace"):
+        assert np.array_equal(getattr(output.hbf, name), getattr(expected, name)), name
+    assert output.hbf.seed == expected.seed and output.label == f"hbf_{structure}"
+
+
+def test_readme_config_block_runs(tmp_path):
+    # the README's configuration example, so its key names and values cannot drift from the code
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Configuration file"):]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(block, encoding="utf-8")
+    small = ["--set", "system.num_subcarriers=16"]
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"), *small]) == 0
+    rows = read_rows(tmp_path / "sweep" / "results.csv")
+    assert {r["algorithm"] for r in rows} == {"jpta_line_search", "heuristic", "hbf_fc"}
+    assert len(rows) == 3 * 7
+    assert main(["compare-hbf", "--config", str(cfg), "--out", str(tmp_path / "compare"), *small]) == 0
+    algorithms = {r["algorithm"] for r in read_rows(tmp_path / "compare" / "results.csv")}
+    assert algorithms == {"jpta_line_search", "hbf_fc", "hbf_pc"}
+
+
 def test_sweep_requires_sweep_block(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -267,6 +354,15 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
          "target.theta0_deg + target.delta_theta_deg/2: 102.5 deg outside the field of view [-90, 90]"),
         ("design", 'algorithm={"hbf":{"structure":"pc","n_rf":0}}',
          "algorithm.hbf: n_rf, iters and restarts must be positive"),
+        ("design", "algorithm.jpta.variant=newton",
+         "algorithm.jpta.variant: unknown value 'newton' (choose from ['line_search', 'wls'])"),
+        ("design", 'algorithm={"hbf":{"structure":"fully_connected","n_rf":2}}',
+         "algorithm.hbf.structure: unknown value 'fully_connected' (choose from ['fc', 'pc'])"),
+        ("design", "target.weight_scheme=flat",
+         "target.weight_scheme: unknown value 'flat' (choose from ['uniform', 'power', 'saturating'])"),
+        ("compare-hbf", 'compare.structures=["fc","xc"]',
+         "compare.structures: unknown value 'xc' (choose from ['fc', 'pc'])"),
+        ("compare-hbf", "compare.structures=[null]", "compare.structures: expected a list of strings, got [None]"),
     ],
 )
 def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):
@@ -352,6 +448,21 @@ def test_gain_map_rejects_a_beamformer_file_of_another_shape(tmp_path, capsys, o
 def test_reproduce_unknown_figure(tmp_path, capsys):
     assert main(["reproduce", "fig99", "--out", str(tmp_path / "x")]) == 2
     assert "unknown figure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["target.behavior=7", "output.theta_step_deg=5", "algorithm.jpta.max_iter=1"], "target.behavior"),
+        (["system.num_antennas=8", "algorithm.jpta.max_iter=1"], "algorithm.jpta.max_iter"),
+        (["output={}"], "output"),
+    ],
+)
+def test_reproduce_takes_only_system_overrides(tmp_path, capsys, overrides, key):
+    args = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["reproduce", "fig11", "--out", str(tmp_path / "x"), "--fast", *args]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: reproduce presets take only system.* overrides\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_reproduce_fig4_small_override(tmp_path):

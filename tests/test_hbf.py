@@ -9,6 +9,7 @@ from jpta.hbf import (
     HbfStructure,
     TargetMatrix,
     altmin_pc,
+    chains_fit,
     min_rf_chains,
     orthogonal_column_count,
     pe_altmin_fc,
@@ -136,6 +137,23 @@ def test_chain_count_below_one_is_rejected(fit, n_rf):
     tm = stack_target(behavior1_target(cfg, grid, 0.3, 0.4))
     with pytest.raises(ValueError, match="n_rf, iters and restarts must be positive"):
         fit(tm, n_rf)
+
+
+@pytest.mark.parametrize(
+    "structure, fit, allowed",
+    [("fc", pe_altmin_fc, list(range(1, 13))), ("pc", altmin_pc, [1, 2, 3, 4, 6, 12])],
+)
+def test_fits_accept_exactly_the_chain_counts_chains_fit_allows(structure, fit, allowed):
+    cfg = _wideband(num_subcarriers=8, num_antennas=12)
+    tm = stack_target(behavior1_target(cfg, build_grid(cfg), 0.3, 0.4))
+    counts = range(-1, 15)
+    assert [n for n in counts if chains_fit(structure, n, 12)] == allowed
+    for n_rf in counts:
+        if n_rf in allowed:
+            assert fit(tm, n_rf, iters=1, restarts=1).structure is HbfStructure(structure)
+        else:
+            with pytest.raises(ValueError, match="n_rf"):
+                fit(tm, n_rf, iters=1, restarts=1)
 
 
 def test_fc_beats_pc_at_equal_chain_count():

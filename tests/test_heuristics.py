@@ -5,13 +5,7 @@ import pytest
 
 from jpta.array_model import build_grid, effective_beamformer_matrix
 from jpta.beam_targets import behavior1_target, behavior2_target
-from jpta.heuristics import (
-    Behavior,
-    HeuristicParams,
-    heuristic_behavior1,
-    heuristic_behavior2,
-    required_delay_budget,
-)
+from jpta.heuristics import heuristic_behavior1, heuristic_behavior2, required_delay_budget
 from jpta.metrics import fit_objective
 
 from helpers import make_config
@@ -131,23 +125,12 @@ def test_behavior2_antipodal_angles_flagged():
 
 def test_required_delay_budget():
     cfg = make_config(num_antennas=64, num_ttds=64)
-    zero = HeuristicParams(behavior=Behavior.ONE, theta0=0.3, delta_theta=0.0)
-    assert required_delay_budget(cfg, zero) == 0.0
-    sweep = HeuristicParams(behavior=Behavior.ONE, theta0=math.pi / 6, delta_theta=math.pi / 4)
-    assert required_delay_budget(cfg, sweep) == pytest.approx(64 * math.sin(math.pi / 8) / 10e9, rel=1e-12)
-    assert required_delay_budget(cfg, sweep) == pytest.approx(2.449e-9, abs=1e-12)
-    split = HeuristicParams(behavior=Behavior.TWO, theta1=-0.3, theta2=0.4)
-    assert required_delay_budget(cfg, split) == pytest.approx(0.3e-9, rel=1e-12)
-
-
-def test_heuristic_params_validation():
-    with pytest.raises(ValueError):
-        HeuristicParams(behavior=Behavior.ONE, theta0=0.3)
-    with pytest.raises(ValueError):
-        HeuristicParams(behavior=Behavior.TWO, theta1=0.3)
-    with pytest.raises(ValueError):
-        HeuristicParams(behavior=Behavior.ONE, theta0=1.5, delta_theta=0.5)
-    assert HeuristicParams(behavior="two", theta1=-0.2, theta2=0.3).behavior is Behavior.TWO
+    assert required_delay_budget(cfg, 0.0) == 0.0
+    sweep = required_delay_budget(cfg, math.pi / 4)
+    assert sweep == pytest.approx(64 * math.sin(math.pi / 8) / 10e9, rel=1e-12)
+    assert sweep == pytest.approx(2.449e-9, abs=1e-12)
+    assert required_delay_budget(cfg, -math.pi / 4) == sweep
+    assert required_delay_budget(cfg) == pytest.approx(0.3e-9, rel=1e-12)
 
 
 def test_iterative_design_strictly_beats_closed_forms():
