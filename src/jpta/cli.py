@@ -106,7 +106,7 @@ class ResultRecord:
     parameter: str
     value: float
     f_obj: float
-    f_tilde_obj: float | None
+    f_tilde_obj: float
     iterations: int
     seed: int | None
     wall_time_s: float = 0.0
@@ -118,7 +118,7 @@ class ResultRecord:
             self.parameter,
             _fmt(self.value),
             _fmt(self.f_obj),
-            "" if self.f_tilde_obj is None else _fmt(self.f_tilde_obj),
+            _fmt(self.f_tilde_obj),
             str(self.iterations),
             "" if self.seed is None else str(self.seed),
         ]
@@ -354,12 +354,9 @@ def run_algorithm(
             except ValueError as exc:
                 raise ConfigError(f"algorithm.jpta.{key}: {exc}") from None
         options = DesignOptions(**dict(given.values()))
-        label = str(body.get("label", f"jpta_{options.ttd_update.value}"))
+        label = _get(body, "label", "algorithm.jpta", str, default=f"jpta_{options.ttd_update.value}")
         bf, trace = design_jpta(system, grid, target, options)
-        report = build_fit_report(
-            system, grid, target, bf, trace, algorithm=label, seed=options.init_phase_seed,
-            max_iter=options.max_iter, variant=options.ttd_update.value,
-        )
+        report = build_fit_report(system, grid, target, bf, trace, seed=options.init_phase_seed)
         return RunOutput(label=label, report=report, beamformer=bf,
                          beams=effective_beamformer_matrix(system, grid, bf))
     if kind == "heuristic":
@@ -369,14 +366,14 @@ def run_algorithm(
             raise ConfigError("algorithm.heuristic: closed-form designs exist only for behaviors 1 and 2")
         angles = _target_angles(target_block, behavior)
         bf = (heuristic_behavior1 if behavior == 1 else heuristic_behavior2)(system, grid, *angles)
-        label = str(body.get("label", "heuristic"))
-        report = build_fit_report(system, grid, target, bf, None, algorithm=label)
+        label = _get(body, "label", "algorithm.heuristic", str, default="heuristic")
+        report = build_fit_report(system, grid, target, bf)
         return RunOutput(label=label, report=report, beamformer=bf,
                          beams=effective_beamformer_matrix(system, grid, bf))
     # hbf
     structure = (_choice(body.get("structure"), "algorithm.hbf.structure", HbfStructure)
                  or HbfStructure.FULLY_CONNECTED)
-    label = str(body.get("label", f"hbf_{structure.value}"))
+    label = _get(body, "label", "algorithm.hbf", str, default=f"hbf_{structure.value}")
     n_rf = _get(body, "n_rf", "algorithm.hbf", int, required=True)
     fit = _given(iters=_get(body, "iters", "algorithm.hbf", int),
                  restarts=_get(body, "restarts", "algorithm.hbf", int))
@@ -395,7 +392,7 @@ def run_algorithm(
         f_tilde_obj=hb.residual**2 / system.num_subcarriers,
         per_subcarrier_match=per_subcarrier_match(target, beams),
         convergence_trace=hb.residual_trace,
-        metadata={"algorithm": label, "seed": hb.seed, "n_rf": n_rf, "structure": structure.value},
+        seed=hb.seed,
     )
     return RunOutput(label=label, report=report, hbf=hb, beams=beams)
 
@@ -472,9 +469,8 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:
 
 def write_fit_report(out_dir: Path, experiment_id: str, output: RunOutput, grid: SubcarrierGrid) -> None:
     report = output.report
-    seed = report.metadata.get("seed")
     row = [experiment_id, output.label, _fmt(report.f_obj), _fmt(report.f_tilde_obj), report.iterations,
-           "" if seed is None else seed]
+           "" if report.seed is None else report.seed]
     _write_rows(out_dir / "fit_report.csv",
                 ["experiment_id", "algorithm", "f_obj", "f_tilde_obj", "iterations", "seed"], [row])
     _write_rows(out_dir / "per_subcarrier_match.csv", ["k", "match"],
@@ -569,7 +565,7 @@ def _record(output: RunOutput, experiment_id: str, parameter: str, value: float,
             wall_time_s: float) -> ResultRecord:
     report = output.report
     return ResultRecord(experiment_id, output.label, parameter, float(value), report.f_obj,
-                        report.f_tilde_obj, report.iterations, report.metadata.get("seed"), wall_time_s)
+                        report.f_tilde_obj, report.iterations, report.seed, wall_time_s)
 
 
 def _run_sweep_point(args: tuple[dict, int, str, float, int]) -> ResultRecord:
@@ -597,10 +593,11 @@ def _sweep_records(config: dict, parameter: str, values, seed: int, workers: int
     return [_run_sweep_point(task) for task in tasks]
 
 
-def _write_results(out_dir: Path, config: dict, start: float, records: list[ResultRecord]) -> None:
+def _write_results(out_dir: Path, config: dict, start: float, records: list[ResultRecord],
+                   notes: list[str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records_csv(out_dir / "results.csv", records)
-    write_provenance(out_dir, config, time.perf_counter() - start, [])
+    write_provenance(out_dir, config, time.perf_counter() - start, notes)
 
 
 def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
@@ -615,37 +612,46 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     if _SWEEPS[parameter][1] is int and not all(v.is_integer() for v in values):
         raise ConfigError(f"sweep.values: {parameter} takes integers, got {values!r}")
     _prepare(config)  # validate the base config before queuing work
-    _write_results(out_dir, config, start, _sweep_records(config, parameter, values, seed, workers))
+    _write_results(out_dir, config, start, _sweep_records(config, parameter, values, seed, workers), [])
     return EXIT_OK
 
 
-def _compare_hbf(config: dict, seed: int, workers: int) -> list[ResultRecord]:
-    """Chain-count sweep for both structures plus a delay-phase reference design."""
+def _compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> list[ResultRecord]:
+    """Chain-count sweep for both structures plus a delay-phase reference design, written to
+    ``out_dir``, whose run_meta.json notes the chain counts each structure skips."""
+    start = time.perf_counter()
     system, grid, target = _prepare(config)
+    m = system.num_antennas
     compare = _get(config, "compare", "", dict, default={})
-    n_rf_values = _list(compare, "n_rf_values", "compare", int, default=[1, 2, 4, 8, 16, 32, 64])
-    if not all(n >= 1 for n in n_rf_values):
-        raise ConfigError(f"compare.n_rf_values: expected positive integers, got {n_rf_values!r}")
     structures = [_choice(s, "compare.structures", HbfStructure)
                   for s in _list(compare, "structures", "compare", str, default=[s.value for s in HbfStructure])]
+    n_rf_values = _list(compare, "n_rf_values", "compare", int,
+                        default=[n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m])
+    for n in n_rf_values:
+        if not any(chains_fit(structure, n, m) for structure in structures):
+            raise ConfigError(f"compare.n_rf_values: {n} chains fit none of the structures "
+                              f"{[s.value for s in structures]} on {m} antennas")
     fit = _given(iters=_get(compare, "iters", "compare", int), restarts=_get(compare, "restarts", "compare", int))
     for key, value in fit.items():
         if value < 1:
             raise ConfigError(f"compare.{key}: expected a positive integer, got {value}")
-    start = time.perf_counter()
     reference = run_algorithm(config, system, grid, target, {"jpta": {}})
     records = [_record(reference, "jpta[reference]", "n_rf", 1.0, time.perf_counter() - start)]
+    notes = []
     for structure in structures:
         point = copy.deepcopy(config)
         point["algorithms"] = [{"hbf": {"structure": structure.value, **fit}}]
-        values = [n for n in n_rf_values if chains_fit(structure, n, system.num_antennas)]
+        values = [n for n in n_rf_values if chains_fit(structure, n, m)]
         records += _sweep_records(point, "n_rf", values, seed, workers)
+        skipped = [n for n in n_rf_values if n not in values]
+        if skipped:
+            notes.append(f"compare.n_rf_values: {structure.value} skips {skipped} on {m} antennas")
+    _write_results(out_dir, config, start, records, notes)
     return records
 
 
 def cmd_compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> int:
-    start = time.perf_counter()
-    _write_results(out_dir, config, start, _compare_hbf(config, seed, workers))
+    _compare_hbf(config, out_dir, seed, workers)
     return EXIT_OK
 
 
@@ -663,7 +669,7 @@ def cmd_gain_map(config: dict, beamformer_path: Path, out_dir: Path) -> int:
             raise ConfigError(f"beamformer file: section [{name}] holds {values.size} values, "
                               f"the config needs {count}")
     beams = effective_beamformer_matrix(system, grid, bf)
-    report = build_fit_report(system, grid, target, bf, algorithm="stored")
+    report = build_fit_report(system, grid, target, bf)
     thetas = _theta_grid_from(config)
     gains = gain_map(system, grid, beams, thetas)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -783,15 +789,13 @@ def _reproduce_fig7(config: dict, out_dir: Path, seed: int, workers: int) -> Non
 
 
 def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+    m = config["system"]["num_antennas"]
     rows = []
     for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2)):
-        start = time.perf_counter()
         point = copy.deepcopy(config)
         point["target"] = target_block
-        point["compare"] = {"n_rf_values": [1, 2, 4, 8, 12, 16, 22, 32, 64]}
-        records = _compare_hbf(point, seed, workers)
-        _write_results(out_dir / name, point, start, records)
-        rows += [[name, *row] for row in _result_rows(records)]
+        point["compare"] = {"n_rf_values": [n for n in (1, 2, 4, 8, 12, 16, 22, 32, 64) if n <= m]}
+        rows += [[name, *row] for row in _result_rows(_compare_hbf(point, out_dir / name, seed, workers))]
     _write_rows(out_dir / "f_obj_vs_n_rf.csv", ["behavior", *RESULT_HEADER], rows)
 
 
@@ -870,23 +874,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON experiment configuration")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="JSON experiment configuration")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="base seed for randomized algorithms")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE", help="override a config field (repeatable)")
 
     p_design = sub.add_parser("design", help="run one design and write its outputs")
-    add_common(p_design)
-
     p_sweep = sub.add_parser("sweep", help="run the configured parameter sweep")
-    add_common(p_sweep)
-    p_sweep.add_argument("--workers", type=_positive_int, default=1, help="parallel sweep workers")
-
     p_cmp = sub.add_parser("compare-hbf", help="chain-count sweep of the hybrid baselines")
-    add_common(p_cmp)
+    for p in (p_design, p_sweep, p_cmp):
+        add_common(p)
+        p.add_argument("--seed", type=int, default=0, help="base seed for randomized algorithms")
+    p_sweep.add_argument("--workers", type=_positive_int, default=1, help="parallel sweep workers")
     p_cmp.add_argument("--workers", type=_positive_int, default=1, help="parallel hybrid-fit workers")
 
     p_rep = sub.add_parser("reproduce", help="run a stock figure preset")

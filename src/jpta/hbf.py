@@ -48,14 +48,6 @@ def chains_fit(structure: HbfStructure | str, n_rf: int, num_antennas: int) -> b
     )
 
 
-def _check_fit(structure: HbfStructure, n_rf: int, num_antennas: int, iters: int, restarts: int) -> None:
-    if n_rf < 1 or iters < 1 or restarts < 1:
-        raise ValueError("n_rf, iters and restarts must be positive")
-    if not chains_fit(structure, n_rf, num_antennas):
-        rule = "not exceed" if structure is HbfStructure.FULLY_CONNECTED else "divide"
-        raise ValueError(f"n_rf ({n_rf}) must {rule} the antenna count ({num_antennas})")
-
-
 @dataclass(frozen=True, eq=False)
 class TargetMatrix:
     """Target beams stacked column-wise in ascending subcarrier order."""
@@ -102,10 +94,70 @@ class HbfBeamformer:
         return eff / norms[:, None]
 
 
-def _record_best(best, candidate):
-    if best is None or candidate[-1] < best[-1]:
-        return candidate
-    return best
+def _alternating_fit(target_matrix: TargetMatrix, structure: HbfStructure, n_rf: int, iters: int, seed: int,
+                     restarts: int, draw, step, solve, init_analog: np.ndarray | None = None) -> HbfBeamformer:
+    """The restart, stopping, keep-best and normalization policy of both fits.
+
+    Restart r starts from ``draw(rng, M, n_rf)``, ``rng`` seeded ``seed + r``, or
+    restart 0 from ``init_analog``, whose own exact fit then competes too.  A run
+    repeats ``step(b, analog) -> (analog, digital)`` up to ``iters`` times, until
+    the residual improves by less than ``_REL_STOP`` relative, then takes the
+    exact ``solve(b, analog)``.  The first run with the least final residual wins.
+    """
+    b = target_matrix.matrix
+    m = b.shape[0]
+    if n_rf < 1 or iters < 1 or restarts < 1:
+        raise ValueError("n_rf, iters and restarts must be positive")
+    if not chains_fit(structure, n_rf, m):
+        rule = "not exceed" if structure is HbfStructure.FULLY_CONNECTED else "divide"
+        raise ValueError(f"n_rf ({n_rf}) must {rule} the antenna count ({m})")
+
+    def runs():  # (final residual, restart seed, residual trace, analog, digital) per candidate
+        for r in range(restarts):
+            if r == 0 and init_analog is not None:
+                analog = np.asarray(init_analog, dtype=np.complex128)
+                if analog.shape != (m, n_rf):
+                    raise ValueError(f"init_analog must have shape {(m, n_rf)}")
+                digital = solve(b, analog)
+                residual = float(np.linalg.norm(b - analog @ digital))
+                yield residual, seed, [residual], analog, digital
+            else:
+                analog = draw(np.random.default_rng(seed + r), m, n_rf)
+            trace: list[float] = []
+            previous = math.inf
+            for _ in range(iters):
+                analog, digital = step(b, analog)
+                residual = float(np.linalg.norm(b - analog @ digital))
+                trace.append(residual)
+                if previous - residual < _REL_STOP * max(previous, 1.0):
+                    break
+                previous = residual
+            digital = solve(b, analog)
+            trace.append(float(np.linalg.norm(b - analog @ digital)))
+            yield trace[-1], seed + r, trace, analog, digital
+
+    residual, kept_seed, trace, analog, digital = min(runs(), key=lambda run: run[0])
+    scale = np.linalg.norm(analog @ digital)
+    if scale == 0.0:
+        raise ValueError("fit collapsed to zero; cannot normalize transmit power")
+    return HbfBeamformer(analog=analog, digital=digital * (math.sqrt(target_matrix.power_budget) / scale),
+                         structure=structure, n_rf=n_rf, seed=kept_seed, residual=residual,
+                         residual_trace=np.asarray(trace))
+
+
+def _fc_draw(rng: np.random.Generator, m: int, n_rf: int) -> np.ndarray:
+    return np.exp(1j * rng.uniform(-np.pi, np.pi, size=(m, n_rf)))
+
+
+def _fc_step(b: np.ndarray, analog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m, n_rf = analog.shape
+    u, s, vh = np.linalg.svd(analog.conj().T @ b, full_matrices=False)
+    digital = (s.sum() / (m * n_rf)) * (u @ vh)
+    return np.exp(1j * np.angle(b @ digital.conj().T)), digital
+
+
+def _fc_solve(b: np.ndarray, analog: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(analog, b, rcond=None)[0]
 
 
 def pe_altmin_fc(
@@ -123,50 +175,36 @@ def pe_altmin_fc(
     with fresh columns).  Per iteration the digital factor is the best
     semi-unitary-times-scale least-squares fit (SVD Procrustes), then analog
     phases take the phase of the target-digital cross term.  A final
-    unconstrained digital least squares sharpens the best run before the power
+    unconstrained digital least squares sharpens each run before the power
     normalization.
     """
-    b = target_matrix.matrix
-    m, _ = b.shape
-    _check_fit(HbfStructure.FULLY_CONNECTED, n_rf, m, iters, restarts)
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        if r == 0 and init_analog is not None:
-            analog = np.asarray(init_analog, dtype=np.complex128)
-            if analog.shape != (m, n_rf):
-                raise ValueError(f"init_analog must have shape {(m, n_rf)}")
-            # keep the warm start itself in the running, in case alternation drifts
-            digital = np.linalg.lstsq(analog, b, rcond=None)[0]
-            residual = float(np.linalg.norm(b - analog @ digital))
-            best = _record_best(best, (analog, digital, [residual], seed + r, residual))
-        else:
-            analog = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(m, n_rf)))
-        trace: list[float] = []
-        previous = math.inf
-        for _ in range(iters):
-            u, s, vh = np.linalg.svd(analog.conj().T @ b, full_matrices=False)
-            digital = (s.sum() / (m * n_rf)) * (u @ vh)
-            analog = np.exp(1j * np.angle(b @ digital.conj().T))
-            residual = float(np.linalg.norm(b - analog @ digital))
-            trace.append(residual)
-            if previous - residual < _REL_STOP * max(previous, 1.0):
-                break
-            previous = residual
-        digital = np.linalg.lstsq(analog, b, rcond=None)[0]
-        trace.append(float(np.linalg.norm(b - analog @ digital)))
-        best = _record_best(best, (analog, digital, trace, seed + r, trace[-1]))
-    analog, digital, trace, kept_seed, residual = best
-    digital = _normalize_power(analog, digital, target_matrix.power_budget)
-    return HbfBeamformer(
-        analog=analog,
-        digital=digital,
-        structure=HbfStructure.FULLY_CONNECTED,
-        n_rf=n_rf,
-        seed=kept_seed,
-        residual=residual,
-        residual_trace=np.asarray(trace),
-    )
+    return _alternating_fit(target_matrix, HbfStructure.FULLY_CONNECTED, n_rf, iters, seed, restarts,
+                            _fc_draw, _fc_step, _fc_solve, init_analog)
+
+
+def _pc_entries(m: int, n_rf: int) -> tuple[np.ndarray, np.ndarray]:
+    """(antenna, chain) indices of the nonzero analog entries: each chain drives M / n_rf adjacent antennas."""
+    return np.arange(m), np.arange(m) // (m // n_rf)
+
+
+def _pc_analog(phases: np.ndarray, n_rf: int) -> np.ndarray:
+    analog = np.zeros((phases.size, n_rf), dtype=np.complex128)
+    analog[_pc_entries(phases.size, n_rf)] = np.exp(1j * phases)
+    return analog
+
+
+def _pc_draw(rng: np.random.Generator, m: int, n_rf: int) -> np.ndarray:
+    return _pc_analog(rng.uniform(-np.pi, np.pi, size=(m,)), n_rf)
+
+
+def _pc_solve(b: np.ndarray, analog: np.ndarray) -> np.ndarray:
+    return analog.conj().T @ b / (b.shape[0] // analog.shape[1])
+
+
+def _pc_step(b: np.ndarray, analog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    digital = _pc_solve(b, analog)
+    cross = b @ digital.conj().T
+    return _pc_analog(np.angle(cross[_pc_entries(*analog.shape)]), analog.shape[1]), digital
 
 
 def altmin_pc(
@@ -178,56 +216,13 @@ def altmin_pc(
 ) -> HbfBeamformer:
     """Alternating fit for disjoint sub-arrays, one chain per antenna block.
 
-    The masked analog matrix has orthogonal columns, so the digital least
-    squares is exact and per-block closed form; each nonzero analog entry then
-    takes the phase of its matched cross term.  Same stopping, restart and
-    normalization policy as the fully-connected fit.
+    Each restart draws uniform random phases on the block-diagonal mask.  The
+    masked analog matrix has orthogonal columns, so the digital least squares
+    is exact and per-block closed form; each nonzero analog entry then takes
+    the phase of its matched cross term.
     """
-    b = target_matrix.matrix
-    m, _ = b.shape
-    _check_fit(HbfStructure.PARTIALLY_CONNECTED, n_rf, m, iters, restarts)
-    block = m // n_rf
-    owner = np.repeat(np.arange(n_rf), block)
-    rows = np.arange(m)
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        psi = rng.uniform(-np.pi, np.pi, size=(m,))
-        analog = np.zeros((m, n_rf), dtype=np.complex128)
-        analog[rows, owner] = np.exp(1j * psi)
-        trace: list[float] = []
-        previous = math.inf
-        for _ in range(iters):
-            digital = analog.conj().T @ b / block
-            cross = b @ digital.conj().T
-            analog = np.zeros((m, n_rf), dtype=np.complex128)
-            analog[rows, owner] = np.exp(1j * np.angle(cross[rows, owner]))
-            residual = float(np.linalg.norm(b - analog @ digital))
-            trace.append(residual)
-            if previous - residual < _REL_STOP * max(previous, 1.0):
-                break
-            previous = residual
-        digital = analog.conj().T @ b / block
-        trace.append(float(np.linalg.norm(b - analog @ digital)))
-        best = _record_best(best, (analog, digital, trace, seed + r, trace[-1]))
-    analog, digital, trace, kept_seed, residual = best
-    digital = _normalize_power(analog, digital, target_matrix.power_budget)
-    return HbfBeamformer(
-        analog=analog,
-        digital=digital,
-        structure=HbfStructure.PARTIALLY_CONNECTED,
-        n_rf=n_rf,
-        seed=kept_seed,
-        residual=residual,
-        residual_trace=np.asarray(trace),
-    )
-
-
-def _normalize_power(analog: np.ndarray, digital: np.ndarray, power: float) -> np.ndarray:
-    scale = np.linalg.norm(analog @ digital)
-    if scale == 0.0:
-        raise ValueError("fit collapsed to zero; cannot normalize transmit power")
-    return digital * (math.sqrt(power) / scale)
+    return _alternating_fit(target_matrix, HbfStructure.PARTIALLY_CONNECTED, n_rf, iters, seed, restarts,
+                            _pc_draw, _pc_step, _pc_solve)
 
 
 def min_rf_chains(
@@ -240,16 +235,19 @@ def min_rf_chains(
 
     The fully-connected count follows the span of the swept spatial frequency
     across the band (clamped to at least one chain); the partially-connected
-    structure needs the next power of two.
+    count is the smallest one at or above it that ``chains_fit`` accepts, i.e.
+    the next divisor of the antenna count.
     """
+    m = config.num_antennas
     f = grid.frequencies
     f0 = config.carrier_freq
     span = abs(
         math.sin(theta0 + delta_theta / 2.0) * float(f[-1]) / f0
         - math.sin(theta0 - delta_theta / 2.0) * float(f[0]) / f0
     )
-    r_fc = max(1, math.ceil(config.num_antennas / 2.0 * span - 1e-12))
-    r_pc = 1 << max(0, math.ceil(math.log2(r_fc) - 1e-12))
+    r_fc = max(1, math.ceil(m / 2.0 * span - 1e-12))
+    # stops by M, which divides itself: r_fc <= M as the span is at most (f[0] + f[-1]) / f0 <= 2
+    r_pc = next(n for n in range(r_fc, m + 1) if chains_fit(HbfStructure.PARTIALLY_CONNECTED, n, m))
     return r_fc, r_pc
 
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,14 @@ DB_FLOOR = -100.0
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """Evaluation record of one designed beamformer against its target."""
+    """Evaluation record of one designed beamformer against its target; ``seed`` is the seed
+    of a randomized fit, None for a deterministic one."""
 
     f_obj: float
     f_tilde_obj: float
     per_subcarrier_match: np.ndarray
     convergence_trace: np.ndarray
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.f_obj <= 1.0:
@@ -119,7 +119,7 @@ def build_fit_report(
     target: BeamTarget,
     bf: JptaBeamformer,
     convergence_trace: np.ndarray | None = None,
-    **metadata: Any,
+    seed: int | None = None,
 ) -> FitReport:
     beams = effective_beamformer_matrix(config, grid, bf)
     return FitReport(
@@ -127,5 +127,5 @@ def build_fit_report(
         f_tilde_obj=objective_tilde(config, grid, target, bf),
         per_subcarrier_match=per_subcarrier_match(target, beams),
         convergence_trace=np.asarray([] if convergence_trace is None else convergence_trace),
-        metadata=dict(metadata),
+        seed=seed,
     )

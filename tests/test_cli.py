@@ -272,7 +272,7 @@ def test_empty_jpta_block_designs_with_the_design_options_defaults():
         assert np.array_equal(getattr(output.beamformer, name), getattr(bf, name)), name
     assert np.array_equal(output.report.convergence_trace, trace)
     assert output.label == "jpta_line_search"
-    assert output.report.metadata["max_iter"] == DesignOptions().max_iter
+    assert output.report.seed == DesignOptions().init_phase_seed
 
 
 @pytest.mark.parametrize("structure, fit", [("fc", pe_altmin_fc), ("pc", altmin_pc)])
@@ -363,6 +363,13 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
         ("compare-hbf", 'compare.structures=["fc","xc"]',
          "compare.structures: unknown value 'xc' (choose from ['fc', 'pc'])"),
         ("compare-hbf", "compare.structures=[null]", "compare.structures: expected a list of strings, got [None]"),
+        ("design", "algorithm.jpta.label=[1, 2]", "algorithm.jpta.label: expected str, got [1, 2]"),
+        ("design", 'algorithm={"heuristic":{"label":5}}', "algorithm.heuristic.label: expected str, got 5"),
+        ("design", 'algorithm={"hbf":{"n_rf":2,"label":true}}', "algorithm.hbf.label: expected str, got True"),
+        ("compare-hbf", "compare.n_rf_values=[3,5,100]",
+         "compare.n_rf_values: 100 chains fit none of the structures ['fc', 'pc'] on 8 antennas"),
+        ("compare-hbf", 'compare={"n_rf_values":[2,3],"structures":["pc"]}',
+         "compare.n_rf_values: 3 chains fit none of the structures ['pc'] on 8 antennas"),
     ],
 )
 def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):
@@ -394,6 +401,26 @@ def test_compare_hbf_emits_reference_and_structures(tmp_path):
     assert algos == {"jpta_line_search", "hbf_fc", "hbf_pc"}
     fc = {float(r["value"]): float(r["f_obj"]) for r in rows if r["algorithm"] == "hbf_fc"}
     assert len(fc) == 3
+
+
+def test_null_label_takes_the_default(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    override = ["--set", "algorithm.jpta.label=null"]
+    assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "x"), *override]) == 0
+    assert read_rows(tmp_path / "x" / "fit_report.csv")[0]["algorithm"] == "jpta_line_search"
+
+
+def test_compare_hbf_notes_each_chain_count_a_structure_skips(tmp_path):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config.pop("algorithm")
+    config["compare"] = {"n_rf_values": [2, 3, 5], "restarts": 1}
+    cfg = write_config(tmp_path, config)
+    assert main(["compare-hbf", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
+    rows = read_rows(tmp_path / "cmp" / "results.csv")
+    fitted = sorted((r["algorithm"], float(r["value"])) for r in rows if r["algorithm"] != "jpta_line_search")
+    assert fitted == [("hbf_fc", 2.0), ("hbf_fc", 3.0), ("hbf_fc", 5.0), ("hbf_pc", 2.0)]
+    notes = json.loads((tmp_path / "cmp" / "run_meta.json").read_text())["notes"]
+    assert notes == ["compare.n_rf_values: pc skips [3, 5] on 8 antennas"]
 
 
 def test_compare_hbf_bad_fields_are_config_errors(tmp_path, capsys):
@@ -443,6 +470,15 @@ def test_gain_map_rejects_a_beamformer_file_of_another_shape(tmp_path, capsys, o
     assert capsys.readouterr().err == (
         f"config error: beamformer file: section [{section}] holds {stored} values, the config needs {needed}\n"
     )
+
+
+def test_gain_map_takes_no_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["gain-map", "--config", str(cfg), "--beamformer", str(tmp_path / "bf.txt"),
+              "--out", str(tmp_path / "x"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_reproduce_unknown_figure(tmp_path, capsys):

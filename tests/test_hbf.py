@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpta.array_model import build_grid
 from jpta.beam_targets import behavior1_target, behavior2_target
@@ -227,6 +229,34 @@ def test_min_rf_chains_wideband_value_and_rank_bound():
     b = stack_target(behavior1_target(cfg, grid, theta0, dtheta)).matrix
     singular = np.linalg.svd(b, compute_uv=False)
     assert int(np.sum(singular >= 1e-6 * singular[0])) >= r_fc
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    num_antennas=st.one_of(st.integers(1, 128), st.sampled_from([2**k for k in range(8)])),
+    num_subcarriers=st.integers(1, 16),
+    edges=st.tuples(st.floats(-1.57, 1.57), st.floats(-1.57, 1.57)),
+)
+def test_min_rf_chains_pc_count_is_one_the_pc_fit_accepts(num_antennas, num_subcarriers, edges):
+    cfg = make_config(num_antennas=num_antennas, num_ttds=1, num_subcarriers=num_subcarriers)
+    grid = build_grid(cfg)
+    theta0, dtheta = (edges[0] + edges[1]) / 2.0, edges[1] - edges[0]
+    r_fc, r_pc = min_rf_chains(cfg, grid, theta0, dtheta)
+    assert r_fc <= num_antennas  # the swept spatial frequency spans at most 2
+    assert r_fc <= r_pc and chains_fit("pc", r_pc, num_antennas)
+    assert not any(chains_fit("pc", n, num_antennas) for n in range(r_fc, r_pc))
+    tm = stack_target(behavior1_target(cfg, grid, theta0, dtheta))
+    assert altmin_pc(tm, r_pc, iters=1, restarts=1).n_rf == r_pc
+    if num_antennas & (num_antennas - 1) == 0:
+        assert r_pc == 1 << max(0, math.ceil(math.log2(r_fc) - 1e-12))
+
+
+def test_min_rf_chains_pc_count_divides_a_48_antenna_array():
+    cfg = make_config(num_antennas=48, num_ttds=48, num_subcarriers=64, delay_range=48.0)
+    grid = build_grid(cfg)
+    assert min_rf_chains(cfg, grid, math.pi / 6, math.pi / 4) == (17, 24)
+    tm = stack_target(behavior1_target(cfg, grid, math.pi / 6, math.pi / 4))
+    assert altmin_pc(tm, 24, iters=1, restarts=1).n_rf == 24
 
 
 def test_orthogonal_columns_identity():

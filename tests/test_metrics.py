@@ -170,13 +170,14 @@ def test_fit_report_validation_and_builder():
     grid = build_grid(cfg)
     target = behavior1_target(cfg, grid, 0.2, 0.3)
     bf, trace = design_jpta(cfg, grid, target)
-    report = build_fit_report(cfg, grid, target, bf, trace, algorithm="test", seed=None)
+    report = build_fit_report(cfg, grid, target, bf, trace, seed=7)
     assert 0.0 <= report.f_obj <= 1.0
     assert report.f_tilde_obj >= 0.0
     assert report.iterations == trace.size
     assert report.per_subcarrier_match.shape == (8,)
     assert np.all(report.per_subcarrier_match <= 1.0 + 1e-9)
-    assert report.metadata["algorithm"] == "test"
+    assert report.seed == 7
+    assert build_fit_report(cfg, grid, target, bf, trace).seed is None
     with pytest.raises(ValueError):
         FitReport(f_obj=1.2, f_tilde_obj=0.0, per_subcarrier_match=np.ones(1),
                   convergence_trace=np.array([]))
