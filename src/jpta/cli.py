@@ -167,6 +167,16 @@ def _list(block: dict, key: str, path: str, kind=float, default=None, required: 
     return None if values is None else _items(values, f"{path}.{key}", kind)
 
 
+def _distinct(values: list, field: str) -> list:
+    """``values``, or a ConfigError naming ``field`` when the list is empty or repeats an entry."""
+    if not values:
+        raise ConfigError(f"{field}: must not be empty")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{field}: repeats {list(dict.fromkeys(repeated))}")
+    return values
+
+
 def _choice(value, field: str, enum):
     """A config value as a member of ``enum``, None for a key left out, or a ConfigError naming
     the field and the choices."""
@@ -606,9 +616,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     parameter = _get(sweep, "parameter", "sweep", str, required=True)
     if parameter not in _SWEEPS:
         raise ConfigError(f"sweep.parameter: unknown parameter {parameter!r} (choose from {tuple(_SWEEPS)})")
-    values = _list(sweep, "values", "sweep", required=True)
-    if not values:
-        raise ConfigError("sweep.values: must not be empty")
+    values = _distinct(_list(sweep, "values", "sweep", required=True), "sweep.values")
     if _SWEEPS[parameter][1] is int and not all(v.is_integer() for v in values):
         raise ConfigError(f"sweep.values: {parameter} takes integers, got {values!r}")
     _prepare(config)  # validate the base config before queuing work
@@ -623,10 +631,10 @@ def _compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> list[R
     system, grid, target = _prepare(config)
     m = system.num_antennas
     compare = _get(config, "compare", "", dict, default={})
-    structures = [_choice(s, "compare.structures", HbfStructure)
-                  for s in _list(compare, "structures", "compare", str, default=[s.value for s in HbfStructure])]
-    n_rf_values = _list(compare, "n_rf_values", "compare", int,
-                        default=[n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m])
+    names = _list(compare, "structures", "compare", str, default=[s.value for s in HbfStructure])
+    structures = [_choice(s, "compare.structures", HbfStructure) for s in _distinct(names, "compare.structures")]
+    n_rf_values = _distinct(_list(compare, "n_rf_values", "compare", int,
+                                  default=[n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m]), "compare.n_rf_values")
     for n in n_rf_values:
         if not any(chains_fit(structure, n, m) for structure in structures):
             raise ConfigError(f"compare.n_rf_values: {n} chains fit none of the structures "

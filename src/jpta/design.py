@@ -9,6 +9,12 @@ digital phases compensating, and finally the digital phases are re-aligned
 per subcarrier.  Magnitudes of the digital weights are set once up front: the
 optimal power split simply copies the per-subcarrier target norms.  The public
 per-line updates run the optimizer's batched updates on a single line.
+
+The line search is exact but pruned.  It evaluates each line's objective at
+every 16th grid point, bounds the objective between those points by how fast
+it can bend, and evaluates only the grid points of the stretches whose bound
+reaches the line's best value.  It returns the argmax of an exhaustive grid
+scan without ever holding a subcarriers-by-grid phase table.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +50,11 @@ __all__ = [
 
 _TIE_TOL = 1e-12  # grid values closer than this count as tied; smallest tau wins
 _RANGE_RTOL = 1e-12  # relative slack of a discrete set's top value above kappa/W
+_COARSE_STEP = 16  # grid steps between the points where the line search bounds its objective
+# Pruning slack per unit of a line's coefficient mass: far above the rounding of the
+# phase arguments and K-term sums behind the values the bound compares.
+_PRUNE_RTOL = 1e-9
+_FINE_CHUNK_CELLS = 1 << 15  # complex cells per block of the fine pass, to bound its memory
 
 
 class TtdUpdate(str, Enum):
@@ -56,10 +68,13 @@ class DesignOptions:
 
     ``line_search_grid`` points span the centered search window
     ``[-kappa/(2W), kappa/(2W)]``; the best grid point is polished by parabolic
-    interpolation through its neighbors.  ``discrete_delays`` (seconds, sorted,
-    finite, inside ``[0, kappa/W]``) snaps the finished, nonnegative delays to
-    hardware-realizable values.  ``init_phase_seed`` switches the digital-phase
-    start from all zeros to a seeded uniform draw.
+    interpolation through its neighbors.  The best grid point is that of an
+    exhaustive scan, but only the stretches of the grid that a curvature
+    bound from every 16th point cannot rule out are evaluated point by point.
+    ``discrete_delays`` (seconds, sorted, finite, inside ``[0, kappa/W]``)
+    snaps the finished, nonnegative delays to hardware-realizable values.
+    ``init_phase_seed`` switches the digital-phase start from all zeros to a
+    seeded uniform draw.
     """
 
     ttd_update: TtdUpdate = TtdUpdate.LINE_SEARCH
@@ -140,35 +155,57 @@ def _delay_table(freqs: np.ndarray, taus) -> np.ndarray:
     return np.exp(table, out=table)
 
 
-_GRID_TABLE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # the last line-search grid and its table
+class _SearchGrid(NamedTuple):
+    """Line-search delays and the two small phase tables the pruned search reads.
+
+    ``coarse`` holds every ``_COARSE_STEP``-th grid index plus the last one;
+    row ``i`` of ``phases`` is ``e^{-j 2 pi f tau}`` at ``taus[coarse[i]]``, and
+    column ``i`` of ``steps`` is ``e^{-j 2 pi f i h}`` for the grid step ``h``.
+    """
+
+    taus: np.ndarray
+    coarse: np.ndarray
+    phases: np.ndarray
+    steps: np.ndarray
 
 
-def _grid_table(config: SystemConfig, grid: SubcarrierGrid, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only line-search delays over ``[-kappa/(2W), kappa/(2W)]`` and their phase table.
+_GRID_TABLE: dict[tuple, _SearchGrid] = {}  # the last line-search grid and its tables
 
-    The pair depends only on the subcarrier frequencies, the window and the
-    point count, so the last one built is kept; the slot is emptied before a
-    new table is built, so at most one table is resident.
+
+def _grid_table(config: SystemConfig, grid: SubcarrierGrid, points: int) -> _SearchGrid:
+    """Read-only line-search delays over ``[-kappa/(2W), kappa/(2W)]`` and their coarse tables.
+
+    They depend only on the subcarrier frequencies, the window and the point
+    count, so the last ones built are kept; the slot is emptied before new
+    tables are built, so at most one set is resident.
     """
     half = config.delay_range / (2.0 * config.bandwidth)
     key = (grid.frequencies.tobytes(), half, points)
     if key not in _GRID_TABLE:
         _GRID_TABLE.clear()
         taus = np.linspace(-half, half, points)
-        table = _delay_table(grid.frequencies, taus)
-        taus.setflags(write=False)
-        table.setflags(write=False)
-        _GRID_TABLE[key] = (taus, table)
+        coarse = np.append(np.arange(0, points - 1, _COARSE_STEP), points - 1)
+        phases = np.ascontiguousarray(_delay_table(grid.frequencies, taus[coarse]).T)
+        steps = _delay_table(grid.frequencies, np.arange(np.diff(coarse).max() + 1) * (2.0 * half / (points - 1)))
+        search = _SearchGrid(taus, coarse, phases, steps)
+        for arr in search:
+            arr.setflags(write=False)
+        _GRID_TABLE[key] = search
     return _GRID_TABLE[key]
 
 
-def _line_objective(config: SystemConfig, lines, target: BeamTarget, alpha_phases, table) -> np.ndarray:
-    """(lines, T) delay objective: per line, the sum over its antennas m of
-    ``|sum_k w_k e^{j ang_k} conj(bbar_{k,m}) e^{-j 2 pi f_k tau_t}|``."""
+def _line_coeffs(config: SystemConfig, lines, target: BeamTarget, alpha_phases) -> tuple[np.ndarray, np.ndarray]:
+    """(antennas, K) rows ``w_k e^{j ang_k} conj(bbar_{k,m})`` of the antennas of ``lines``, line
+    after line, and the row where each line starts."""
     cols, starts = _layout(config, lines)
     rot = target.weights * np.exp(1j * np.asarray(alpha_phases, dtype=np.float64))
-    coeffs = rot[:, None] * np.conj(target.unit_vectors[:, cols])
-    return np.add.reduceat(np.abs(coeffs.T @ table), starts, axis=0)
+    return np.conj(target.unit_vectors.T[cols]) * rot, starts
+
+
+def _line_objective(coeffs: np.ndarray, starts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(lines, T) delay objective from the rows of ``_line_coeffs``: per line, the sum over its
+    antennas m of ``|sum_k w_k e^{j ang_k} conj(bbar_{k,m}) e^{-j 2 pi f_k tau_t}|``."""
+    return np.add.reduceat(np.abs(coeffs @ table), starts, axis=0)
 
 
 def ttd_objective(
@@ -186,31 +223,82 @@ def ttd_objective(
     with period K/W.
     """
     table = _delay_table(grid.frequencies, [float(tau)])
-    return float(_line_objective(config, [n], target, alpha_phases, table)[0, 0])
+    return float(_line_objective(*_line_coeffs(config, [n], target, alpha_phases), table)[0, 0])
+
+
+def _grid_values(coeffs: np.ndarray, starts: np.ndarray, freqs: np.ndarray, search: _SearchGrid) -> np.ndarray:
+    """(lines, G) objective on the grid, ``-inf`` where a point provably trails its line's best
+    grid value by more than ``_TIE_TOL``.
+
+    Per antenna the objective is ``|q(tau)|`` for the trigonometric polynomial
+    ``q(tau) = sum_k c_k e^{-j 2 pi (f_k - fbar) tau}`` (``fbar`` the mean frequency;
+    the shift leaves ``|q|`` unchanged), whose second derivative is at most
+    ``B = (2 pi)^2 sum_k |c_k| (f_k - fbar)^2`` in magnitude.  Where a line's
+    objective ``F`` peaks at ``t`` inside a coarse interval, the sum over its
+    antennas of ``Re(e^{-j arg q(t)} q)`` touches ``F`` from below, is flat at
+    ``t`` and bends down by at most the line's summed ``B``; so an end of the
+    interval at distance ``d`` from ``t`` has ``F >= F(t) - B d^2 / 2``.  The
+    peak is thus at most where the bounds from the two ends meet.  Intervals
+    whose bound falls below the line's best coarse value are skipped; every
+    other grid point is evaluated from its interval's start.
+    """
+    taus, coarse, phases, steps = search
+    size = np.abs(coeffs)
+    tops = _line_objective(coeffs, starts, phases.T)
+    bend = (2.0 * np.pi) ** 2 * np.add.reduceat(size @ (freqs - freqs.mean()) ** 2, starts)[:, None]
+    half = np.diff(taus[coarse]) / 2.0
+    left, right = tops[:, :-1], tops[:, 1:]
+    # the farthest from the left end that a peak can sit: where the two ends' bounds meet
+    shift = np.divide(right - left, 2.0 * bend * half, out=np.zeros_like(left), where=bend > 0.0)
+    far = np.clip(half + shift, 0.0, 2.0 * half)
+    bound = np.maximum(left + 0.5 * bend * far**2, right)
+    floor = tops.max(axis=1) - _TIE_TOL - _PRUNE_RTOL * np.add.reduceat(size.sum(axis=1), starts)
+    line, interval = np.nonzero(bound >= floor[:, None])
+
+    # one row per (kept interval, antenna of its line), the antennas of a pair adjacent
+    sizes = np.diff(np.append(starts, coeffs.shape[0]))[line]
+    firsts = np.cumsum(sizes) - sizes
+    pair = np.repeat(np.arange(line.size), sizes)
+    row = starts[line][pair] + np.arange(pair.size) - firsts[pair]
+    mags = np.empty((pair.size, steps.shape[1]))
+    chunk = max(1, _FINE_CHUNK_CELLS // coeffs.shape[1])
+    for lo in range(0, pair.size, chunk):
+        part = slice(lo, lo + chunk)
+        np.abs((coeffs[row[part]] * phases[interval[pair[part]]]) @ steps, out=mags[part])
+    sums = np.add.reduceat(mags, firsts, axis=0)
+
+    values = np.full((starts.size, taus.size), -np.inf)
+    offset = np.arange(steps.shape[1])
+    inside = offset <= np.diff(coarse)[interval][:, None]
+    points = coarse[interval][:, None] + offset
+    values[np.broadcast_to(line[:, None], points.shape)[inside], points[inside]] = sums[inside]
+    return values
 
 
 def _line_search(
-    config: SystemConfig, grid: SubcarrierGrid, lines, target: BeamTarget, alpha_phases, taus, table
+    config: SystemConfig, grid: SubcarrierGrid, lines, target: BeamTarget, alpha_phases, search: _SearchGrid
 ) -> np.ndarray:
-    """Best delay of each line on the grid ``taus`` (tabulated in ``table``), then refined.
+    """Best delay of each line on the grid ``search.taus``, then refined.
 
     Ties within ``_TIE_TOL`` go to the smallest delay; a line keeps its
     parabolic vertex only when it beats the line's best grid value.
     """
-    values = _line_objective(config, lines, target, alpha_phases, table)
+    taus = search.taus
+    coeffs, starts = _line_coeffs(config, lines, target, alpha_phases)
+    values = _grid_values(coeffs, starts, grid.frequencies, search)
     rows = np.arange(values.shape[0])
     best = np.argmax(values >= values.max(axis=1, keepdims=True) - _TIE_TOL, axis=1)
     mid = np.clip(best, 1, taus.size - 2)
+    # an interior best point's neighbors lie in its kept intervals; an edge point is kept as is
+    interior = best == mid
     x1, x2, x3 = taus[mid - 1], taus[mid], taus[mid + 1]
-    y1, y2, y3 = values[rows, mid - 1], values[rows, mid], values[rows, mid + 1]
+    y1, y2, y3 = np.where(interior[:, None], values[rows[:, None], mid[:, None] + np.arange(-1, 2)], 0.0).T
     denom = (x2 - x1) * (y2 - y3) - (x2 - x3) * (y2 - y1)
-    interior = (best == mid) & (np.abs(denom) > 0.0)
+    interior &= np.abs(denom) > 0.0
     denom = np.where(interior, denom, 1.0)
     vertex = x2 - 0.5 * ((x2 - x1) ** 2 * (y2 - y3) - (x2 - x3) ** 2 * (y2 - y1)) / denom
     vertex = np.clip(vertex, x1, x3)
-    refined = np.diagonal(
-        _line_objective(config, lines, target, alpha_phases, _delay_table(grid.frequencies, vertex))
-    )
+    refined = np.diagonal(_line_objective(coeffs, starts, _delay_table(grid.frequencies, vertex)))
     return np.where(interior & (refined > values[rows, best]), vertex, taus[best])
 
 
@@ -228,8 +316,8 @@ def ttd_update_line_search(
     kept when it actually improves on the best grid value, so the result never
     trails any grid point.
     """
-    taus, table = _grid_table(config, grid, options.line_search_grid)
-    return float(_line_search(config, grid, [n], target, alpha_phases, taus, table)[0])
+    search = _grid_table(config, grid, options.line_search_grid)
+    return float(_line_search(config, grid, [n], target, alpha_phases, search)[0])
 
 
 def phase_unwrap(seq: np.ndarray) -> np.ndarray:
@@ -445,13 +533,13 @@ def design_jpta(
 
     use_line_search = options.ttd_update is TtdUpdate.LINE_SEARCH
     if use_line_search:
-        taus_grid, phase_table = _grid_table(config, grid, options.line_search_grid)
+        search = _grid_table(config, grid, options.line_search_grid)
 
     trace: list[float] = []
     previous = None
     for _ in range(options.max_iter):
         if use_line_search:
-            tau = _line_search(config, grid, lines, target, ang, taus_grid, phase_table)
+            tau = _line_search(config, grid, lines, target, ang, search)
         else:
             tau = _wls_delays(config, grid, lines, target, ang)
         phi = _ps_phases(grid, target, ang, cols, tau[tau_of_antenna])

@@ -370,6 +370,12 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
          "compare.n_rf_values: 100 chains fit none of the structures ['fc', 'pc'] on 8 antennas"),
         ("compare-hbf", 'compare={"n_rf_values":[2,3],"structures":["pc"]}',
          "compare.n_rf_values: 3 chains fit none of the structures ['pc'] on 8 antennas"),
+        ("compare-hbf", "compare.n_rf_values=[]", "compare.n_rf_values: must not be empty"),
+        ("compare-hbf", "compare.n_rf_values=[2,4,2,4,2]", "compare.n_rf_values: repeats [2, 4]"),
+        ("compare-hbf", 'compare.structures=["pc","fc","pc"]', "compare.structures: repeats ['pc']"),
+        ("compare-hbf", "compare.structures=[]", "compare.structures: must not be empty"),
+        ("sweep", 'sweep={"parameter":"num_ttds","values":[2,4,2]}', "sweep.values: repeats [2.0]"),
+        ("sweep", 'sweep={"parameter":"num_ttds","values":[]}', "sweep.values: must not be empty"),
     ],
 )
 def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jpta.design as design_module
 from jpta.array_model import SystemConfig, build_grid, effective_beamformer_matrix
 from jpta.beam_targets import BeamTarget, behavior1_target, behavior2_target
 from jpta.design import (
@@ -23,7 +24,7 @@ from jpta.design import (
     ttd_update_line_search,
     ttd_update_wls,
 )
-from jpta.design import _GRID_TABLE, _delay_table, _grid_table
+from jpta.design import _COARSE_STEP, _GRID_TABLE, _TIE_TOL, _delay_table, _grid_table, _line_search
 from jpta.heuristics import heuristic_behavior1
 from jpta.metrics import build_fit_report, fit_objective
 
@@ -635,6 +636,26 @@ def _design_bits(cfg, opts):
     return [a.view(np.uint64).tobytes() for a in (bf.delays, bf.phases, bf.alpha, trace)]
 
 
+def _assert_memo_holds_only(cfg, points):
+    """The memo holds one read-only set: the grid of ``cfg`` with ``points`` points, its coarse
+    phase rows and its step table, and no (K, G) table."""
+    freqs = build_grid(cfg).frequencies
+    (search,) = _GRID_TABLE.values()
+    half = cfg.delay_range / (2.0 * cfg.bandwidth)
+    coarse = np.append(np.arange(0, points - 1, _COARSE_STEP), points - 1)
+    assert np.array_equal(search.taus, np.linspace(-half, half, points))
+    assert np.array_equal(search.coarse, coarse)
+    steps = np.arange(min(_COARSE_STEP, points - 1) + 1) * (2.0 * half / (points - 1))
+    for built, direct in ((search.phases, _delay_table(freqs, search.taus[coarse]).T),
+                          (search.steps, _delay_table(freqs, steps))):
+        assert built.shape == direct.shape and np.array_equal(built, direct)
+    for arr in search:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert max(search.phases.size, search.steps.size) <= freqs.size * max(coarse.size, _COARSE_STEP + 1)
+
+
 @pytest.mark.parametrize(
     "other, other_points",
     [({"delay_range": 4.0}, 512), ({"num_subcarriers": 16}, 512), ({}, 257)],
@@ -648,28 +669,120 @@ def test_designs_after_a_grid_switch_equal_cold_designs(other, other_points):
     cold_a = _design_bits(cfg_a, opts_a)
     _GRID_TABLE.clear()
     cold_b = _design_bits(cfg_b, opts_b)
+    _assert_memo_holds_only(cfg_b, other_points)
     _GRID_TABLE.clear()
     assert _design_bits(cfg_a, opts_a) == cold_a
+    _assert_memo_holds_only(cfg_a, 512)
     assert _design_bits(cfg_b, opts_b) == cold_b
+    _assert_memo_holds_only(cfg_b, other_points)
     assert _design_bits(cfg_a, opts_a) == cold_a
+    _assert_memo_holds_only(cfg_a, 512)
 
 
 def test_grid_table_memo_holds_one_read_only_table():
     cfg = make_config(num_subcarriers=32)
     grid = build_grid(cfg)
-    taus, table = _grid_table(cfg, grid, 300)
-    assert _grid_table(cfg, grid, 300)[1] is table
+    search = _grid_table(cfg, grid, 300)
+    assert _grid_table(cfg, grid, 300) is search
+    _assert_memo_holds_only(cfg, 300)
     wider = make_config(num_subcarriers=32, delay_range=16.0)
-    taus, table = _grid_table(wider, grid, 300)
-    ((_, only),) = _GRID_TABLE.values()
-    assert only is table
-    half = wider.delay_range / (2.0 * wider.bandwidth)
-    assert np.array_equal(taus, np.linspace(-half, half, 300))
-    assert table.shape == (32, 300)
-    for arr in (taus, table):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    assert _grid_table(wider, grid, 300) is not search
+    _assert_memo_holds_only(wider, 300)
+    assert _grid_table(wider, grid, 3).coarse.tolist() == [0, 2]
+    _assert_memo_holds_only(wider, 3)
+
+
+def _exhaustive_line_search(cfg, grid, n, target, ang, taus):
+    """Reference delay of line ``n``: ``ttd_objective`` at every grid point, the first point
+    within the tie tolerance of the best, then the same parabolic refine."""
+    values = np.array([ttd_objective(cfg, grid, n, t, target, ang) for t in taus])
+    best = int(np.argmax(values >= values.max() - _TIE_TOL))
+    mid = min(max(best, 1), taus.size - 2)
+    (x1, x2, x3), (y1, y2, y3) = taus[mid - 1 : mid + 2], values[mid - 1 : mid + 2]
+    denom = (x2 - x1) * (y2 - y3) - (x2 - x3) * (y2 - y1)
+    if best != mid or denom == 0.0:
+        return taus[best]
+    vertex = x2 - 0.5 * ((x2 - x1) ** 2 * (y2 - y3) - (x2 - x3) ** 2 * (y2 - y1)) / denom
+    vertex = min(max(vertex, x1), x3)
+    return vertex if ttd_objective(cfg, grid, n, vertex, target, ang) > values[best] else taus[best]
+
+
+def _assert_matches_exhaustive(cfg, grid, target, ang, points):
+    search = _grid_table(cfg, grid, points)
+    found = _line_search(cfg, grid, range(1, cfg.num_ttds + 1), target, ang, search)
+    # the two sum in different orders, so a vertex may move by rounding
+    step = search.taus[1] - search.taus[0]
+    for n in range(1, cfg.num_ttds + 1):
+        assert abs(found[n - 1] - _exhaustive_line_search(cfg, grid, n, target, ang, search.taus)) <= 1e-6 * step
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    num_antennas=st.integers(1, 8),
+    line_per_antenna=st.booleans(),
+    num_subcarriers=st.sampled_from([1, 2, 8, 32]),
+    points=st.integers(3, 300).filter(lambda g: g % _COARSE_STEP != 0),
+    delay_range=st.sampled_from([4.0, 16.0, 64.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_line_search_matches_an_exhaustive_scan(
+    num_antennas, line_per_antenna, num_subcarriers, points, delay_range, seed
+):
+    cfg = make_config(num_antennas=num_antennas, num_ttds=num_antennas if line_per_antenna else 1,
+                      num_subcarriers=num_subcarriers, delay_range=delay_range)
+    grid = build_grid(cfg)
+    rng = np.random.default_rng(seed)
+    target = random_gaussian_target(cfg, grid, rng)
+    _assert_matches_exhaustive(cfg, grid, target, rng.uniform(-np.pi, np.pi, num_subcarriers), points)
+
+
+@pytest.mark.parametrize("points", [258, 4098])
+def test_line_search_peak_past_the_window_edge_takes_the_last_grid_point(points):
+    # the last coarse interval is one step long; on the fine grid the interval before it is
+    # skipped, so the refine must not read the unevaluated point next to the edge
+    cfg = make_config(num_antennas=4, num_ttds=4, num_subcarriers=32)
+    grid = build_grid(cfg)
+    half = cfg.delay_range / (2 * cfg.bandwidth)
+    target = linear_phase_target(cfg, grid, 1.2 * half)
+    search = _grid_table(cfg, grid, points)
+    found = _line_search(cfg, grid, range(1, 5), target, np.zeros(32), search)
+    assert np.array_equal(found, np.full(4, search.taus[-1]))
+    _assert_matches_exhaustive(cfg, grid, target, np.zeros(32), points)
+
+
+@pytest.mark.parametrize("points", [300, 4096])
+def test_line_search_on_flat_objectives_evaluates_every_point_and_takes_the_smallest(points):
+    # one weighted subcarrier makes every antenna's objective flat in tau, so no
+    # interval can be skipped and the fine pass runs in several blocks
+    cfg = make_config(num_antennas=8, num_ttds=4, num_subcarriers=256)
+    grid = build_grid(cfg)
+    steered = behavior1_target(cfg, grid, 0.3, 0.4)
+    weights = np.zeros(256)
+    weights[100] = 1.0
+    target = BeamTarget(vectors=steered.vectors, weights=weights, power_budget=steered.power_budget)
+    ang = np.random.default_rng(1).uniform(-np.pi, np.pi, 256)
+    found = _line_search(cfg, grid, range(1, 5), target, ang, _grid_table(cfg, grid, points))
+    assert np.array_equal(found, np.full(4, -cfg.delay_range / (2 * cfg.bandwidth)))
+
+
+def test_no_phase_table_spans_the_subcarriers_times_the_grid(monkeypatch):
+    cfg = make_config(num_antennas=16, num_ttds=4, num_subcarriers=64)
+    grid = build_grid(cfg)
+    target = behavior1_target(cfg, grid, 0.3, 0.4)
+    built = []
+
+    def spy(freqs, taus):
+        table = _delay_table(freqs, taus)
+        built.append(table.size)
+        return table
+
+    monkeypatch.setattr(design_module, "_delay_table", spy)
+    _GRID_TABLE.clear()
+    opts = DesignOptions(max_iter=3)
+    design_jpta(cfg, grid, target, opts)
+    ttd_update_line_search(cfg, grid, 1, target, np.zeros(64), opts)
+    # the largest is the coarse table, K x (G/16 + 1)
+    assert built and max(built) < cfg.num_subcarriers * opts.line_search_grid // 8
 
 
 _SMALL_SHAPES = [(2, 1), (2, 2), (4, 2), (4, 4), (6, 3), (8, 2), (8, 4), (8, 8)]
