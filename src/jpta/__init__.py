@@ -9,6 +9,7 @@ from .array_model import (
     array_response,
     build_grid,
     default_theta_grid,
+    delay_response,
     effective_beamformer,
     effective_beamformer_matrix,
     gain_map,

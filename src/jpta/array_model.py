@@ -25,6 +25,7 @@ __all__ = [
     "contiguous_ttd_groups",
     "build_grid",
     "steering_vectors",
+    "delay_response",
     "array_response",
     "effective_beamformer",
     "effective_beamformer_matrix",
@@ -209,6 +210,14 @@ def steering_vectors(
     return np.exp(1j * (np.pi * np.multiply.outer(ratio, np.arange(config.num_antennas))))
 
 
+def delay_response(freqs: np.ndarray | float, taus) -> np.ndarray:
+    """(K, T) delay factors ``e^{-j 2 pi f_k tau_t}`` in one complex array: the one delay-to-phase model."""
+    table = np.empty((np.size(freqs), np.size(taus)), dtype=np.complex128)
+    np.multiply.outer(freqs, taus, out=table)
+    table *= -2j * np.pi
+    return np.exp(table, out=table)
+
+
 def array_response(
     config: SystemConfig,
     grid: SubcarrierGrid,
@@ -241,16 +250,12 @@ def effective_beamformer_matrix(
     bf: "JptaBeamformer",
 ) -> np.ndarray:
     """All K unit-norm analog beams as a (K, M) array, rows in grid order."""
-    phases = np.asarray(bf.phases, dtype=np.float64)
-    delays = np.asarray(bf.delays, dtype=np.float64)
-    if phases.shape != (config.num_antennas,):
-        raise ValueError(f"expected {config.num_antennas} phase-shifter values, got {phases.shape}")
-    if delays.shape != (config.num_ttds,):
-        raise ValueError(f"expected {config.num_ttds} delay values, got {delays.shape}")
-    tau_per_antenna = delays[config.ttd_index_per_antenna()]
-    f = grid.frequencies
-    phase = phases[None, :] - 2.0 * np.pi * np.outer(f, tau_per_antenna)
-    return np.exp(1j * phase) / math.sqrt(config.num_antennas)
+    if bf.phases.shape != (config.num_antennas,):
+        raise ValueError(f"expected {config.num_antennas} phase-shifter values, got {bf.phases.shape}")
+    if bf.delays.shape != (config.num_ttds,):
+        raise ValueError(f"expected {config.num_ttds} delay values, got {bf.delays.shape}")
+    response = delay_response(grid.frequencies, bf.delays)[:, config.ttd_index_per_antenna()]
+    return response * (np.exp(1j * bf.phases) / math.sqrt(config.num_antennas))
 
 
 def array_gain(

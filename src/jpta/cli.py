@@ -425,30 +425,41 @@ def write_beamformer_file(path: Path, bf: JptaBeamformer, resolved: dict) -> Non
 
 
 def parse_beamformer_file(path: str | Path) -> JptaBeamformer:
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    widths = {"delays_ns": 1, "phases_rad": 1, "alpha_re_im": 2}  # values per line
+    rows: dict[str, list[list[float]]] = {}
+    name = None
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = sections.setdefault(line[1:-1], [])
+            name = line[1:-1]
+            if name in rows:
+                raise ValueError(f"{path}:{lineno}: section [{name}]: repeated header")
+            rows[name] = []
             continue
-        if current is None:
+        if name is None:
             raise ValueError(f"{path}: content before the first section header")
-        current.append(line)
-    for name in ("delays_ns", "phases_rad", "alpha_re_im"):
-        if name not in sections:
+        if name not in widths:
+            continue
+        where = f"{path}:{lineno}: section [{name}]"
+        try:
+            row = [float(v) for v in line.split()]
+            if len(row) != widths[name]:
+                raise ValueError(f"expected {widths[name]} values, got {len(row)}")
+        except ValueError as exc:
+            raise ValueError(f"{where}: malformed entry {line!r}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{where}: non-finite value {line!r}")
+        rows[name].append(row)
+    for name in widths:
+        if name not in rows:
             raise ValueError(f"{path}: missing section [{name}]")
-    delays = np.array([float(v) * NS for v in sections["delays_ns"]])
-    phases = np.array([float(v) for v in sections["phases_rad"]])
-    alpha = np.array(
-        [complex(float(a), float(b)) for a, b in (line.split() for line in sections["alpha_re_im"])]
+    return JptaBeamformer(
+        delays=np.array([t for (t,) in rows["delays_ns"]]) * NS,
+        phases=np.array([p for (p,) in rows["phases_rad"]]),
+        alpha=np.array([complex(a, b) for a, b in rows["alpha_re_im"]]),
     )
-    for name, values in (("delays_ns", delays), ("phases_rad", phases), ("alpha_re_im", alpha)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{path}: non-finite value in section [{name}]")
-    return JptaBeamformer(delays=delays, phases=phases, alpha=alpha)
 
 
 def write_gain_map_csv(

@@ -3,12 +3,13 @@
 The optimizer cycles conditionally optimal updates.  With the digital phases
 fixed the delay lines decouple, so all lines are refreshed at once by a grid
 line-search (or by a closed-form weighted least-squares fit on unwrapped
-target phases), and every phase-shifter follows in closed form.  The delay
-vector is then pushed back to the center of its feasible window with the
-digital phases compensating, and finally the digital phases are re-aligned
-per subcarrier.  Magnitudes of the digital weights are set once up front: the
-optimal power split simply copies the per-subcarrier target norms.  The public
-per-line updates run the optimizer's batched updates on a single line.
+target phases), and every phase-shifter follows in closed form from the
+iteration's delay factors ``e^{-j 2 pi f tau}``.  The delay vector is then
+pushed back to the center of its feasible window; that shifts every delay by
+one offset, so the digital alignment reuses the iteration's delay factors,
+rotated per subcarrier.  Magnitudes of the digital weights are set once up
+front: the optimal power split simply copies the per-subcarrier target norms.
+The public per-line updates run the optimizer's batched updates on a single line.
 
 The line search is exact but pruned.  It evaluates each line's objective at
 every 16th grid point, bounds the objective between those points by how fast
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig
+from .array_model import SubcarrierGrid, SystemConfig, delay_response
 from .beam_targets import BeamTarget
 
 __all__ = [
@@ -147,14 +148,6 @@ def _layout(config: SystemConfig, lines) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(groups), np.cumsum([0] + [g.size for g in groups[:-1]])
 
 
-def _delay_table(freqs: np.ndarray, taus) -> np.ndarray:
-    """(K, T) table of  e^{-j 2 pi f_k tau_t}, built in place in one complex array."""
-    table = np.empty((np.size(freqs), np.size(taus)), dtype=np.complex128)
-    np.multiply.outer(freqs, taus, out=table)
-    table *= -2j * np.pi
-    return np.exp(table, out=table)
-
-
 class _SearchGrid(NamedTuple):
     """Line-search delays and the two small phase tables the pruned search reads.
 
@@ -179,14 +172,14 @@ def _grid_table(config: SystemConfig, grid: SubcarrierGrid, points: int) -> _Sea
     count, so the last ones built are kept; the slot is emptied before new
     tables are built, so at most one set is resident.
     """
-    half = config.delay_range / (2.0 * config.bandwidth)
+    half = config.max_delay / 2.0
     key = (grid.frequencies.tobytes(), half, points)
     if key not in _GRID_TABLE:
         _GRID_TABLE.clear()
         taus = np.linspace(-half, half, points)
         coarse = np.append(np.arange(0, points - 1, _COARSE_STEP), points - 1)
-        phases = np.ascontiguousarray(_delay_table(grid.frequencies, taus[coarse]).T)
-        steps = _delay_table(grid.frequencies, np.arange(np.diff(coarse).max() + 1) * (2.0 * half / (points - 1)))
+        phases = np.ascontiguousarray(delay_response(grid.frequencies, taus[coarse]).T)
+        steps = delay_response(grid.frequencies, np.arange(np.diff(coarse).max() + 1) * (2.0 * half / (points - 1)))
         search = _SearchGrid(taus, coarse, phases, steps)
         for arr in search:
             arr.setflags(write=False)
@@ -222,7 +215,7 @@ def ttd_objective(
     subcarrier series rotated by the candidate delay.  Periodic in ``tau``
     with period K/W.
     """
-    table = _delay_table(grid.frequencies, [float(tau)])
+    table = delay_response(grid.frequencies, [float(tau)])
     return float(_line_objective(*_line_coeffs(config, [n], target, alpha_phases), table)[0, 0])
 
 
@@ -298,7 +291,7 @@ def _line_search(
     denom = np.where(interior, denom, 1.0)
     vertex = x2 - 0.5 * ((x2 - x1) ** 2 * (y2 - y3) - (x2 - x3) ** 2 * (y2 - y1)) / denom
     vertex = np.clip(vertex, x1, x3)
-    refined = np.diagonal(_line_objective(coeffs, starts, _delay_table(grid.frequencies, vertex)))
+    refined = np.diagonal(_line_objective(coeffs, starts, delay_response(grid.frequencies, vertex)))
     return np.where(interior & (refined > values[rows, best]), vertex, taus[best])
 
 
@@ -358,7 +351,7 @@ def _wls_delays(
     tau = np.divide(-num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den != 0.0)
     period = config.num_subcarriers / config.bandwidth
     tau = np.mod(tau + period / 2.0, period) - period / 2.0
-    half = config.delay_range / (2.0 * config.bandwidth)
+    half = config.max_delay / 2.0
     return np.clip(tau, -half, half)
 
 
@@ -380,11 +373,11 @@ def ttd_update_wls(
     return float(_wls_delays(config, grid, [n], target, alpha_phases)[0])
 
 
-def _ps_phases(grid: SubcarrierGrid, target: BeamTarget, alpha_phases, cols, tau_of_col) -> np.ndarray:
-    """Closed-form phase of each antenna column in ``cols`` given its line's delay."""
-    turn = np.outer(2.0 * np.pi * grid.frequencies, tau_of_col) - np.asarray(alpha_phases)[:, None]
-    rot = target.weights[:, None] * np.exp(1j * turn)
-    s = (rot * target.unit_vectors[:, cols]).sum(axis=0)
+def _ps_phases(target: BeamTarget, alpha_phases, response: np.ndarray, cols=slice(None)) -> np.ndarray:
+    """Closed-form phase of each antenna column in ``cols``; column i of the (K, len(cols))
+    ``response`` is the delay factor ``e^{-j 2 pi f tau}`` of that antenna's line."""
+    rot = target.weights * np.exp(-1j * np.asarray(alpha_phases, dtype=np.float64))
+    s = rot @ (target.unit_vectors[:, cols] * np.conj(response))
     if np.any(np.abs(s) == 0.0):
         warnings.warn("degenerate target: phase-shifter sum vanished; defaulting to 0", stacklevel=3)
     return np.asarray(wrap_angle(np.angle(s)), dtype=np.float64)
@@ -401,18 +394,13 @@ def ps_update(
     """Closed-form phase for antenna ``m`` (1-based) given its line's delay."""
     if not 1 <= m <= config.num_antennas:
         raise ValueError(f"antenna number {m} out of range 1..{config.num_antennas}")
-    return float(_ps_phases(grid, target, alpha_phases, [m - 1], [float(tau)])[0])
+    return float(_ps_phases(target, alpha_phases, delay_response(grid.frequencies, [float(tau)]), [m - 1])[0])
 
 
-def _digital_alignment(
-    freqs: np.ndarray,
-    unit_vectors: np.ndarray,
-    phases: np.ndarray,
-    tau_per_antenna: np.ndarray,
-) -> np.ndarray:
-    """Per-subcarrier sum  sum_m bbar_{k,m} e^{-j phi_m} e^{j 2 pi f_k tau_{n(m)}}."""
-    factor = np.exp(1j * (2.0 * np.pi * np.outer(freqs, tau_per_antenna) - phases[None, :]))
-    return np.einsum("km,km->k", unit_vectors, factor)
+def _digital_alignment(unit_vectors: np.ndarray, phases: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Per-subcarrier sum  sum_m bbar_{k,m} e^{-j phi_m} conj(r_{k,m}), with ``response`` the
+    antenna-gathered delay factors ``r_{k,m} = e^{-j 2 pi f_k tau_{n(m)}}``."""
+    return (unit_vectors * np.conj(response)) @ np.exp(-1j * phases)
 
 
 def digital_phase_update(
@@ -424,14 +412,9 @@ def digital_phase_update(
     target: BeamTarget,
 ) -> float:
     """Digital phase aligning subcarrier ``k`` with its realized analog beam."""
-    pos = grid.position(k)
-    tau_map = np.asarray(delays, dtype=np.float64)[config.ttd_index_per_antenna()]
-    u = _digital_alignment(
-        grid.frequencies[pos : pos + 1],
-        target.unit_vectors[pos : pos + 1],
-        np.asarray(phases, dtype=np.float64),
-        tau_map,
-    )
+    row = [grid.position(k)]
+    response = delay_response(grid.frequencies[row], delays)[:, config.ttd_index_per_antenna()]
+    u = _digital_alignment(target.unit_vectors[row], np.asarray(phases, dtype=np.float64), response)
     if abs(u[0]) == 0.0:
         warnings.warn("degenerate target: digital alignment sum vanished; defaulting to 0", stacklevel=2)
     return float(np.angle(u[0]))
@@ -445,7 +428,7 @@ def center_delays(config: SystemConfig, delays: np.ndarray) -> tuple[np.ndarray,
     unchanged.
     """
     tau = np.asarray(delays, dtype=np.float64)
-    half = config.delay_range / (2.0 * config.bandwidth)
+    half = config.max_delay / 2.0
     offset = max(min(float(tau.mean()), half + float(tau.min())), float(tau.max()) - half)
     return tau - offset, offset
 
@@ -457,7 +440,7 @@ def shift_nonnegative(
 ) -> JptaBeamformer:
     """Make every delay nonnegative without changing the realized beams."""
     t_min = float(bf.delays.min())
-    alpha = bf.alpha * np.exp(-2j * np.pi * grid.frequencies * t_min)
+    alpha = bf.alpha * delay_response(grid.frequencies, [t_min])[:, 0]
     return JptaBeamformer(delays=bf.delays - t_min, phases=bf.phases, alpha=alpha)
 
 
@@ -491,8 +474,8 @@ def quantize_delays(
     lo = values[np.maximum(pos - 1, 0)]
     hi = values[np.minimum(pos, values.size - 1)]
     snapped = np.where(np.abs(bf.delays - lo) <= np.abs(hi - bf.delays), lo, hi)
-    cols = np.arange(config.num_antennas)
-    phases = _ps_phases(grid, target, bf.alpha_phases, cols, snapped[config.ttd_index_per_antenna()])
+    response = delay_response(grid.frequencies, snapped)[:, config.ttd_index_per_antenna()]
+    phases = _ps_phases(target, bf.alpha_phases, response)
     return JptaBeamformer(delays=snapped, phases=phases, alpha=bf.alpha)
 
 
@@ -521,7 +504,6 @@ def design_jpta(
 
     freqs = grid.frequencies
     lines = range(1, config.num_ttds + 1)
-    cols = np.arange(config.num_antennas)
     tau_of_antenna = config.ttd_index_per_antenna()
     root_m = math.sqrt(config.num_antennas)
 
@@ -542,10 +524,10 @@ def design_jpta(
             tau = _line_search(config, grid, lines, target, ang, search)
         else:
             tau = _wls_delays(config, grid, lines, target, ang)
-        phi = _ps_phases(grid, target, ang, cols, tau[tau_of_antenna])
+        response = delay_response(freqs, tau)[:, tau_of_antenna]
+        phi = _ps_phases(target, ang, response)
         tau, offset = center_delays(config, tau)
-        ang = ang - 2.0 * np.pi * freqs * offset
-        u = _digital_alignment(freqs, target.unit_vectors, phi, tau[tau_of_antenna])
+        u = _digital_alignment(target.unit_vectors, phi, response) * delay_response(freqs, [offset])[:, 0]
         ang = np.angle(u)
         objective = float(np.sum(target.weights * np.abs(u)) / root_m)
         trace.append(objective)

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, check_angle, check_sweep, steering_vectors
+from .array_model import SubcarrierGrid, SystemConfig, check_angle, check_sweep, delay_response, steering_vectors
 from .beam_targets import _behavior_angles
 from .design import JptaBeamformer, _digital_alignment, shift_nonnegative, wrap_angle
 
@@ -101,12 +101,12 @@ def _assemble(
     add back the delays' carrier phase, and the digital weights get flat
     magnitudes and aligned phases.
     """
-    half = config.delay_range / (2.0 * config.bandwidth)
+    half = config.max_delay / 2.0
     tau = np.clip(tau - tau.mean(), -half, half)
     tau_per_antenna = tau[config.ttd_index_per_antenna()]
     phi = wrap_angle(carrier_phase + 2.0 * np.pi * config.carrier_freq * tau_per_antenna)
     unit = steering_vectors(config, grid.frequencies, angles_per_subcarrier) / math.sqrt(config.num_antennas)
-    u = _digital_alignment(grid.frequencies, unit, phi, tau_per_antenna)
+    u = _digital_alignment(unit, phi, delay_response(grid.frequencies, tau_per_antenna))
     magnitude = math.sqrt(config.total_power / config.num_subcarriers)
     alpha = magnitude * np.exp(1j * np.angle(u))
     bf = JptaBeamformer(delays=tau, phases=phi, alpha=alpha)

@@ -10,6 +10,7 @@ from jpta.array_model import (
     build_grid,
     contiguous_ttd_groups,
     default_theta_grid,
+    delay_response,
     effective_beamformer,
     effective_beamformer_matrix,
     gain_map,
@@ -157,6 +158,18 @@ def test_effective_beamformer_scalar_case():
     for k in grid.indices:
         w = effective_beamformer(cfg, grid, bf, int(k))
         assert w[0] == pytest.approx(np.exp(1j * (p - 2 * np.pi * grid.frequency(int(k)) * t)), abs=1e-12)
+
+
+@pytest.mark.parametrize("taus", ["grid", "single"])
+def test_delay_response_is_bit_identical_to_the_direct_formula(taus):
+    cfg = make_config(num_subcarriers=255)
+    freqs = build_grid(cfg).frequencies
+    half = cfg.max_delay / 2.0
+    taus = np.linspace(-half, half, 257) if taus == "grid" else [0.3 * half]
+    built = delay_response(freqs, taus)
+    direct = np.exp(-2j * np.pi * np.outer(freqs, taus))
+    assert built.shape == direct.shape and built.dtype == direct.dtype
+    assert np.array_equal(built.view(np.uint64), direct.view(np.uint64))
 
 
 def test_effective_beamformer_unit_norm():

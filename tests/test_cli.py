@@ -658,17 +658,29 @@ def test_custom_target_with_nan_entry_is_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_beamformer_file_with_nan_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section, bad, reason",
+    [
+        ("phases_rad", "nan", "non-finite value 'nan'"),
+        ("alpha_re_im", "0.5 0.25 1", "malformed entry '0.5 0.25 1': expected 2 values, got 3"),
+        ("delays_ns", "abc", "malformed entry 'abc': could not convert string to float: 'abc'"),
+        ("phases_rad", "[phases_rad]", "repeated header"),
+    ],
+    ids=["nan", "three_values", "not_a_number", "repeated_header"],
+)
+def test_beamformer_file_with_nan_is_config_error(tmp_path, capsys, section, bad, reason):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "run"
     assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
-    text = (out / "beamformer.txt").read_text()
-    head, _, tail = text.partition("[phases_rad]\n")
-    (out / "beamformer.txt").write_text(head + "[phases_rad]\nnan\n" + tail.split("\n", 1)[1])
-    code = main(["gain-map", "--config", str(cfg), "--out", str(tmp_path / "map"),
-                 "--beamformer", str(out / "beamformer.txt")])
+    path = out / "beamformer.txt"
+    lines = path.read_text().split("\n")
+    lineno = lines.index(f"[{section}]") + 2
+    lines[lineno - 1] = bad
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    code = main(["gain-map", "--config", str(cfg), "--out", str(tmp_path / "map"), "--beamformer", str(path)])
     assert code == 2
-    assert "phases_rad" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: beamformer file: {path}:{lineno}: section [{section}]: {reason}\n"
 
 
 def test_gain_map_csv_bytes_match_csv_writer(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jpta.design as design_module
-from jpta.array_model import SystemConfig, build_grid, effective_beamformer_matrix
+from jpta.array_model import SystemConfig, build_grid, delay_response, effective_beamformer_matrix
 from jpta.beam_targets import BeamTarget, behavior1_target, behavior2_target
 from jpta.design import (
     DesignOptions,
@@ -24,7 +24,7 @@ from jpta.design import (
     ttd_update_line_search,
     ttd_update_wls,
 )
-from jpta.design import _COARSE_STEP, _GRID_TABLE, _TIE_TOL, _delay_table, _grid_table, _line_search
+from jpta.design import _COARSE_STEP, _GRID_TABLE, _TIE_TOL, _grid_table, _line_search
 from jpta.heuristics import heuristic_behavior1
 from jpta.metrics import build_fit_report, fit_objective
 
@@ -618,18 +618,6 @@ def test_relabelling_delay_lines_permutes_delays_only(shape, num_subcarriers, va
     assert np.max(np.abs(trace_b - trace_a)) <= 1e-9
 
 
-@pytest.mark.parametrize("taus", ["grid", "single"])
-def test_delay_table_is_bit_identical_to_the_direct_formula(taus):
-    cfg = make_config(num_subcarriers=255)
-    freqs = build_grid(cfg).frequencies
-    half = cfg.delay_range / (2.0 * cfg.bandwidth)
-    taus = np.linspace(-half, half, 257) if taus == "grid" else [0.3 * half]
-    built = _delay_table(freqs, taus)
-    direct = np.exp(-2j * np.pi * np.outer(freqs, taus))
-    assert built.shape == direct.shape and built.dtype == direct.dtype
-    assert np.array_equal(built.view(np.uint64), direct.view(np.uint64))
-
-
 def _design_bits(cfg, opts):
     grid = build_grid(cfg)
     bf, trace = design_jpta(cfg, grid, behavior1_target(cfg, grid, 0.3, 0.4), opts)
@@ -646,8 +634,8 @@ def _assert_memo_holds_only(cfg, points):
     assert np.array_equal(search.taus, np.linspace(-half, half, points))
     assert np.array_equal(search.coarse, coarse)
     steps = np.arange(min(_COARSE_STEP, points - 1) + 1) * (2.0 * half / (points - 1))
-    for built, direct in ((search.phases, _delay_table(freqs, search.taus[coarse]).T),
-                          (search.steps, _delay_table(freqs, steps))):
+    for built, direct in ((search.phases, delay_response(freqs, search.taus[coarse]).T),
+                          (search.steps, delay_response(freqs, steps))):
         assert built.shape == direct.shape and np.array_equal(built, direct)
     for arr in search:
         assert not arr.flags.writeable
@@ -772,17 +760,43 @@ def test_no_phase_table_spans_the_subcarriers_times_the_grid(monkeypatch):
     built = []
 
     def spy(freqs, taus):
-        table = _delay_table(freqs, taus)
-        built.append(table.size)
+        table = delay_response(freqs, taus)
+        built.append(table.shape)
         return table
 
-    monkeypatch.setattr(design_module, "_delay_table", spy)
+    monkeypatch.setattr(design_module, "delay_response", spy)
     _GRID_TABLE.clear()
     opts = DesignOptions(max_iter=3)
     design_jpta(cfg, grid, target, opts)
     ttd_update_line_search(cfg, grid, 1, target, np.zeros(64), opts)
     # the largest is the coarse table, K x (G/16 + 1)
-    assert built and max(built) < cfg.num_subcarriers * opts.line_search_grid // 8
+    assert built and max(map(math.prod, built)) < cfg.num_subcarriers * opts.line_search_grid // 8
+    # every iteration builds one (K, N) delay factor, shared by the phase-shifter update and
+    # the digital alignment; the line search's vertex refine builds one (K, N) table of its own
+    for variant, per_iteration in ((TtdUpdate.WLS, 1), (TtdUpdate.LINE_SEARCH, 2)):
+        built.clear()
+        design_jpta(cfg, grid, target, DesignOptions(ttd_update=variant, max_iter=3))
+        assert built.count((cfg.num_subcarriers, cfg.num_ttds)) == 3 * per_iteration
+
+
+@pytest.mark.parametrize("variant", list(TtdUpdate))
+@pytest.mark.parametrize("nonnegative", [True, False])
+@pytest.mark.parametrize("shape, seed", [((8, 2), 0), ((8, 4), 1), ((6, 3), 2)])
+def test_design_trace_and_digital_phases_match_the_evaluated_beams(variant, nonnegative, shape, seed):
+    num_antennas, num_ttds = shape
+    cfg = make_config(num_antennas=num_antennas, num_ttds=num_ttds, num_subcarriers=32)
+    grid = build_grid(cfg)
+    rng = np.random.default_rng(seed)
+    for target in (random_steered_target(cfg, grid, rng), random_gaussian_target(cfg, grid, rng)):
+        opts = DesignOptions(ttd_update=variant, max_iter=4, enforce_nonnegative_delays=nonnegative)
+        bf, trace = design_jpta(cfg, grid, target, opts)
+        beams = effective_beamformer_matrix(cfg, grid, bf)
+        assert trace[-1] == pytest.approx(np.sum(target.weights) * fit_objective(target, beams), rel=1e-12)
+        # the digital phases align every subcarrier's realized beam with its target,
+        # through the centering and the nonnegative shift
+        inner = np.einsum("km,km->k", target.unit_vectors.conj(), beams)
+        aligned = np.angle(inner * np.exp(1j * np.angle(bf.alpha)))
+        assert np.max(np.abs(aligned[np.abs(inner) > 0.0])) <= 1e-9
 
 
 _SMALL_SHAPES = [(2, 1), (2, 2), (4, 2), (4, 4), (6, 3), (8, 2), (8, 4), (8, 8)]
