@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import ctypes
 import json
 import math
 import sys
@@ -97,8 +98,8 @@ class ConfigError(ValueError):
 class ResultRecord:
     """One aggregated run result.
 
-    ``wall_time_s`` is measured per run but written to no output yet; it is kept
-    for the per-stage timing recorder that ROADMAP item 2 plans.
+    ``wall_time_s`` is the task's wall time as `_map` measures it; no output holds it yet,
+    and it is kept for the stage recorder that ROADMAP item 4 plans.
     """
 
     experiment_id: str
@@ -329,6 +330,7 @@ class RunOutput:
     beamformer: JptaBeamformer | None = None
     hbf: HbfBeamformer | None = None
     beams: np.ndarray | None = None
+    wall_time_s: float = 0.0
 
 
 def run_algorithm(
@@ -439,7 +441,7 @@ def parse_beamformer_file(path: str | Path) -> JptaBeamformer:
             rows[name] = []
             continue
         if name is None:
-            raise ValueError(f"{path}: content before the first section header")
+            raise ValueError(f"{path}:{lineno}: content before the first section header")
         if name not in widths:
             continue
         where = f"{path}:{lineno}: section [{name}]"
@@ -563,6 +565,46 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class Task:
+    """One run for `_map`: a point config with its target, one algorithm block, the base seed, and
+    whether the result keeps the (K, M) beams, which only a run whose gain map is written needs."""
+
+    config: dict
+    block: dict
+    seed: int = 0
+    keep_beams: bool = False
+
+
+def _run_task(task: Task) -> RunOutput:
+    """The run's label and fit report, its beams when the task keeps them, and its wall time."""
+    start = time.perf_counter()
+    output = run_algorithm(task.config, *_prepare(task.config), task.block, base_seed=task.seed)
+    return RunOutput(output.label, output.report, beams=output.beams if task.keep_beams else None,
+                     wall_time_s=time.perf_counter() - start)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: a loaded OpenBLAS runs one thread, so that N workers keep to N cores."""
+    maps = Path("/proc/self/maps")  # the loaded libraries, on Linux
+    paths = {line.split()[-1] for line in maps.read_text(errors="replace").splitlines()} if maps.exists() else ()
+    for lib in map(ctypes.CDLL, [p for p in paths if "openblas" in p.rsplit("/", 1)[-1].lower()]):
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def _map(tasks: list[Task], workers: int) -> list[RunOutput]:
+    """The results of ``tasks`` in order, run serially or by up to ``workers`` pool processes."""
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_one_blas_thread) as pool:
+            return list(pool.map(_run_task, tasks))
+    return [_run_task(task) for task in tasks]
+
+
 # sweep parameter -> (config section it sets, value type).  An algorithm section sets the
 # field in every block of that kind, and the sweep skips blocks of other kinds.
 _SWEEPS = {
@@ -582,36 +624,19 @@ def _sweep_point_config(config: dict, parameter: str, value: float) -> dict:
     return point
 
 
-def _record(output: RunOutput, experiment_id: str, parameter: str, value: float,
-            wall_time_s: float) -> ResultRecord:
-    report = output.report
-    return ResultRecord(experiment_id, output.label, parameter, float(value), report.f_obj,
-                        report.f_tilde_obj, report.iterations, report.seed, wall_time_s)
-
-
-def _run_sweep_point(args: tuple[dict, int, str, float, int]) -> ResultRecord:
-    config, block_index, parameter, value, seed = args
-    point = _sweep_point_config(config, parameter, value)
-    start = time.perf_counter()
-    system, grid, target = _prepare(point)
-    output = run_algorithm(point, system, grid, target, algorithm_blocks(point)[block_index], base_seed=seed)
-    experiment_id = f"{output.label}[{parameter}={value:g}]"
-    return _record(output, experiment_id, parameter, value, time.perf_counter() - start)
-
-
-def _sweep_records(config: dict, parameter: str, values, seed: int, workers: int) -> list[ResultRecord]:
-    """One record per (value, algorithm block); blocks the parameter does not touch are skipped."""
+def _sweep_points(config: dict, parameter: str, values, seed: int, prefix: str = "") -> list[tuple]:
+    """A (task, experiment-id format of its {label}, parameter, value) per (value, block) the parameter sets."""
     section = _SWEEPS[parameter][0]
-    tasks = [
-        (config, i, parameter, float(v), seed)
-        for v in values
-        for i, block in enumerate(algorithm_blocks(config))
-        if section == "system" or section in block
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_sweep_point, tasks))
-    return [_run_sweep_point(task) for task in tasks]
+    return [(Task(point, block, seed), prefix + "{label}" + f"[{parameter}={value:g}]", parameter, value)
+            for value in map(float, values) for point in [_sweep_point_config(config, parameter, value)]
+            for block in algorithm_blocks(point) if section == "system" or section in block]
+
+
+def _records(points: list[tuple], workers: int) -> list[ResultRecord]:
+    outputs = _map([task for task, *_ in points], workers)
+    return [ResultRecord(experiment_id.format(label=out.label), out.label, parameter, value, out.report.f_obj,
+                         out.report.f_tilde_obj, out.report.iterations, out.report.seed, out.wall_time_s)
+            for (_, experiment_id, parameter, value), out in zip(points, outputs)]
 
 
 def _write_results(out_dir: Path, config: dict, start: float, records: list[ResultRecord],
@@ -631,16 +656,13 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     if _SWEEPS[parameter][1] is int and not all(v.is_integer() for v in values):
         raise ConfigError(f"sweep.values: {parameter} takes integers, got {values!r}")
     _prepare(config)  # validate the base config before queuing work
-    _write_results(out_dir, config, start, _sweep_records(config, parameter, values, seed, workers), [])
+    _write_results(out_dir, config, start, _records(_sweep_points(config, parameter, values, seed), workers), [])
     return EXIT_OK
 
 
-def _compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> list[ResultRecord]:
-    """Chain-count sweep for both structures plus a delay-phase reference design, written to
-    ``out_dir``, whose run_meta.json notes the chain counts each structure skips."""
-    start = time.perf_counter()
-    system, grid, target = _prepare(config)
-    m = system.num_antennas
+def _compare_points(config: dict, seed: int) -> tuple[list[tuple], list[str]]:
+    """The delay-phase reference, then each structure's chain-count sweep; notes name the counts skipped."""
+    m = _prepare(config)[0].num_antennas  # validate the base config before queuing work
     compare = _get(config, "compare", "", dict, default={})
     names = _list(compare, "structures", "compare", str, default=[s.value for s in HbfStructure])
     structures = [_choice(s, "compare.structures", HbfStructure) for s in _distinct(names, "compare.structures")]
@@ -654,23 +676,23 @@ def _compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> list[R
     for key, value in fit.items():
         if value < 1:
             raise ConfigError(f"compare.{key}: expected a positive integer, got {value}")
-    reference = run_algorithm(config, system, grid, target, {"jpta": {}})
-    records = [_record(reference, "jpta[reference]", "n_rf", 1.0, time.perf_counter() - start)]
+    points = [(Task(config, {"jpta": {}}, seed), "jpta[reference]", "n_rf", 1.0)]
     notes = []
     for structure in structures:
         point = copy.deepcopy(config)
         point["algorithms"] = [{"hbf": {"structure": structure.value, **fit}}]
         values = [n for n in n_rf_values if chains_fit(structure, n, m)]
-        records += _sweep_records(point, "n_rf", values, seed, workers)
+        points += _sweep_points(point, "n_rf", values, seed)
         skipped = [n for n in n_rf_values if n not in values]
         if skipped:
             notes.append(f"compare.n_rf_values: {structure.value} skips {skipped} on {m} antennas")
-    _write_results(out_dir, config, start, records, notes)
-    return records
+    return points, notes
 
 
 def cmd_compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> int:
-    _compare_hbf(config, out_dir, seed, workers)
+    start = time.perf_counter()
+    points, notes = _compare_points(config, seed)
+    _write_results(out_dir, config, start, _records(points, workers), notes)
     return EXIT_OK
 
 
@@ -716,20 +738,19 @@ def _preset_notes(fast: bool) -> list[str]:
     return []
 
 
-def _design_maps(config: dict, target_block: dict, out_dir: Path, stem: str, theta: np.ndarray) -> None:
-    point = copy.deepcopy(config)
-    point["target"] = target_block
-    system, grid, target = _prepare(point)
-    ideal = gain_map(system, grid, target.unit_vectors, theta)
-    write_gain_map_csv(out_dir / f"ideal_{stem}.csv", grid, ideal, theta)
-    beams = run_algorithm(point, system, grid, target, {"jpta": {}}).beams
-    write_gain_map_csv(out_dir / f"jpta_{stem}.csv", grid, gain_map(system, grid, beams, theta), theta)
+def _design_maps(config: dict, cases: list[tuple[str, dict]], out_dir: Path, workers: int) -> None:
+    """Ideal and line-search gain maps of each (stem, target block) case."""
+    theta = default_theta_grid()
+    points = [{**copy.deepcopy(config), "target": target_block} for _, target_block in cases]
+    outputs = _map([Task(point, {"jpta": {}}, keep_beams=True) for point in points], workers)
+    for (stem, _), point, output in zip(cases, points, outputs):
+        system, grid, target = _prepare(point)
+        for kind, beams in (("ideal", target.unit_vectors), ("jpta", output.beams)):
+            write_gain_map_csv(out_dir / f"{kind}_{stem}.csv", grid, gain_map(system, grid, beams, theta), theta)
 
 
 def _reproduce_fig4(config: dict, out_dir: Path, seed: int, workers: int) -> None:
-    theta = default_theta_grid()
-    _design_maps(config, PRESET_BEHAVIOR1, out_dir, "behavior1", theta)
-    _design_maps(config, PRESET_BEHAVIOR2, out_dir, "behavior2", theta)
+    _design_maps(config, [("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2)], out_dir, workers)
 
 
 _JPTA_ALGOS = [{"jpta": {}}, {"jpta": {"variant": "wls"}}, {"heuristic": {}}]
@@ -737,15 +758,11 @@ _JPTA_ALGOS = [{"jpta": {}}, {"jpta": {"variant": "wls"}}, {"heuristic": {}}]
 
 def _preset_sweep(config: dict, parameter: str, cases, seed: int, workers: int) -> list[ResultRecord]:
     """Line-search, wLS and closed-form records over one value list per (name, target) case."""
-    records = []
+    points = []
     for name, target_block, values in cases:
-        point = copy.deepcopy(config)
-        point["target"] = target_block
-        point["algorithms"] = copy.deepcopy(_JPTA_ALGOS)
-        for record in _sweep_records(point, parameter, values, seed, workers):
-            record.experiment_id = f"{name}:{record.experiment_id}"
-            records.append(record)
-    return records
+        point = {**copy.deepcopy(config), "target": target_block, "algorithms": copy.deepcopy(_JPTA_ALGOS)}
+        points += _sweep_points(point, parameter, values, seed, prefix=f"{name}:")
+    return _records(points, workers)
 
 
 def _reproduce_fig5(config: dict, out_dir: Path, seed: int, workers: int) -> None:
@@ -767,12 +784,13 @@ def _reproduce_fig6(config: dict, out_dir: Path, seed: int, workers: int) -> Non
     write_records_csv(out_dir / "f_obj_vs_delay_range.csv", records)
 
 
-def _convergence_draws(config: dict, behavior: int, draws: int, iters: int, seed: int) -> np.ndarray:
-    """Trace ratios F(i)/F(iters) for random delay-range, line counts, and angles."""
+def _convergence_tasks(config: dict, behavior: int, draws: int, iters: int, seed: int) -> list[Task]:
+    """Designs of ``iters`` iterations at random delay ranges, line counts and angles, whose trace
+    ratios F(i)/F(iters) fig7 summarizes per iteration."""
     rng = np.random.default_rng(seed)
     divisors = [n for n in (1, 2, 4, 8, 16, 32, 64) if config["system"]["num_antennas"] % n == 0]
-    ratios = np.empty((draws, iters))
-    for d in range(draws):
+    tasks = []
+    for _ in range(draws):
         point = copy.deepcopy(config)
         point["system"]["num_ttds"] = int(rng.choice(divisors))
         point["system"]["delay_range"] = float(rng.uniform(4.0, 64.0))
@@ -790,17 +808,16 @@ def _convergence_draws(config: dict, behavior: int, draws: int, iters: int, seed
                 "theta1_deg": math.degrees(float(rng.uniform(-np.pi / 3, np.pi / 3))),
                 "theta2_deg": math.degrees(float(rng.uniform(-np.pi / 3, np.pi / 3))),
             }
-        system, grid, target = _prepare(point)
-        trace = run_algorithm(point, system, grid, target, {"jpta": {"max_iter": iters}}).report.convergence_trace
-        ratios[d] = trace / trace[-1]
-    return ratios
+        tasks.append(Task(point, {"jpta": {"max_iter": iters}}))
+    return tasks
 
 
 def _reproduce_fig7(config: dict, out_dir: Path, seed: int, workers: int) -> None:
-    draws, iters = 25, 30
+    draws, iters, behaviors = 25, 30, (1, 2)
+    tasks = [task for b in behaviors for task in _convergence_tasks(config, b, draws, iters, seed + b)]
+    traces = np.array([output.report.convergence_trace for output in _map(tasks, workers)])
     rows = []
-    for behavior in (1, 2):
-        ratios = _convergence_draws(config, behavior, draws, iters, seed + behavior)
+    for behavior, ratios in zip(behaviors, np.split(traces / traces[:, -1:], len(behaviors))):
         stats = np.column_stack([ratios.mean(axis=0), np.percentile(ratios, [10, 90], axis=0).T])
         rows += [[f"behavior{behavior}", i, *map(_fmt, row)] for i, row in enumerate(stats, start=1)]
     _write_rows(out_dir / "convergence_ratio.csv",
@@ -808,43 +825,50 @@ def _reproduce_fig7(config: dict, out_dir: Path, seed: int, workers: int) -> Non
 
 
 def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+    start = time.perf_counter()
     m = config["system"]["num_antennas"]
+    compare = {"n_rf_values": [n for n in (1, 2, 4, 8, 12, 16, 22, 32, 64) if n <= m]}
+    points = {name: {**copy.deepcopy(config), "target": target_block, "compare": compare}
+              for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2))}
+    plans = {name: _compare_points(point, seed) for name, point in points.items()}
+    records = _records([p for runs, _ in plans.values() for p in runs], workers)
     rows = []
-    for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2)):
-        point = copy.deepcopy(config)
-        point["target"] = target_block
-        point["compare"] = {"n_rf_values": [n for n in (1, 2, 4, 8, 12, 16, 22, 32, 64) if n <= m]}
-        rows += [[name, *row] for row in _result_rows(_compare_hbf(point, out_dir / name, seed, workers))]
+    for name, (runs, notes) in plans.items():
+        part, records = records[:len(runs)], records[len(runs):]
+        _write_results(out_dir / name, points[name], start, part, notes)
+        rows += [[name, *row] for row in _result_rows(part)]
     _write_rows(out_dir / "f_obj_vs_n_rf.csv", ["behavior", *RESULT_HEADER], rows)
 
 
-def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> list[str]:
+    """Hybrid gain maps at chain counts for the stock 64 antennas; notes name each map that does not fit."""
     theta = default_theta_grid()
-    cases = [
+    system = build_system(config)
+    grid = build_grid(system)
+    maps, notes = [], []
+    for name, target_block, structure, n_rf in (
         ("behavior1", PRESET_BEHAVIOR1, "fc", 22),
         ("behavior2", PRESET_BEHAVIOR2, "fc", 2),
         ("behavior1", PRESET_BEHAVIOR1, "pc", 32),
         ("behavior2", PRESET_BEHAVIOR2, "pc", 32),
-    ]
-    for name, target_block, structure, n_rf in cases:
-        point = copy.deepcopy(config)
-        point["target"] = target_block
-        system, grid, target = _prepare(point)
+    ):
+        stem = f"hbf_{structure}_{n_rf}rf_{name}"
         if not chains_fit(structure, n_rf, system.num_antennas):
-            continue  # preset chain counts assume the stock 64-antenna array
+            notes.append(f"{stem}: skipped, {n_rf} {structure} chains do not fit {system.num_antennas} antennas")
+            continue
         block = {"hbf": {"structure": structure, "n_rf": n_rf}}
-        beams = run_algorithm(point, system, grid, target, block, base_seed=seed).beams
-        gains = gain_map(system, grid, beams, theta)
-        write_gain_map_csv(out_dir / f"hbf_{structure}_{n_rf}rf_{name}.csv", grid, gains, theta)
+        maps.append((stem, Task({**copy.deepcopy(config), "target": target_block}, block, seed, keep_beams=True)))
+    for (stem, _), output in zip(maps, _map([task for _, task in maps], workers)):
+        write_gain_map_csv(out_dir / f"{stem}.csv", grid, gain_map(system, grid, output.beams, theta), theta)
+    return notes
 
 
 def _reproduce_fig11(config: dict, out_dir: Path, seed: int, workers: int) -> None:
-    theta = default_theta_grid()
     k = config["system"]["num_subcarriers"]
     lo = -(k // 2)
     edges = [lo + k // 3, lo + 2 * (k // 3)]
     target_block = {"behavior": 3, "band_edges": edges, "angles_deg": [-45.0, 0.0, 30.0]}
-    _design_maps(config, target_block, out_dir, "behavior3", theta)
+    _design_maps(config, [("behavior3", target_block)], out_dir, workers)
 
 
 _FIGURES = {
@@ -869,8 +893,8 @@ def cmd_reproduce(figure: str, out_dir: Path, fast: bool, seed: int, workers: in
             raise ConfigError(f"{key}: reproduce presets take only system.* overrides")
     build_system(config)  # validate early
     out_dir.mkdir(parents=True, exist_ok=True)
-    _FIGURES[figure](config, out_dir, seed, workers)
-    write_provenance(out_dir, config, time.perf_counter() - start, _preset_notes(fast))
+    notes = _FIGURES[figure](config, out_dir, seed, workers) or []  # fig9 notes the maps it skips
+    write_provenance(out_dir, config, time.perf_counter() - start, _preset_notes(fast) + notes)
     return EXIT_OK
 
 
@@ -915,7 +939,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"use {FAST_SUBCARRIERS} subcarriers instead of the full grid")
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--workers", type=_positive_int, default=1,
-                       help="parallel sweep workers; only fig5, fig6 and fig8 use them")
+                       help="processes that run the preset's designs and fits")
     p_rep.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE")
 

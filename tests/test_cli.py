@@ -1,9 +1,11 @@
 import ast
 import csv
+import ctypes
 import importlib.util
 import io
 import json
 import math
+import multiprocessing
 import re
 import tempfile
 from pathlib import Path
@@ -535,8 +537,16 @@ def test_reproduce_fig11_three_angle_maps(tmp_path):
     assert (out / "jpta_behavior3.csv").exists()
 
 
+def _output_bytes(out_dir):
+    """Every output file under ``out_dir`` but run_meta.json, by relative path."""
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file() and p.name != "run_meta.json"}
+
+
 def test_reproduce_sweep_presets_smoke(tmp_path):
+    # every preset runs serially and in a pool of two, and both write the same bytes
     cases = [
+        ("fig4", TINY_PRESET, "jpta_behavior2.csv"),
         ("fig5", TINY_PRESET, "f_obj_vs_num_ttds.csv"),
         ("fig6", TINY_PRESET, "f_obj_vs_delay_range.csv"),
         ("fig7", TINY_PRESET, "convergence_ratio.csv"),
@@ -549,12 +559,29 @@ def test_reproduce_sweep_presets_smoke(tmp_path):
             ],
             "hbf_fc_22rf_behavior1.csv",
         ),
+        ("fig11", TINY_PRESET, "jpta_behavior3.csv"),
     ]
     for figure, overrides, artifact in cases:
-        out = tmp_path / figure
-        code = main(["reproduce", figure, "--out", str(out), "--fast", *overrides])
-        assert code == 0, figure
-        assert (out / artifact).exists(), figure
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{figure}-{workers}"
+            code = main(["reproduce", figure, "--out", str(out), "--fast", "--workers", workers, *overrides])
+            assert code == 0, figure
+            assert (out / artifact).exists(), figure
+            written.append(_output_bytes(out))
+        assert written[0] == written[1], figure
+
+
+def test_fig9_notes_each_map_whose_chain_count_does_not_fit(tmp_path):
+    out = tmp_path / "fig9"
+    assert main(["reproduce", "fig9", "--out", str(out), "--fast", *TINY_PRESET]) == 0
+    assert sorted(p.name for p in out.glob("hbf_*.csv")) == ["hbf_fc_2rf_behavior2.csv"]
+    assert json.loads((out / "run_meta.json").read_text())["notes"] == [
+        "fast mode: num_subcarriers reduced to 256",
+        "hbf_fc_22rf_behavior1: skipped, 22 fc chains do not fit 4 antennas",
+        "hbf_pc_32rf_behavior1: skipped, 32 pc chains do not fit 4 antennas",
+        "hbf_pc_32rf_behavior2: skipped, 32 pc chains do not fit 4 antennas",
+    ]
 
 
 def test_fig8_merges_the_per_behavior_results(tmp_path):
@@ -683,6 +710,19 @@ def test_beamformer_file_with_nan_is_config_error(tmp_path, capsys, section, bad
     assert capsys.readouterr().err == f"config error: beamformer file: {path}:{lineno}: section [{section}]: {reason}\n"
 
 
+def test_beamformer_file_content_before_the_first_header_names_the_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "beamformer.txt"
+    path.write_text("# stray value\n\n0.5\n" + path.read_text())
+    capsys.readouterr()
+    code = main(["gain-map", "--config", str(cfg), "--out", str(tmp_path / "map"), "--beamformer", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: beamformer file: {path}:3: content before the first section header\n")
+
+
 def test_gain_map_csv_bytes_match_csv_writer(tmp_path):
     system = cli.build_system({"system": {**BASE_CONFIG["system"], "num_subcarriers": 3}})
     grid = build_grid(system)
@@ -746,3 +786,43 @@ def test_traced_presets_record_every_layer(tmp_path):
     assert [layer for layer in layers if summary[f"{layer}.calls"] < 1] == []
     called = {span["name"] for span in tracer.spans}
     assert {"behavior1_target", "behavior2_target", "build_fit_report", "fit_objective"} <= called
+
+
+def test_one_pool_and_one_run_path():
+    # `_map` is the only place that builds a process pool, and every run but `design` goes through it
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    users = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add(fn.name)
+    assert users["ProcessPoolExecutor"] == {"_map"}
+    assert users["run_algorithm"] == {"_run_task", "cmd_design"}
+
+
+def _blas_threads():
+    """Thread count of the loaded OpenBLAS, or None when none is loaded."""
+    maps = Path("/proc/self/maps")
+    paths = {line.split()[-1] for line in maps.read_text().splitlines()} if maps.exists() else set()
+    for lib in map(ctypes.CDLL, [p for p in paths if "openblas" in Path(p).name.lower()]):
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+
+def _report_blas_threads(*args, **kwargs):
+    return cli.RunOutput(label=str(_blas_threads()), report=None)
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    parent = _blas_threads()
+    if parent is None:
+        pytest.skip("no OpenBLAS library is loaded")
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched run_algorithm reaches only forked workers")
+    monkeypatch.setattr(cli, "run_algorithm", _report_blas_threads)
+    outputs = cli._map([cli.Task(BASE_CONFIG, {"jpta": {}})] * 4, workers=2)
+    assert [output.label for output in outputs] == ["1"] * 4
+    assert _blas_threads() == parent
