@@ -24,6 +24,7 @@ __all__ = [
     "check_sweep",
     "contiguous_ttd_groups",
     "build_grid",
+    "steering_ratio",
     "steering_vectors",
     "delay_response",
     "array_response",
@@ -202,12 +203,24 @@ def steering_vectors(
     """Plane-wave responses ``exp(j*pi*m*sin(theta)*f/f0)``, m = 0..M-1.
 
     ``freqs`` and ``thetas`` broadcast against each other; the result has
-    their broadcast shape plus a trailing antenna axis.  Targets, the
-    closed-form designs' digital alignment and gain maps all evaluate it
-    here, so their steering phases round the same way.
+    their broadcast shape plus a trailing antenna axis.  Targets and the
+    closed-form designs' digital alignment evaluate it here.
     """
-    ratio = np.sin(thetas) * (np.asarray(freqs) / config.carrier_freq)
+    ratio = steering_ratio(config, freqs, thetas)
     return np.exp(1j * (np.pi * np.multiply.outer(ratio, np.arange(config.num_antennas))))
+
+
+def steering_ratio(
+    config: SystemConfig,
+    freqs: np.ndarray | float,
+    thetas: np.ndarray | float,
+) -> np.ndarray:
+    """``sin(theta)*f/f0``, the plane-wave phase step between adjacent antennas in units of pi.
+
+    ``steering_vectors`` and ``gain_map`` both form it here, so their
+    steering phases round the same way.
+    """
+    return np.sin(thetas) * (np.asarray(freqs) / config.carrier_freq)
 
 
 def delay_response(freqs: np.ndarray | float, taus) -> np.ndarray:
@@ -279,6 +292,9 @@ def default_theta_grid(step_deg: float = 1.0) -> np.ndarray:
     return np.deg2rad(degs)
 
 
+_GAIN_MAP_BLOCK = 16  # angles per Horner pass of gain_map
+
+
 def gain_map(
     config: SystemConfig,
     grid: SubcarrierGrid,
@@ -289,9 +305,11 @@ def gain_map(
 
     ``beams`` is (K, M) with row order matching the grid; the result is
     (K, len(theta_grid)) with entry (k, t) equal to
-    ``array_gain(config, grid, beams[k], k, theta_grid[t])``.
+    ``array_gain(config, grid, beams[k], k, theta_grid[t])``.  Horner's rule
+    evaluates ``a^H w_k = sum_m w_km z^m`` with ``z = exp(-j*pi*sin(theta)*f_k/f0)``:
+    one exponential per cell, not one per antenna.
     """
-    w = np.asarray(beams)
+    w = np.asarray(beams, dtype=np.complex128)
     kn = grid.num_subcarriers
     if w.shape != (kn, config.num_antennas):
         raise ValueError(f"expected beams of shape {(kn, config.num_antennas)}, got {w.shape}")
@@ -299,8 +317,13 @@ def gain_map(
     if thetas.size == 0:
         raise ValueError("theta grid must not be empty")
     out = np.empty((kn, thetas.size))
-    for t, th in enumerate(thetas):
-        # one (K, M) block per angle keeps memory at K*M, not K*T*M
-        a = steering_vectors(config, grid.frequencies, th)
-        out[:, t] = np.abs(np.sum(np.conj(a) * w, axis=1)) ** 2
+    freqs = grid.frequencies[:, None]
+    # blocks of angles keep the working set near K*M, not K*T
+    for lo in range(0, thetas.size, _GAIN_MAP_BLOCK):
+        z = np.exp(-1j * (np.pi * steering_ratio(config, freqs, thetas[lo:lo + _GAIN_MAP_BLOCK])))
+        acc = np.repeat(w[:, -1:], z.shape[1], axis=1)
+        for m in range(config.num_antennas - 2, -1, -1):
+            acc *= z
+            acc += w[:, m:m + 1]
+        out[:, lo:lo + _GAIN_MAP_BLOCK] = np.abs(acc) ** 2
     return out

@@ -470,17 +470,20 @@ def write_gain_map_csv(
     gains: np.ndarray,
     theta_grid: np.ndarray,
 ) -> None:
-    """Row-major by subcarrier, then angle; CRLF line ends as csv.writer writes them."""
-    num_angles = theta_grid.size
-    rows = np.column_stack([
-        np.repeat(grid.indices, num_angles),
-        np.repeat(grid.frequencies, num_angles),
-        np.tile(np.rad2deg(theta_grid), grid.num_subcarriers),
-        gains.ravel(),
-        linear_to_db(gains).ravel(),
-    ])
-    np.savetxt(path, rows, fmt=["%d"] + ["%.12g"] * 4, delimiter=",",
-               header=",".join(GAIN_MAP_HEADER), comments="", newline="\r\n")
+    """Row-major by subcarrier, then angle; CRLF line ends as csv.writer writes them.
+
+    Every angle is formatted once, into a template of one subcarrier's lines;
+    each subcarrier then fills its ``k,f_hz`` prefix and its gains with one
+    ``%``.  The bytes are those of ``np.savetxt`` with ``%d`` and ``%.12g``
+    fields, without its per-row loop.
+    """
+    angles = ["%.12g" % deg for deg in np.rad2deg(theta_grid).tolist()]
+    template = "".join(f"@,{deg},%.12g,%.12g\r\n" for deg in angles)  # "@" marks the k,f_hz prefix
+    with path.open("w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(GAIN_MAP_HEADER) + "\r\n")
+        for k, f, row in zip(grid.indices.tolist(), grid.frequencies.tolist(), gains, strict=True):
+            fields = np.column_stack([row, linear_to_db(row)]).ravel().tolist()
+            fh.write(template.replace("@", "%d,%.12g" % (k, f)) % tuple(fields))
 
 
 def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:
@@ -548,6 +551,8 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
     blocks = algorithm_blocks(config)
     if len(blocks) != 1:
         raise ConfigError("design: expected exactly one algorithm block")
+    wants_map = _get(_get(config, "output", "", dict, default={}), "gain_map", "output", bool, default=False)
+    thetas = _theta_grid_from(config) if wants_map else None
     output = run_algorithm(config, system, grid, target, blocks[0], base_seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     if output.beamformer is not None:
@@ -557,8 +562,7 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
             np.savetxt(out_dir / f"hbf_{name}_re_im.csv", np.column_stack([matrix.real, matrix.imag]),
                        delimiter=",", fmt="%.12g")
     write_fit_report(out_dir, "design", output, grid)
-    if _get(_get(config, "output", "", dict, default={}), "gain_map", "output", bool, default=False):
-        thetas = _theta_grid_from(config)
+    if wants_map:
         gains = gain_map(system, grid, output.beams, thetas)
         write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
     write_provenance(out_dir, config, time.perf_counter() - start, [])
@@ -732,9 +736,10 @@ def _preset_config(fast: bool) -> dict:
     return {"system": system}
 
 
-def _preset_notes(fast: bool) -> list[str]:
+def _preset_notes(config: dict, fast: bool) -> list[str]:
+    """The fast-mode note names the K of the resolved config, which a --set override may have changed."""
     if fast:
-        return [f"fast mode: num_subcarriers reduced to {FAST_SUBCARRIERS}"]
+        return [f"fast mode: num_subcarriers reduced to {config['system']['num_subcarriers']}"]
     return []
 
 
@@ -894,7 +899,7 @@ def cmd_reproduce(figure: str, out_dir: Path, fast: bool, seed: int, workers: in
     build_system(config)  # validate early
     out_dir.mkdir(parents=True, exist_ok=True)
     notes = _FIGURES[figure](config, out_dir, seed, workers) or []  # fig9 notes the maps it skips
-    write_provenance(out_dir, config, time.perf_counter() - start, _preset_notes(fast) + notes)
+    write_provenance(out_dir, config, time.perf_counter() - start, _preset_notes(config, fast) + notes)
     return EXIT_OK
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from jpta.array_model import (
     effective_beamformer,
     effective_beamformer_matrix,
     gain_map,
+    steering_vectors,
 )
 from jpta.beam_targets import behavior1_target, behavior2_target, multi_angle_target
 from jpta.design import JptaBeamformer
@@ -270,6 +272,40 @@ def test_gain_map_beam_squint_at_band_edges():
     g_high = array_gain(cfg, grid, w0, int(grid.indices[-1]), theta0)
     assert g_low < g_center and g_high < g_center
     assert g_center == pytest.approx(64.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("num_antennas", [1, 2, 7, 64])
+@pytest.mark.parametrize("num_subcarriers", [1, 16])
+def test_gain_map_equals_the_direct_steering_product(num_antennas, num_subcarriers):
+    cfg = make_config(num_antennas=num_antennas, num_ttds=1, num_subcarriers=num_subcarriers)
+    grid = build_grid(cfg)
+    rng = np.random.default_rng(num_antennas * 100 + num_subcarriers)
+    shape = (num_subcarriers, num_antennas)
+    beams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    thetas = np.deg2rad(np.linspace(-90.0, 90.0, 37))  # 37 angles: not a whole number of blocks; holds -90, 0, 90
+    gains = gain_map(cfg, grid, beams, thetas)
+    direct = np.array([
+        [abs(np.vdot(steering_vectors(cfg, f, theta), w)) ** 2 for theta in thetas]
+        for f, w in zip(grid.frequencies, beams)
+    ])
+    assert gains.shape == direct.shape
+    assert np.max(np.abs(gains - direct)) <= 1e-12 * direct.max()
+
+
+def test_gain_map_peak_memory_stays_within_twice_its_output():
+    cfg = make_config(num_antennas=64, num_ttds=64, num_subcarriers=2048)
+    grid = build_grid(cfg)
+    rng = np.random.default_rng(0)
+    beams = rng.standard_normal((2048, 64)) + 1j * rng.standard_normal((2048, 64))
+    thetas = default_theta_grid()
+    tracemalloc.start()
+    try:
+        gains = gain_map(cfg, grid, beams, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gains.shape == (2048, 181)
+    assert peak <= 2 * gains.nbytes
 
 
 def test_gain_map_rejects_empty_theta_grid():

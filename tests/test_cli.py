@@ -128,6 +128,20 @@ def test_out_of_range_angle_is_config_error(tmp_path, capsys):
     assert "theta0_deg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, message", [
+    (float("nan"), "output.theta_step_deg: expected a finite number, got nan"),
+    (0.0, "output.theta_step_deg: must be positive"),
+])
+def test_design_checks_its_gain_map_grid_before_it_designs(tmp_path, capsys, step, message):
+    bad = json.loads(json.dumps(BASE_CONFIG))
+    bad["output"]["theta_step_deg"] = step
+    cfg = write_config(tmp_path, bad)
+    out = tmp_path / "x"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "system": [,]\n}\n')
@@ -577,11 +591,18 @@ def test_fig9_notes_each_map_whose_chain_count_does_not_fit(tmp_path):
     assert main(["reproduce", "fig9", "--out", str(out), "--fast", *TINY_PRESET]) == 0
     assert sorted(p.name for p in out.glob("hbf_*.csv")) == ["hbf_fc_2rf_behavior2.csv"]
     assert json.loads((out / "run_meta.json").read_text())["notes"] == [
-        "fast mode: num_subcarriers reduced to 256",
+        "fast mode: num_subcarriers reduced to 16",
         "hbf_fc_22rf_behavior1: skipped, 22 fc chains do not fit 4 antennas",
         "hbf_pc_32rf_behavior1: skipped, 32 pc chains do not fit 4 antennas",
         "hbf_pc_32rf_behavior2: skipped, 32 pc chains do not fit 4 antennas",
     ]
+
+
+def test_fast_note_names_the_resolved_subcarrier_count(tmp_path):
+    out = tmp_path / "fig11"
+    assert main(["reproduce", "fig11", "--out", str(out), "--fast"]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["system"]["num_subcarriers"] == 256
+    assert json.loads((out / "run_meta.json").read_text())["notes"] == ["fast mode: num_subcarriers reduced to 256"]
 
 
 def test_fig8_merges_the_per_behavior_results(tmp_path):
@@ -747,6 +768,34 @@ def test_gain_map_csv_bytes_match_csv_writer(tmp_path):
     assert data.count(b"\r\n") == 1 + gains.size
     assert b"\r\n-1,96666666666.7,-0,0,-100\r\n" in data  # integer k, -0 angle, zero gain at the floor
     assert data.count(b",-100\r\n") == 3  # the dB floor
+
+
+def test_gain_map_csv_bytes_match_savetxt_on_a_large_map(tmp_path):
+    system = cli.build_system({"system": {**BASE_CONFIG["system"], "num_subcarriers": 16}})
+    grid = build_grid(system)
+    thetas = cli.default_theta_grid(0.05)
+    rng = np.random.default_rng(5)
+    gains = rng.random((16, thetas.size)) * 64.0
+    gains[:, ::97] = 0.0
+    gains[3::4, 5::89] = 1e-10  # exactly at the -100 dB floor
+    gains[1::5, 7::61] = 3e-13  # below it
+    assert gains.size == 57616 > 2**14
+    path = tmp_path / "gain_map.csv"
+    cli.write_gain_map_csv(path, grid, gains, thetas)
+    num_angles = thetas.size
+    rows = np.column_stack([
+        np.repeat(grid.indices, num_angles),
+        np.repeat(grid.frequencies, num_angles),
+        np.tile(np.rad2deg(thetas), grid.num_subcarriers),
+        gains.ravel(),
+        linear_to_db(gains).ravel(),
+    ])
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, rows, fmt=["%d"] + ["%.12g"] * 4, delimiter=",",
+               header=",".join(cli.GAIN_MAP_HEADER), comments="", newline="\r\n")
+    data = path.read_bytes()
+    assert data == expected.read_bytes()
+    assert data.count(b",0,-100\r\n") >= 16 * 37 and b",1e-10,-100\r\n" in data and b",3e-13,-100\r\n" in data
 
 
 def _load_bench_module(name):
