@@ -30,6 +30,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
@@ -94,37 +95,6 @@ class ConfigError(ValueError):
     """Configuration problem, reported with the offending field path."""
 
 
-@dataclass
-class ResultRecord:
-    """One aggregated run result.
-
-    ``wall_time_s`` is the task's wall time as `_map` measures it; no output holds it yet,
-    and it is kept for the stage recorder that ROADMAP item 4 plans.
-    """
-
-    experiment_id: str
-    algorithm: str
-    parameter: str
-    value: float
-    f_obj: float
-    f_tilde_obj: float
-    iterations: int
-    seed: int | None
-    wall_time_s: float = 0.0
-
-    def csv_row(self) -> list[str]:
-        return [
-            self.experiment_id,
-            self.algorithm,
-            self.parameter,
-            _fmt(self.value),
-            _fmt(self.f_obj),
-            _fmt(self.f_tilde_obj),
-            str(self.iterations),
-            "" if self.seed is None else str(self.seed),
-        ]
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -132,6 +102,27 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # config ingestion
 # ---------------------------------------------------------------------------
+
+# The keys of each config section and their kinds: a type, [type] for a list of it, or an Enum.
+# "" is the top level, "algorithm" one algorithm entry, and "jpta", "heuristic" and "hbf" the
+# entry bodies.  `_read` is the only reader, and it rejects every key not listed here.
+_SCHEMA = {
+    "": {"system": dict, "target": dict, "algorithm": dict, "algorithms": list, "sweep": dict,
+         "compare": dict, "output": dict},
+    "system": {"num_antennas": int, "num_ttds": int, "carrier_freq_ghz": float, "bandwidth_ghz": float,
+               "num_subcarriers": int, "delay_range": float, "total_power": float, "ttd_groups": list},
+    "target": {"behavior": int, "theta0_deg": float, "delta_theta_deg": float, "theta1_deg": float,
+               "theta2_deg": float, "band_edges": [int], "angles_deg": [float], "weight_scheme": WeightScheme,
+               "custom_file": str, "rescale": bool},
+    "algorithm": {"jpta": dict, "heuristic": dict, "hbf": dict},
+    "jpta": {"variant": TtdUpdate, "max_iter": int, "grid": int, "discrete_delays_ns": [float],
+             "nonnegative": bool, "epsilon": float, "init_phase_seed": int, "label": str},
+    "heuristic": {"label": str},
+    "hbf": {"structure": HbfStructure, "n_rf": int, "iters": int, "restarts": int, "seed": int, "label": str},
+    "sweep": {"parameter": str, "values": [float]},
+    "compare": {"n_rf_values": [int], "structures": [str], "iters": int, "restarts": int},
+    "output": {"gain_map": bool, "theta_step_deg": float},
+}
 
 
 def _is(value, kind) -> bool:
@@ -143,13 +134,12 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def _get(block: dict, key: str, path: str, kind, default=None, required: bool = False):
-    field = f"{path}.{key}" if path else key
-    value = block.get(key)
-    if value is None:
-        if required:
-            raise ConfigError(f"{field}: required field is missing")
-        return default
+def _value(value, field: str, kind):
+    """``value`` as a ``kind`` of `_SCHEMA`, or a ConfigError naming ``field``."""
+    if isinstance(kind, list):
+        return _items(_value(value, field, list), field, kind[0])
+    if issubclass(kind, Enum):
+        return _choice(value, field, kind)
     if not _is(value, kind):
         expected = "a finite number" if kind is float else kind.__name__
         raise ConfigError(f"{field}: expected {expected}, got {value!r}")
@@ -163,9 +153,35 @@ def _items(values, field: str, kind) -> list:
     return [kind(v) for v in values]
 
 
-def _list(block: dict, key: str, path: str, kind=float, default=None, required: bool = False) -> list | None:
-    values = _get(block, key, path, list, default=default, required=required)
-    return None if values is None else _items(values, f"{path}.{key}", kind)
+class _Fields(dict):
+    """The checked values of the keys a config section sets, whose ``prefix`` is the section's path and
+    a dot; indexing a key it leaves out is a ConfigError, and ``get`` gives a default instead."""
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"{self.prefix}{key}: required field is missing")
+
+
+def _read(block: dict, section: str, path: str) -> _Fields:
+    """The keys ``block`` sets, each checked against ``_SCHEMA[section]``; ``null`` counts as left out.
+    A key the section does not hold is a ConfigError naming its full ``path`` and the closest key."""
+    kinds, fields = _SCHEMA[section], _Fields()
+    fields.prefix = f"{path}." if path else ""
+    for key, value in block.items():
+        if key not in kinds:
+            import difflib  # only a rejected config pays for the import
+
+            near = difflib.get_close_matches(key, kinds, n=1)
+            hint = f" (did you mean {near[0]!r}?)" if near else ""
+            raise ConfigError(f"{fields.prefix}{key}: unknown key{hint}")
+        if value is not None:
+            fields[key] = _value(value, fields.prefix + key, kinds[key])
+    return fields
+
+
+def _section(config: dict, name: str, required: bool = True) -> _Fields:
+    """Top-level section ``name`` of ``config``, read with the top level; an optional one left out is empty."""
+    top = _read(config, "", "")
+    return _read(top[name] if required else top.get(name, {}), name, name)
 
 
 def _distinct(values: list, field: str) -> list:
@@ -179,19 +195,11 @@ def _distinct(values: list, field: str) -> list:
 
 
 def _choice(value, field: str, enum):
-    """A config value as a member of ``enum``, None for a key left out, or a ConfigError naming
-    the field and the choices."""
-    if value is None:
-        return None
+    """A config value as a member of ``enum``, or a ConfigError naming the field and the choices."""
     try:
         return enum(value)
     except ValueError:
         raise ConfigError(f"{field}: unknown value {value!r} (choose from {[m.value for m in enum]})") from None
-
-
-def _given(**kwargs) -> dict:
-    """The keyword arguments a config sets; a missing key leaves the library default."""
-    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def _angle_rad(deg: float, field: str) -> float:
@@ -238,34 +246,32 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def build_system(config: dict) -> SystemConfig:
-    block = _get(config, "system", "", dict, required=True)
-    groups = _get(block, "ttd_groups", "system", list)
-    if groups is not None:
-        groups = tuple(tuple(_items(g, "system.ttd_groups", int)) for g in groups)
+    block = _section(config, "system")
+    groups = block.get("ttd_groups")
+    fields = dict(  # every field is read first, so that a missing one is not reported as a SystemConfig error
+        num_antennas=block["num_antennas"],
+        num_ttds=block["num_ttds"],
+        carrier_freq=block["carrier_freq_ghz"] * GHZ,
+        bandwidth=block["bandwidth_ghz"] * GHZ,
+        num_subcarriers=block["num_subcarriers"],
+        delay_range=block["delay_range"],
+        total_power=block.get("total_power"),
+        ttd_groups=None if groups is None else tuple(tuple(_items(g, "system.ttd_groups", int)) for g in groups),
+    )
     try:
-        return SystemConfig(
-            num_antennas=_get(block, "num_antennas", "system", int, required=True),
-            num_ttds=_get(block, "num_ttds", "system", int, required=True),
-            carrier_freq=_get(block, "carrier_freq_ghz", "system", float, required=True) * GHZ,
-            bandwidth=_get(block, "bandwidth_ghz", "system", float, required=True) * GHZ,
-            num_subcarriers=_get(block, "num_subcarriers", "system", int, required=True),
-            delay_range=_get(block, "delay_range", "system", float, required=True),
-            total_power=_get(block, "total_power", "system", float),
-            ttd_groups=groups,
-        )
+        return SystemConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
 
 
-def _target_angles(block: dict, behavior: int) -> list[float]:
+def _target_angles(block: _Fields, behavior: int) -> list[float]:
     """Radians of a behavior-1 (theta0, delta_theta) or behavior-2 (theta1, theta2) target, in
     the argument order of the target and closed-form builders.  A sweep width is checked only
     through the sweep edges, so it may exceed 90 degrees."""
     if behavior == 2:
-        return [_angle_rad(_get(block, key, "target", float, required=True), f"target.{key}")
-                for key in ("theta1_deg", "theta2_deg")]
-    theta0 = _angle_rad(_get(block, "theta0_deg", "target", float, required=True), "target.theta0_deg")
-    width = math.radians(_get(block, "delta_theta_deg", "target", float, required=True))
+        return [_angle_rad(block[key], f"target.{key}") for key in ("theta1_deg", "theta2_deg")]
+    theta0 = _angle_rad(block["theta0_deg"], "target.theta0_deg")
+    width = math.radians(block["delta_theta_deg"])
     try:
         check_sweep(theta0, width, "target.theta0_deg", "target.delta_theta_deg")
     except ValueError as exc:
@@ -274,22 +280,19 @@ def _target_angles(block: dict, behavior: int) -> list[float]:
 
 
 def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
-    block = _get(config, "target", "", dict, required=True)
-    scheme = _given(scheme=_choice(block.get("weight_scheme"), "target.weight_scheme", WeightScheme))
-    custom_file = _get(block, "custom_file", "target", str)
+    block = _section(config, "target")
+    scheme = {"scheme": block["weight_scheme"]} if "weight_scheme" in block else {}
     try:
-        if custom_file is not None:
-            rescale = _given(rescale=_get(block, "rescale", "target", bool))
-            return custom_target(system, grid, custom_file, **rescale, **scheme)
-        behavior = _get(block, "behavior", "target", int, required=True)
+        if "custom_file" in block:
+            rescale = {"rescale": block["rescale"]} if "rescale" in block else {}
+            return custom_target(system, grid, block["custom_file"], **rescale, **scheme)
+        behavior = block["behavior"]
         if behavior in (1, 2):
             angles = _target_angles(block, behavior)
             return (behavior1_target if behavior == 1 else behavior2_target)(system, grid, *angles, **scheme)
         if behavior == 3:
-            edges = _list(block, "band_edges", "target", int, required=True)
-            angles = [_angle_rad(a, f"target.angles_deg[{i}]")
-                      for i, a in enumerate(_list(block, "angles_deg", "target", required=True))]
-            return multi_angle_target(system, grid, edges, angles, **scheme)
+            angles = [_angle_rad(a, f"target.angles_deg[{i}]") for i, a in enumerate(block["angles_deg"])]
+            return multi_angle_target(system, grid, block["band_edges"], angles, **scheme)
     except ConfigError:
         raise
     except (ValueError, OSError) as exc:
@@ -297,24 +300,26 @@ def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> Be
     raise ConfigError(f"target.behavior: unsupported behavior {behavior!r} (use 1, 2, 3 or custom_file)")
 
 
-_ALGO_KINDS = ("jpta", "heuristic", "hbf")
-
-
 def algorithm_blocks(config: dict) -> list[dict]:
-    blocks = _get(config, "algorithms", "", list)
-    if blocks is not None:
-        paths = [f"algorithms[{i}]" for i in range(len(blocks))]
-    elif config.get("algorithm") is not None:
-        blocks, paths = [_get(config, "algorithm", "", dict)], ["algorithm"]
+    """The config's algorithm entries, each with its body checked against the schema."""
+    top = _read(config, "", "")
+    if "algorithm" in top and "algorithms" in top:
+        raise ConfigError("algorithm: give an 'algorithm' block or an 'algorithms' list, not both")
+    if "algorithms" in top:
+        blocks, paths = top["algorithms"], [f"algorithms[{i}]" for i in range(len(top["algorithms"]))]
+    elif "algorithm" in top:
+        blocks, paths = [top["algorithm"]], ["algorithm"]
     else:
         raise ConfigError("algorithm: provide an 'algorithm' block or an 'algorithms' list")
     for path, block in zip(paths, blocks):
         if not isinstance(block, dict):
             raise ConfigError(f"{path}: each entry must be an object")
-        kinds = [k for k in _ALGO_KINDS if k in block]
+        _read(block, "algorithm", path)
+        kinds = [k for k in _SCHEMA["algorithm"] if k in block]
         if len(kinds) != 1:
-            raise ConfigError(f"{path}: exactly one of {_ALGO_KINDS} per entry, found {kinds or 'none'}")
-        _get(block, kinds[0], path, dict)
+            raise ConfigError(f"{path}: exactly one of {tuple(_SCHEMA['algorithm'])} per entry, "
+                              f"found {kinds or 'none'}")
+        _read(block[kinds[0]] or {}, kinds[0], f"{path}.{kinds[0]}")
     return blocks
 
 
@@ -341,55 +346,46 @@ def run_algorithm(
     block: dict,
     base_seed: int = 0,
 ) -> RunOutput:
-    kind = next(k for k in _ALGO_KINDS if k in block)
-    body = block[kind] or {}
+    (kind,) = block
+    body = _read(block[kind] or {}, kind, f"algorithm.{kind}")
     if kind == "jpta":
-        discrete_ns = _list(body, "discrete_delays_ns", "algorithm.jpta")
-        # config key -> (DesignOptions field, value); a key left out keeps the DesignOptions
-        # default, and each given field is checked on its own so that an error names its key
-        fields = {
-            "variant": ("ttd_update", _choice(body.get("variant"), "algorithm.jpta.variant", TtdUpdate)),
-            "max_iter": ("max_iter", _get(body, "max_iter", "algorithm.jpta", int)),
-            "grid": ("line_search_grid", _get(body, "grid", "algorithm.jpta", int)),
-            "discrete_delays_ns": ("discrete_delays",
-                                   None if discrete_ns is None else tuple(v * NS for v in discrete_ns)),
-            "nonnegative": ("enforce_nonnegative_delays", _get(body, "nonnegative", "algorithm.jpta", bool)),
-            "epsilon": ("convergence_epsilon", _get(body, "epsilon", "algorithm.jpta", float)),
-            "init_phase_seed": ("init_phase_seed", _get(body, "init_phase_seed", "algorithm.jpta", int)),
-        }
-        given = {key: pair for key, pair in fields.items() if pair[1] is not None}
-        for key, (field, value) in given.items():
-            try:
-                DesignOptions(**{field: value})
-                if key == "discrete_delays_ns":
-                    _discrete_set(system, value)
-            except ValueError as exc:
-                raise ConfigError(f"algorithm.jpta.{key}: {exc}") from None
-        options = DesignOptions(**dict(given.values()))
-        label = _get(body, "label", "algorithm.jpta", str, default=f"jpta_{options.ttd_update.value}")
+        # each key the body sets is checked on its own, so that an error names it; a key left out
+        # keeps the DesignOptions default
+        given = {}
+        for key, field in (("variant", "ttd_update"), ("max_iter", "max_iter"), ("grid", "line_search_grid"),
+                           ("discrete_delays_ns", "discrete_delays"),
+                           ("nonnegative", "enforce_nonnegative_delays"), ("epsilon", "convergence_epsilon"),
+                           ("init_phase_seed", "init_phase_seed")):
+            if key in body:
+                value = tuple(v * NS for v in body[key]) if key == "discrete_delays_ns" else body[key]
+                try:
+                    DesignOptions(**{field: value})
+                    if key == "discrete_delays_ns":
+                        _discrete_set(system, value)
+                except ValueError as exc:
+                    raise ConfigError(f"algorithm.jpta.{key}: {exc}") from None
+                given[field] = value
+        options = DesignOptions(**given)
         bf, trace = design_jpta(system, grid, target, options)
         report = build_fit_report(system, grid, target, bf, trace, seed=options.init_phase_seed)
-        return RunOutput(label=label, report=report, beamformer=bf,
-                         beams=effective_beamformer_matrix(system, grid, bf))
+        return RunOutput(label=body.get("label", f"jpta_{options.ttd_update.value}"), report=report,
+                         beamformer=bf, beams=effective_beamformer_matrix(system, grid, bf))
     if kind == "heuristic":
-        target_block = _get(config, "target", "", dict, required=True)
-        behavior = _get(target_block, "behavior", "target", int)
+        target_block = _section(config, "target")
+        behavior = target_block.get("behavior")
         if behavior not in (1, 2):
             raise ConfigError("algorithm.heuristic: closed-form designs exist only for behaviors 1 and 2")
         angles = _target_angles(target_block, behavior)
         bf = (heuristic_behavior1 if behavior == 1 else heuristic_behavior2)(system, grid, *angles)
-        label = _get(body, "label", "algorithm.heuristic", str, default="heuristic")
         report = build_fit_report(system, grid, target, bf)
-        return RunOutput(label=label, report=report, beamformer=bf,
+        return RunOutput(label=body.get("label", "heuristic"), report=report, beamformer=bf,
                          beams=effective_beamformer_matrix(system, grid, bf))
     # hbf
-    structure = (_choice(body.get("structure"), "algorithm.hbf.structure", HbfStructure)
-                 or HbfStructure.FULLY_CONNECTED)
-    label = _get(body, "label", "algorithm.hbf", str, default=f"hbf_{structure.value}")
-    n_rf = _get(body, "n_rf", "algorithm.hbf", int, required=True)
-    fit = _given(iters=_get(body, "iters", "algorithm.hbf", int),
-                 restarts=_get(body, "restarts", "algorithm.hbf", int))
-    seed = _get(body, "seed", "algorithm.hbf", int, default=base_seed)
+    structure = body.get("structure", HbfStructure.FULLY_CONNECTED)
+    label = body.get("label", f"hbf_{structure.value}")
+    n_rf = body["n_rf"]
+    fit = {key: body[key] for key in ("iters", "restarts") if key in body}
+    seed = body.get("seed", base_seed)
     matrix = stack_target(target)
     try:
         if structure is HbfStructure.FULLY_CONNECTED:
@@ -506,12 +502,18 @@ def write_fit_report(out_dir: Path, experiment_id: str, output: RunOutput, grid:
                     ([i, _fmt(value)] for i, value in enumerate(report.convergence_trace, start=1)))
 
 
-def _result_rows(records: list[ResultRecord]) -> list[list[str]]:
-    return [r.csv_row() for r in sorted(records, key=lambda r: (r.parameter, r.value, r.algorithm))]
+def _result_rows(points: list[tuple], outputs: list[RunOutput]) -> list[list[str]]:
+    """A results row per point of `_sweep_points` and its run's output, sorted by parameter, value
+    and then algorithm."""
+    runs = sorted(zip(points, outputs), key=lambda run: (run[0][2], run[0][3], run[1].label))
+    return [[experiment_id.format(label=out.label), out.label, parameter, _fmt(value), _fmt(out.report.f_obj),
+             _fmt(out.report.f_tilde_obj), str(out.report.iterations),
+             "" if out.report.seed is None else str(out.report.seed)]
+            for (_, experiment_id, parameter, value), out in runs]
 
 
-def write_records_csv(path: Path, records: list[ResultRecord]) -> None:
-    _write_rows(path, RESULT_HEADER, _result_rows(records))
+def write_records_csv(path: Path, rows: list[list[str]]) -> None:
+    _write_rows(path, RESULT_HEADER, rows)
 
 
 def write_provenance(out_dir: Path, resolved: dict, wall_time_s: float, notes: list[str]) -> None:
@@ -539,7 +541,7 @@ def _prepare(config: dict) -> tuple[SystemConfig, SubcarrierGrid, BeamTarget]:
 
 
 def _theta_grid_from(config: dict) -> np.ndarray:
-    step = _get(_get(config, "output", "", dict, default={}), "theta_step_deg", "output", float, default=1.0)
+    step = _section(config, "output", required=False).get("theta_step_deg", 1.0)
     if step <= 0.0:
         raise ConfigError("output.theta_step_deg: must be positive")
     return default_theta_grid(step)
@@ -551,7 +553,7 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
     blocks = algorithm_blocks(config)
     if len(blocks) != 1:
         raise ConfigError("design: expected exactly one algorithm block")
-    wants_map = _get(_get(config, "output", "", dict, default={}), "gain_map", "output", bool, default=False)
+    wants_map = _section(config, "output", required=False).get("gain_map", False)
     thetas = _theta_grid_from(config) if wants_map else None
     output = run_algorithm(config, system, grid, target, blocks[0], base_seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -609,57 +611,51 @@ def _map(tasks: list[Task], workers: int) -> list[RunOutput]:
     return [_run_task(task) for task in tasks]
 
 
-# sweep parameter -> (config section it sets, value type).  An algorithm section sets the
-# field in every block of that kind, and the sweep skips blocks of other kinds.
-_SWEEPS = {
-    "num_ttds": ("system", int),
-    "delay_range": ("system", float),
-    "max_iter": ("jpta", int),
-    "n_rf": ("hbf", int),
-}
+# sweep parameter -> the config section it sets, whose schema gives its kind.  An algorithm
+# section sets the field in every block of that kind, and the sweep skips blocks of other kinds.
+_SWEEPS = {"num_ttds": "system", "delay_range": "system", "max_iter": "jpta", "n_rf": "hbf"}
 
 
 def _sweep_point_config(config: dict, parameter: str, value: float) -> dict:
     point = copy.deepcopy(config)
-    section, kind = _SWEEPS[parameter]
+    section = _SWEEPS[parameter]
     holders = [point] if section == "system" else [b for b in algorithm_blocks(point) if section in b]
     for holder in holders:
-        holder[section] = {**(holder[section] or {}), parameter: kind(value)}
+        holder[section] = {**(holder[section] or {}), parameter: _SCHEMA[section][parameter](value)}
     return point
 
 
 def _sweep_points(config: dict, parameter: str, values, seed: int, prefix: str = "") -> list[tuple]:
     """A (task, experiment-id format of its {label}, parameter, value) per (value, block) the parameter sets."""
-    section = _SWEEPS[parameter][0]
+    section = _SWEEPS[parameter]
     return [(Task(point, block, seed), prefix + "{label}" + f"[{parameter}={value:g}]", parameter, value)
             for value in map(float, values) for point in [_sweep_point_config(config, parameter, value)]
             for block in algorithm_blocks(point) if section == "system" or section in block]
 
 
-def _records(points: list[tuple], workers: int) -> list[ResultRecord]:
-    outputs = _map([task for task, *_ in points], workers)
-    return [ResultRecord(experiment_id.format(label=out.label), out.label, parameter, value, out.report.f_obj,
-                         out.report.f_tilde_obj, out.report.iterations, out.report.seed, out.wall_time_s)
-            for (_, experiment_id, parameter, value), out in zip(points, outputs)]
+def _records(points: list[tuple], workers: int) -> list[list[str]]:
+    return _result_rows(points, _map([task for task, *_ in points], workers))
 
 
-def _write_results(out_dir: Path, config: dict, start: float, records: list[ResultRecord],
-                   notes: list[str]) -> None:
+def _write_results(out_dir: Path, config: dict, start: float, rows: list[list[str]], notes: list[str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records_csv(out_dir / "results.csv", records)
+    write_records_csv(out_dir / "results.csv", rows)
     write_provenance(out_dir, config, time.perf_counter() - start, notes)
 
 
 def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     start = time.perf_counter()
-    sweep = _get(config, "sweep", "", dict, required=True)
-    parameter = _get(sweep, "parameter", "sweep", str, required=True)
+    sweep = _section(config, "sweep")
+    parameter = sweep["parameter"]
     if parameter not in _SWEEPS:
         raise ConfigError(f"sweep.parameter: unknown parameter {parameter!r} (choose from {tuple(_SWEEPS)})")
-    values = _distinct(_list(sweep, "values", "sweep", required=True), "sweep.values")
-    if _SWEEPS[parameter][1] is int and not all(v.is_integer() for v in values):
+    section = _SWEEPS[parameter]
+    values = _distinct(sweep["values"], "sweep.values")
+    if _SCHEMA[section][parameter] is int and not all(v.is_integer() for v in values):
         raise ConfigError(f"sweep.values: {parameter} takes integers, got {values!r}")
     _prepare(config)  # validate the base config before queuing work
+    if section != "system" and not any(section in block for block in algorithm_blocks(config)):
+        raise ConfigError(f"sweep.parameter: {parameter} sets no algorithm block; it sets only {section!r} blocks")
     _write_results(out_dir, config, start, _records(_sweep_points(config, parameter, values, seed), workers), [])
     return EXIT_OK
 
@@ -667,16 +663,16 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
 def _compare_points(config: dict, seed: int) -> tuple[list[tuple], list[str]]:
     """The delay-phase reference, then each structure's chain-count sweep; notes name the counts skipped."""
     m = _prepare(config)[0].num_antennas  # validate the base config before queuing work
-    compare = _get(config, "compare", "", dict, default={})
-    names = _list(compare, "structures", "compare", str, default=[s.value for s in HbfStructure])
+    compare = _section(config, "compare", required=False)
+    names = compare.get("structures", [s.value for s in HbfStructure])
     structures = [_choice(s, "compare.structures", HbfStructure) for s in _distinct(names, "compare.structures")]
-    n_rf_values = _distinct(_list(compare, "n_rf_values", "compare", int,
-                                  default=[n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m]), "compare.n_rf_values")
+    n_rf_values = _distinct(compare.get("n_rf_values", [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m]),
+                            "compare.n_rf_values")
     for n in n_rf_values:
         if not any(chains_fit(structure, n, m) for structure in structures):
             raise ConfigError(f"compare.n_rf_values: {n} chains fit none of the structures "
                               f"{[s.value for s in structures]} on {m} antennas")
-    fit = _given(iters=_get(compare, "iters", "compare", int), restarts=_get(compare, "restarts", "compare", int))
+    fit = {key: compare[key] for key in ("iters", "restarts") if key in compare}
     for key, value in fit.items():
         if value < 1:
             raise ConfigError(f"compare.{key}: expected a positive integer, got {value}")
@@ -684,6 +680,7 @@ def _compare_points(config: dict, seed: int) -> tuple[list[tuple], list[str]]:
     notes = []
     for structure in structures:
         point = copy.deepcopy(config)
+        point.pop("algorithm", None)  # the chain sweep replaces the config's algorithms
         point["algorithms"] = [{"hbf": {"structure": structure.value, **fit}}]
         values = [n for n in n_rf_values if chains_fit(structure, n, m)]
         points += _sweep_points(point, "n_rf", values, seed)
@@ -761,8 +758,8 @@ def _reproduce_fig4(config: dict, out_dir: Path, seed: int, workers: int) -> Non
 _JPTA_ALGOS = [{"jpta": {}}, {"jpta": {"variant": "wls"}}, {"heuristic": {}}]
 
 
-def _preset_sweep(config: dict, parameter: str, cases, seed: int, workers: int) -> list[ResultRecord]:
-    """Line-search, wLS and closed-form records over one value list per (name, target) case."""
+def _preset_sweep(config: dict, parameter: str, cases, seed: int, workers: int) -> list[list[str]]:
+    """Line-search, wLS and closed-form results rows over one value list per (name, target) case."""
     points = []
     for name, target_block, values in cases:
         point = {**copy.deepcopy(config), "target": target_block, "algorithms": copy.deepcopy(_JPTA_ALGOS)}
@@ -836,12 +833,12 @@ def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> Non
     points = {name: {**copy.deepcopy(config), "target": target_block, "compare": compare}
               for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2))}
     plans = {name: _compare_points(point, seed) for name, point in points.items()}
-    records = _records([p for runs, _ in plans.values() for p in runs], workers)
+    outputs = _map([task for runs, _ in plans.values() for task, *_ in runs], workers)
     rows = []
-    for name, (runs, notes) in plans.items():
-        part, records = records[:len(runs)], records[len(runs):]
+    for name, (runs, notes) in plans.items():  # each behavior's rows sort on their own
+        part, outputs = _result_rows(runs, outputs[:len(runs)]), outputs[len(runs):]
         _write_results(out_dir / name, points[name], start, part, notes)
-        rows += [[name, *row] for row in _result_rows(part)]
+        rows += [[name, *row] for row in part]
     _write_rows(out_dir / "f_obj_vs_n_rf.csv", ["behavior", *RESULT_HEADER], rows)
 
 

@@ -875,3 +875,142 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     outputs = cli._map([cli.Task(BASE_CONFIG, {"jpta": {}})] * 4, workers=2)
     assert [output.label for output in outputs] == ["1"] * 4
     assert _blas_threads() == parent
+
+
+def _readme_config():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Configuration file"):]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+
+
+def test_schema_accepts_every_key_the_readme_names():
+    config = _readme_config()
+    cli._read(config, "", "")
+    for name in ("system", "target", "sweep", "compare", "output"):
+        cli._read(config[name], name, name)
+    for i, entry in enumerate(config["algorithms"]):
+        cli._read(entry, "algorithm", f"algorithms[{i}]")
+        ((kind, body),) = entry.items()
+        cli._read({**body, "label": "x"}, kind, kind)
+    prose = {"custom_file": "t.txt", "rescale": True, "theta1_deg": -45.0, "theta2_deg": 30.0,
+             "band_edges": [-5, 5], "angles_deg": [-45.0, 0.0, 30.0]}
+    assert cli._read(prose, "target", "target") == prose
+
+
+def test_every_schema_key_is_read_outside_the_table():
+    # a key the schema accepts but no code reads would be accepted and then ignored
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (table,) = [node for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_SCHEMA"]]
+    keys = {key.value for section in table.value.values for key in section.keys}
+    inside = {id(node) for node in ast.walk(table)}
+    used = {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in inside}
+    assert keys == set().union(*(cli._SCHEMA[s] for s in cli._SCHEMA))
+    assert sorted(keys - used) == []
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("design", lambda c: c.update(sytem=c.pop("system")), "sytem: unknown key (did you mean 'system'?)"),
+        ("design", lambda c: c["target"].update(wieght_scheme="power"),
+         "target.wieght_scheme: unknown key (did you mean 'weight_scheme'?)"),
+        ("design", lambda c: c["algorithm"]["jpta"].update(max_iters=1),
+         "algorithm.jpta.max_iters: unknown key (did you mean 'max_iter'?)"),
+        ("design", lambda c: c["algorithm"]["jpta"].update(varaint="wls"),
+         "algorithm.jpta.varaint: unknown key (did you mean 'variant'?)"),
+        ("design", lambda c: c["output"].update(gain_mapp=True),
+         "output.gain_mapp: unknown key (did you mean 'gain_map'?)"),
+        ("sweep", lambda c: c.update(algorithms=[{"jpta": {}}, {"hbf": {"n_rf": 2, "restart": 2}}]),
+         "algorithms[1].hbf.restart: unknown key (did you mean 'restarts'?)"),
+        ("sweep", lambda c: c.update(algorithms=[{"heuristic": {}, "comment": "closed form"}]),
+         "algorithms[0].comment: unknown key"),
+        ("compare-hbf", lambda c: c.update(compare={"n_rf_value": [1, 2]}),
+         "compare.n_rf_value: unknown key (did you mean 'n_rf_values'?)"),
+        ("sweep", lambda c: c["sweep"].update(value=[1, 2]), "sweep.value: unknown key (did you mean 'values'?)"),
+        ("gain-map", lambda c: c["system"].update(delay_rnage=8.0),
+         "system.delay_rnage: unknown key (did you mean 'delay_range'?)"),
+    ],
+)
+def test_unknown_keys_exit_2_with_their_path_and_a_hint(tmp_path, capsys, command, edit, message):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["sweep"] = {"parameter": "num_ttds", "values": [1, 2]}
+    if command == "sweep":
+        config["algorithms"] = [config.pop("algorithm")]
+    edit(config)
+    out = tmp_path / "x"
+    extra = ["--beamformer", str(tmp_path / "bf.txt")] if command == "gain-map" else []
+    assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_reproduce_rejects_an_unknown_system_key(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["reproduce", "fig4", "--out", str(out), "--fast", "--set", "system.num_antenas=8"]) == 2
+    assert capsys.readouterr().err == "config error: system.num_antenas: unknown key (did you mean 'num_antennas'?)\n"
+    assert not out.exists()
+
+
+def test_unused_keys_of_a_read_section_are_kind_checked(tmp_path, capsys):
+    # a behavior-1 target does not use theta1_deg, but the target section is read whole
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "x"
+    assert main(["design", "--config", str(cfg), "--out", str(out), "--set", "target.theta1_deg=x"]) == 2
+    assert capsys.readouterr().err == "config error: target.theta1_deg: expected a finite number, got 'x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design", "sweep"])
+def test_algorithm_and_algorithms_together_exit_2(tmp_path, capsys, command):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["algorithm"] = {"jpta": {"variant": "wls", "max_iter": 1}}
+    config["algorithms"] = [{"jpta": {}}]
+    config["sweep"] = {"parameter": "num_ttds", "values": [1, 2]}
+    out = tmp_path / "x"
+    assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: algorithm: give an 'algorithm' block or an 'algorithms' list, not both\n")
+    assert not out.exists()
+
+
+def test_compare_hbf_replaces_the_configs_algorithm_block(tmp_path):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config["compare"] = {"n_rf_values": [1, 2], "restarts": 1}
+    bare = {key: value for key, value in config.items() if key != "algorithm"}
+    for name, cfg in (("with", config), ("without", bare)):
+        assert main(["compare-hbf", "--config", str(write_config(tmp_path, cfg, f"{name}.json")),
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "with" / "results.csv").read_bytes() == (tmp_path / "without" / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "parameter, algorithms, section",
+    [
+        ("n_rf", [{"jpta": {}}, {"heuristic": {}}], "hbf"),
+        ("max_iter", [{"heuristic": {}}, {"hbf": {"n_rf": 2}}], "jpta"),
+    ],
+)
+def test_sweep_whose_parameter_sets_no_block_exits_2(tmp_path, capsys, parameter, algorithms, section):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    config.pop("algorithm")
+    config["algorithms"] = algorithms
+    config["sweep"] = {"parameter": parameter, "values": [1, 2]}
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sweep.parameter: {parameter} sets no algorithm block; it sets only '{section}' blocks\n")
+    assert not out.exists()
+
+
+def test_fig8_results_equal_compare_hbf_on_each_behavior(tmp_path):
+    # each behavior's rows are sorted on their own, not in one merged sort
+    out = tmp_path / "fig8"
+    assert main(["reproduce", "fig8", "--out", str(out), "--fast", "--seed", "3", *TINY_PRESET]) == 0
+    system = cli.apply_overrides(cli._preset_config(True), TINY_PRESET[1::2])["system"]
+    for name, target in (("behavior1", cli.PRESET_BEHAVIOR1), ("behavior2", cli.PRESET_BEHAVIOR2)):
+        config = {"system": system, "target": target, "compare": {"n_rf_values": [1, 2, 4]}}
+        cfg = write_config(tmp_path, config, f"{name}.json")
+        assert main(["compare-hbf", "--config", str(cfg), "--out", str(tmp_path / name), "--seed", "3"]) == 0
+        assert (out / name / "results.csv").read_bytes() == (tmp_path / name / "results.csv").read_bytes(), name
