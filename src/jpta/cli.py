@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .beam_targets import (
     multi_angle_target,
 )
 from .design import DesignOptions, JptaBeamformer, TtdUpdate, _discrete_set, design_jpta
-from .hbf import HbfBeamformer, HbfStructure, altmin_pc, chains_fit, pe_altmin_fc, stack_target
+from .hbf import HbfBeamformer, HbfStructure, _check_fit, altmin_pc, chains_fit, pe_altmin_fc, stack_target
 from .heuristics import heuristic_behavior1, heuristic_behavior2
 # objective_tilde is unused here but stays bound: bench/tracing.py wraps each name it lists in this module
 from .metrics import (
@@ -300,13 +300,15 @@ def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> Be
     raise ConfigError(f"target.behavior: unsupported behavior {behavior!r} (use 1, 2, 3 or custom_file)")
 
 
-def algorithm_blocks(config: dict) -> list[dict]:
-    """The config's algorithm entries, each with its body checked against the schema."""
+def _entries(config: dict) -> Iterator[tuple[str, str, dict]]:
+    """The path, kind and entry of each of the config's algorithm entries, whose keys are checked."""
     top = _read(config, "", "")
     if "algorithm" in top and "algorithms" in top:
         raise ConfigError("algorithm: give an 'algorithm' block or an 'algorithms' list, not both")
     if "algorithms" in top:
         blocks, paths = top["algorithms"], [f"algorithms[{i}]" for i in range(len(top["algorithms"]))]
+        if not blocks:
+            raise ConfigError("algorithms: must not be empty")
     elif "algorithm" in top:
         blocks, paths = [top["algorithm"]], ["algorithm"]
     else:
@@ -319,8 +321,50 @@ def algorithm_blocks(config: dict) -> list[dict]:
         if len(kinds) != 1:
             raise ConfigError(f"{path}: exactly one of {tuple(_SCHEMA['algorithm'])} per entry, "
                               f"found {kinds or 'none'}")
-        _read(block[kinds[0]] or {}, kinds[0], f"{path}.{kinds[0]}")
-    return blocks
+        yield f"{path}.{kinds[0]}", kinds[0], block
+
+
+def algorithms(config: dict, system: SystemConfig) -> list[tuple]:
+    """Every algorithm entry of ``config`` checked whole, as the (kind, label, spec) `run_algorithm` takes: the
+    DesignOptions of jpta, the (behavior, angles) of the closed form, or the (structure, fit kwargs) of hbf."""
+    parsed = []
+    for path, kind, block in _entries(config):
+        body = _read(block[kind] or {}, kind, path)
+        if kind == "jpta":
+            # each key the body sets is checked on its own, so that an error names it; a key left out
+            # keeps the DesignOptions default
+            given = {}
+            for key, field in (("variant", "ttd_update"), ("max_iter", "max_iter"), ("grid", "line_search_grid"),
+                               ("discrete_delays_ns", "discrete_delays"),
+                               ("nonnegative", "enforce_nonnegative_delays"), ("epsilon", "convergence_epsilon"),
+                               ("init_phase_seed", "init_phase_seed")):
+                if key in body:
+                    value = tuple(v * NS for v in body[key]) if key == "discrete_delays_ns" else body[key]
+                    try:
+                        DesignOptions(**{field: value})
+                        if key == "discrete_delays_ns":
+                            _discrete_set(system, value)
+                    except ValueError as exc:
+                        raise ConfigError(f"{path}.{key}: {exc}") from None
+                    given[field] = value
+            options = DesignOptions(**given)
+            parsed.append((kind, body.get("label", f"jpta_{options.ttd_update.value}"), options))
+        elif kind == "heuristic":
+            target = _section(config, "target")
+            behavior = target.get("behavior")
+            if behavior not in (1, 2):
+                raise ConfigError(f"{path}: closed-form designs exist only for behaviors 1 and 2")
+            parsed.append((kind, body.get("label", "heuristic"), (behavior, _target_angles(target, behavior))))
+        else:
+            structure = body.get("structure", HbfStructure.FULLY_CONNECTED)
+            # n_rf is read outside the try, so that a missing one is not reported as a fit error
+            fit = {"n_rf": body["n_rf"], **{key: body[key] for key in ("iters", "restarts", "seed") if key in body}}
+            try:
+                _check_fit(structure, system.num_antennas, **fit)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+            parsed.append((kind, body.get("label", f"hbf_{structure.value}"), (structure, fit)))
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -338,71 +382,27 @@ class RunOutput:
     wall_time_s: float = 0.0
 
 
-def run_algorithm(
-    config: dict,
-    system: SystemConfig,
-    grid: SubcarrierGrid,
-    target: BeamTarget,
-    block: dict,
-    base_seed: int = 0,
-) -> RunOutput:
-    (kind,) = block
-    body = _read(block[kind] or {}, kind, f"algorithm.{kind}")
+def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget, algorithm: tuple,
+                  base_seed: int = 0) -> RunOutput:
+    """Run one (kind, label, spec) entry of `algorithms`; an hbf fit whose entry sets no seed takes ``base_seed``."""
+    kind, label, spec = algorithm
+    if kind == "hbf":
+        structure, fit = spec
+        hb = (pe_altmin_fc if structure is HbfStructure.FULLY_CONNECTED else altmin_pc)(
+            stack_target(target), **{"seed": base_seed, **fit})
+        beams = hb.unit_effective_vectors()
+        report = FitReport(f_obj=fit_objective(target, beams), f_tilde_obj=hb.residual**2 / system.num_subcarriers,
+                           per_subcarrier_match=per_subcarrier_match(target, beams),
+                           convergence_trace=hb.residual_trace, seed=hb.seed)
+        return RunOutput(label=label, report=report, hbf=hb, beams=beams)
     if kind == "jpta":
-        # each key the body sets is checked on its own, so that an error names it; a key left out
-        # keeps the DesignOptions default
-        given = {}
-        for key, field in (("variant", "ttd_update"), ("max_iter", "max_iter"), ("grid", "line_search_grid"),
-                           ("discrete_delays_ns", "discrete_delays"),
-                           ("nonnegative", "enforce_nonnegative_delays"), ("epsilon", "convergence_epsilon"),
-                           ("init_phase_seed", "init_phase_seed")):
-            if key in body:
-                value = tuple(v * NS for v in body[key]) if key == "discrete_delays_ns" else body[key]
-                try:
-                    DesignOptions(**{field: value})
-                    if key == "discrete_delays_ns":
-                        _discrete_set(system, value)
-                except ValueError as exc:
-                    raise ConfigError(f"algorithm.jpta.{key}: {exc}") from None
-                given[field] = value
-        options = DesignOptions(**given)
-        bf, trace = design_jpta(system, grid, target, options)
-        report = build_fit_report(system, grid, target, bf, trace, seed=options.init_phase_seed)
-        return RunOutput(label=body.get("label", f"jpta_{options.ttd_update.value}"), report=report,
-                         beamformer=bf, beams=effective_beamformer_matrix(system, grid, bf))
-    if kind == "heuristic":
-        target_block = _section(config, "target")
-        behavior = target_block.get("behavior")
-        if behavior not in (1, 2):
-            raise ConfigError("algorithm.heuristic: closed-form designs exist only for behaviors 1 and 2")
-        angles = _target_angles(target_block, behavior)
+        bf, trace = design_jpta(system, grid, target, spec)
+        report = build_fit_report(system, grid, target, bf, trace, seed=spec.init_phase_seed)
+    else:
+        behavior, angles = spec
         bf = (heuristic_behavior1 if behavior == 1 else heuristic_behavior2)(system, grid, *angles)
         report = build_fit_report(system, grid, target, bf)
-        return RunOutput(label=body.get("label", "heuristic"), report=report, beamformer=bf,
-                         beams=effective_beamformer_matrix(system, grid, bf))
-    # hbf
-    structure = body.get("structure", HbfStructure.FULLY_CONNECTED)
-    label = body.get("label", f"hbf_{structure.value}")
-    n_rf = body["n_rf"]
-    fit = {key: body[key] for key in ("iters", "restarts") if key in body}
-    seed = body.get("seed", base_seed)
-    matrix = stack_target(target)
-    try:
-        if structure is HbfStructure.FULLY_CONNECTED:
-            hb = pe_altmin_fc(matrix, n_rf, seed=seed, **fit)
-        else:
-            hb = altmin_pc(matrix, n_rf, seed=seed, **fit)
-    except ValueError as exc:
-        raise ConfigError(f"algorithm.hbf: {exc}") from None
-    beams = hb.unit_effective_vectors()
-    report = FitReport(
-        f_obj=fit_objective(target, beams),
-        f_tilde_obj=hb.residual**2 / system.num_subcarriers,
-        per_subcarrier_match=per_subcarrier_match(target, beams),
-        convergence_trace=hb.residual_trace,
-        seed=hb.seed,
-    )
-    return RunOutput(label=label, report=report, hbf=hb, beams=beams)
+    return RunOutput(label=label, report=report, beamformer=bf, beams=effective_beamformer_matrix(system, grid, bf))
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +550,12 @@ def _theta_grid_from(config: dict) -> np.ndarray:
 def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
     start = time.perf_counter()
     system, grid, target = _prepare(config)
-    blocks = algorithm_blocks(config)
-    if len(blocks) != 1:
+    entries = algorithms(config, system)
+    if len(entries) != 1:
         raise ConfigError("design: expected exactly one algorithm block")
     wants_map = _section(config, "output", required=False).get("gain_map", False)
     thetas = _theta_grid_from(config) if wants_map else None
-    output = run_algorithm(config, system, grid, target, blocks[0], base_seed=seed)
+    output = run_algorithm(system, grid, target, entries[0], base_seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     if output.beamformer is not None:
         write_beamformer_file(out_dir / "beamformer.txt", output.beamformer, config)
@@ -573,19 +573,24 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
 
 @dataclass(frozen=True)
 class Task:
-    """One run for `_map`: a point config with its target, one algorithm block, the base seed, and
+    """One run for `_map`: a point config with its target, an entry `algorithms` parsed, the base seed, and
     whether the result keeps the (K, M) beams, which only a run whose gain map is written needs."""
 
     config: dict
-    block: dict
+    algorithm: tuple
     seed: int = 0
     keep_beams: bool = False
+
+
+def _tasks(config: dict, seed: int = 0, keep_beams: bool = False) -> list[Task]:
+    """A task per algorithm entry of ``config``, every entry parsed before any task runs."""
+    return [Task(config, entry, seed, keep_beams) for entry in algorithms(config, build_system(config))]
 
 
 def _run_task(task: Task) -> RunOutput:
     """The run's label and fit report, its beams when the task keeps them, and its wall time."""
     start = time.perf_counter()
-    output = run_algorithm(task.config, *_prepare(task.config), task.block, base_seed=task.seed)
+    output = run_algorithm(*_prepare(task.config), task.algorithm, base_seed=task.seed)
     return RunOutput(output.label, output.report, beams=output.beams if task.keep_beams else None,
                      wall_time_s=time.perf_counter() - start)
 
@@ -612,25 +617,21 @@ def _map(tasks: list[Task], workers: int) -> list[RunOutput]:
 
 
 # sweep parameter -> the config section it sets, whose schema gives its kind.  An algorithm
-# section sets the field in every block of that kind, and the sweep skips blocks of other kinds.
+# section sets the field in every entry of that kind, and the sweep skips entries of other kinds.
 _SWEEPS = {"num_ttds": "system", "delay_range": "system", "max_iter": "jpta", "n_rf": "hbf"}
 
 
-def _sweep_point_config(config: dict, parameter: str, value: float) -> dict:
-    point = copy.deepcopy(config)
-    section = _SWEEPS[parameter]
-    holders = [point] if section == "system" else [b for b in algorithm_blocks(point) if section in b]
-    for holder in holders:
-        holder[section] = {**(holder[section] or {}), parameter: _SCHEMA[section][parameter](value)}
-    return point
-
-
 def _sweep_points(config: dict, parameter: str, values, seed: int, prefix: str = "") -> list[tuple]:
-    """A (task, experiment-id format of its {label}, parameter, value) per (value, block) the parameter sets."""
-    section = _SWEEPS[parameter]
-    return [(Task(point, block, seed), prefix + "{label}" + f"[{parameter}={value:g}]", parameter, value)
-            for value in map(float, values) for point in [_sweep_point_config(config, parameter, value)]
-            for block in algorithm_blocks(point) if section == "system" or section in block]
+    """A (task, experiment-id format of its {label}, parameter, value) per (value, entry) the parameter sets."""
+    section, points = _SWEEPS[parameter], []
+    for value in map(float, values):
+        point = copy.deepcopy(config)
+        holders = [point] if section == "system" else [entry for _, kind, entry in _entries(point) if kind == section]
+        for holder in holders:
+            holder[section] = {**(holder[section] or {}), parameter: _SCHEMA[section][parameter](value)}
+        points += [(task, prefix + "{label}" + f"[{parameter}={value:g}]", parameter, value)
+                   for task in _tasks(point, seed) if section in ("system", task.algorithm[0])]
+    return points
 
 
 def _records(points: list[tuple], workers: int) -> list[list[str]]:
@@ -654,9 +655,10 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     if _SCHEMA[section][parameter] is int and not all(v.is_integer() for v in values):
         raise ConfigError(f"sweep.values: {parameter} takes integers, got {values!r}")
     _prepare(config)  # validate the base config before queuing work
-    if section != "system" and not any(section in block for block in algorithm_blocks(config)):
+    points = _sweep_points(config, parameter, values, seed)
+    if not points:
         raise ConfigError(f"sweep.parameter: {parameter} sets no algorithm block; it sets only {section!r} blocks")
-    _write_results(out_dir, config, start, _records(_sweep_points(config, parameter, values, seed), workers), [])
+    _write_results(out_dir, config, start, _records(points, workers), [])
     return EXIT_OK
 
 
@@ -676,12 +678,11 @@ def _compare_points(config: dict, seed: int) -> tuple[list[tuple], list[str]]:
     for key, value in fit.items():
         if value < 1:
             raise ConfigError(f"compare.{key}: expected a positive integer, got {value}")
-    points = [(Task(config, {"jpta": {}}, seed), "jpta[reference]", "n_rf", 1.0)]
+    base = {key: value for key, value in config.items() if key not in ("algorithm", "algorithms")}
+    points = [(task, "jpta[reference]", "n_rf", 1.0) for task in _tasks({**base, "algorithm": {"jpta": {}}}, seed)]
     notes = []
-    for structure in structures:
-        point = copy.deepcopy(config)
-        point.pop("algorithm", None)  # the chain sweep replaces the config's algorithms
-        point["algorithms"] = [{"hbf": {"structure": structure.value, **fit}}]
+    for structure in structures:  # each chain sweep replaces the config's algorithms
+        point = {**base, "algorithms": [{"hbf": {"structure": structure.value, **fit}}]}  # copied per value
         values = [n for n in n_rf_values if chains_fit(structure, n, m)]
         points += _sweep_points(point, "n_rf", values, seed)
         skipped = [n for n in n_rf_values if n not in values]
@@ -743,8 +744,8 @@ def _preset_notes(config: dict, fast: bool) -> list[str]:
 def _design_maps(config: dict, cases: list[tuple[str, dict]], out_dir: Path, workers: int) -> None:
     """Ideal and line-search gain maps of each (stem, target block) case."""
     theta = default_theta_grid()
-    points = [{**copy.deepcopy(config), "target": target_block} for _, target_block in cases]
-    outputs = _map([Task(point, {"jpta": {}}, keep_beams=True) for point in points], workers)
+    points = [{**copy.deepcopy(config), "target": target_block, "algorithm": {"jpta": {}}} for _, target_block in cases]
+    outputs = _map([task for point in points for task in _tasks(point, keep_beams=True)], workers)
     for (stem, _), point, output in zip(cases, points, outputs):
         system, grid, target = _prepare(point)
         for kind, beams in (("ideal", target.unit_vectors), ("jpta", output.beams)):
@@ -793,7 +794,7 @@ def _convergence_tasks(config: dict, behavior: int, draws: int, iters: int, seed
     divisors = [n for n in (1, 2, 4, 8, 16, 32, 64) if config["system"]["num_antennas"] % n == 0]
     tasks = []
     for _ in range(draws):
-        point = copy.deepcopy(config)
+        point = {**copy.deepcopy(config), "algorithm": {"jpta": {"max_iter": iters}}}
         point["system"]["num_ttds"] = int(rng.choice(divisors))
         point["system"]["delay_range"] = float(rng.uniform(4.0, 64.0))
         if behavior == 1:
@@ -810,7 +811,7 @@ def _convergence_tasks(config: dict, behavior: int, draws: int, iters: int, seed
                 "theta1_deg": math.degrees(float(rng.uniform(-np.pi / 3, np.pi / 3))),
                 "theta2_deg": math.degrees(float(rng.uniform(-np.pi / 3, np.pi / 3))),
             }
-        tasks.append(Task(point, {"jpta": {"max_iter": iters}}))
+        tasks += _tasks(point)
     return tasks
 
 
@@ -859,7 +860,8 @@ def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> lis
             notes.append(f"{stem}: skipped, {n_rf} {structure} chains do not fit {system.num_antennas} antennas")
             continue
         block = {"hbf": {"structure": structure, "n_rf": n_rf}}
-        maps.append((stem, Task({**copy.deepcopy(config), "target": target_block}, block, seed, keep_beams=True)))
+        point = {**copy.deepcopy(config), "target": target_block, "algorithm": block}
+        maps += [(stem, task) for task in _tasks(point, seed, keep_beams=True)]
     for (stem, _), output in zip(maps, _map([task for _, task in maps], workers)):
         write_gain_map_csv(out_dir / f"{stem}.csv", grid, gain_map(system, grid, output.beams, theta), theta)
     return notes
@@ -954,10 +956,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy generators take no negative seed
+            raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
         if args.command == "reproduce":
             return cmd_reproduce(args.figure, Path(args.out), args.fast, args.seed,
                                  args.workers, args.overrides)
         config = apply_overrides(load_config_file(args.config), args.overrides)
+        for name in ("sweep", "compare", "output"):  # checked even where the command does not use them
+            _section(config, name, required=False)
         if args.command == "design":
             return cmd_design(config, Path(args.out), args.seed)
         if args.command == "sweep":

@@ -48,6 +48,18 @@ def chains_fit(structure: HbfStructure | str, n_rf: int, num_antennas: int) -> b
     )
 
 
+def _check_fit(structure: HbfStructure, num_antennas: int, n_rf: int, iters: int = _DEFAULT_ITERS,
+               restarts: int = _DEFAULT_RESTARTS, seed: int = 0) -> None:
+    """A ValueError unless a fit of ``structure`` takes these arguments on ``num_antennas`` antennas."""
+    if n_rf < 1 or iters < 1 or restarts < 1:
+        raise ValueError("n_rf, iters and restarts must be positive")
+    if seed < 0:
+        raise ValueError(f"seed ({seed}) must be non-negative")
+    if not chains_fit(structure, n_rf, num_antennas):
+        rule = "not exceed" if structure is HbfStructure.FULLY_CONNECTED else "divide"
+        raise ValueError(f"n_rf ({n_rf}) must {rule} the antenna count ({num_antennas})")
+
+
 @dataclass(frozen=True, eq=False)
 class TargetMatrix:
     """Target beams stacked column-wise in ascending subcarrier order."""
@@ -106,11 +118,7 @@ def _alternating_fit(target_matrix: TargetMatrix, structure: HbfStructure, n_rf:
     """
     b = target_matrix.matrix
     m = b.shape[0]
-    if n_rf < 1 or iters < 1 or restarts < 1:
-        raise ValueError("n_rf, iters and restarts must be positive")
-    if not chains_fit(structure, n_rf, m):
-        rule = "not exceed" if structure is HbfStructure.FULLY_CONNECTED else "divide"
-        raise ValueError(f"n_rf ({n_rf}) must {rule} the antenna count ({m})")
+    _check_fit(structure, m, n_rf, iters, restarts, seed)
 
     def runs():  # (final residual, restart seed, residual trace, analog, digital) per candidate
         for r in range(restarts):

@@ -282,7 +282,8 @@ def test_empty_jpta_block_designs_with_the_design_options_defaults():
     system = cli.build_system(config)
     grid = build_grid(system)
     target = cli.build_target(config, system, grid)
-    output = cli.run_algorithm(config, system, grid, target, {"jpta": {}})
+    (entry,) = cli.algorithms({**config, "algorithm": {"jpta": {}}}, system)
+    output = cli.run_algorithm(system, grid, target, entry)
     bf, trace = design_jpta(system, grid, target, DesignOptions())
     for name in ("delays", "phases", "alpha"):
         assert np.array_equal(getattr(output.beamformer, name), getattr(bf, name)), name
@@ -298,8 +299,8 @@ def test_hbf_block_without_iters_and_restarts_fits_with_the_library_defaults(str
     grid = build_grid(system)
     target = cli.build_target(config, system, grid)
     # at seed 32 both fits keep their fifth (last default) restart, and the fc fit runs all 50 iterations
-    output = cli.run_algorithm(config, system, grid, target, {"hbf": {"structure": structure, "n_rf": 2}},
-                               base_seed=32)
+    (entry,) = cli.algorithms({**config, "algorithm": {"hbf": {"structure": structure, "n_rf": 2}}}, system)
+    output = cli.run_algorithm(system, grid, target, entry, base_seed=32)
     expected = fit(stack_target(target), 2, seed=32)
     assert expected.seed == 32 + 4
     for name in ("analog", "digital", "residual_trace"):
@@ -848,6 +849,22 @@ def test_one_pool_and_one_run_path():
                     users.setdefault(node.id, set()).add(fn.name)
     assert users["ProcessPoolExecutor"] == {"_map"}
     assert users["run_algorithm"] == {"_run_task", "cmd_design"}
+    # `run_algorithm` only runs an entry that `algorithms` parsed
+    (run,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "run_algorithm"]
+    assert "config" not in [arg.arg for arg in run.args.args]
+    named = {node.id for node in ast.walk(run) if isinstance(node, ast.Name)}
+    assert {"_read", "_section", "ConfigError"} & named == set()
+    # `algorithms` is the one reader of algorithm bodies: every other `_read` or `_section` call names a fixed
+    # section that is not a body, except in `_section`, which reads the top-level section it is given, and in
+    # `main`, which gives it top-level names
+    readers = {}
+    for fn in [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]:
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("_read", "_section"):
+                section = call.args[1]
+                if not isinstance(section, ast.Constant) or section.value in cli._SCHEMA["algorithm"]:
+                    readers.setdefault(call.func.id, set()).add(fn.name)
+    assert readers == {"_read": {"_section", "algorithms"}, "_section": {"main"}}
 
 
 def _blas_threads():
@@ -1014,3 +1031,87 @@ def test_fig8_results_equal_compare_hbf_on_each_behavior(tmp_path):
         cfg = write_config(tmp_path, config, f"{name}.json")
         assert main(["compare-hbf", "--config", str(cfg), "--out", str(tmp_path / name), "--seed", "3"]) == 0
         assert (out / name / "results.csv").read_bytes() == (tmp_path / name / "results.csv").read_bytes(), name
+
+
+_RUNS = ("design_jpta", "heuristic_behavior1", "heuristic_behavior2", "pe_altmin_fc", "altmin_pc")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"algorithms": [{"jpta": {}}, {"jpta": {"variant": "wls", "max_iter": 0}}]},
+         "algorithms[1].jpta.max_iter: max_iter must be at least 1"),
+        ({"algorithms": [{"jpta": {}}, {"hbf": {"structure": "pc", "n_rf": 3}}]},
+         "algorithms[1].hbf: n_rf (3) must divide the antenna count (8)"),
+        ({"algorithms": [{"jpta": {}}, {"heuristic": {}}],
+          "target": {"behavior": 3, "band_edges": [-3, 3], "angles_deg": [-45.0, 0.0, 30.0]}},
+         "algorithms[1].heuristic: closed-form designs exist only for behaviors 1 and 2"),
+        ({"algorithms": [{"jpta": {}}], "sweep": {"parameter": "num_ttds", "values": [1, 2, 3]}},
+         "system: default contiguous mapping needs num_ttds (3) to divide num_antennas (8); "
+         "pass ttd_groups explicitly otherwise"),
+        ({"sweep": {"parameter": "max_iter", "values": [2, 0]}},
+         "algorithm.jpta.max_iter: max_iter must be at least 1"),
+        ({"algorithms": [{"jpta": {}}, {"hbf": {"n_rf": 2, "seed": -3}}]},
+         "algorithms[1].hbf: seed (-3) must be non-negative"),
+    ],
+)
+def test_every_entry_is_checked_before_the_first_run(tmp_path, capsys, monkeypatch, edit, message):
+    # each of these ran at least one design before its error, which named `algorithm.<kind>`
+    calls = []
+    for name in _RUNS:
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    config = {**json.loads(json.dumps(BASE_CONFIG)), "sweep": {"parameter": "num_ttds", "values": [1, 2]}, **edit}
+    if "algorithms" in config:
+        config.pop("algorithm")
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() and calls == []
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    config = {**BASE_CONFIG, "algorithm": {"hbf": {"n_rf": 2}}}
+    out = tmp_path / "x"
+    assert main(["design", "--config", str(write_config(tmp_path, config)), "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --seed: expected a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_n_rf_sweep_base_entry_may_leave_n_rf_out(tmp_path):
+    # the sweep sets n_rf in every hbf entry, so each point is parsed, not the base config
+    config = {key: value for key, value in BASE_CONFIG.items() if key != "algorithm"}
+    sweep = {**config, "algorithms": [{"jpta": {}}, {"hbf": {"structure": "pc"}}],
+             "sweep": {"parameter": "n_rf", "values": [2, 4]}}
+    compare = {**config, "compare": {"n_rf_values": [2, 4], "structures": ["pc"]}}
+    for name, command, cfg in (("sweep", "sweep", sweep), ("compare", "compare-hbf", compare)):
+        args = ["--config", str(write_config(tmp_path, cfg, f"{name}.json")), "--out", str(tmp_path / name)]
+        assert main([command, *args, "--seed", "5"]) == 0
+    swept = (tmp_path / "sweep" / "results.csv").read_text().splitlines()
+    compared = (tmp_path / "compare" / "results.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in swept[1:]] == ["hbf_pc[n_rf=2]", "hbf_pc[n_rf=4]"]
+    assert swept == [row for row in compared if not row.startswith("jpta[reference]")]
+
+
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("design", {"sweep": {"parameter": "num_ttds", "valus": [1]}},
+         "sweep.valus: unknown key (did you mean 'values'?)"),
+        ("compare-hbf", {"sweep": {"parameter": "num_ttds", "valus": [1]}},
+         "sweep.valus: unknown key (did you mean 'values'?)"),
+        ("gain-map", {"sweep": {"parameter": "num_ttds", "values": ["x"]}},
+         "sweep.values: expected a list of finite numbers, got ['x']"),
+        ("design", {"compare": {"n_rf_value": [1, 2]}},
+         "compare.n_rf_value: unknown key (did you mean 'n_rf_values'?)"),
+        ("sweep", {"compare": {"structures": "pc"}}, "compare.structures: expected list, got 'pc'"),
+        ("compare-hbf", {"output": {"gain_mapp": True}}, "output.gain_mapp: unknown key (did you mean 'gain_map'?)"),
+        ("sweep", {"output": {"theta_step": 2.0}}, "output.theta_step: unknown key (did you mean 'theta_step_deg'?)"),
+    ],
+)
+def test_sections_a_command_does_not_use_are_checked(tmp_path, capsys, command, section, message):
+    config = {**BASE_CONFIG, "sweep": {"parameter": "num_ttds", "values": [1, 2]}, **section}
+    out = tmp_path / "x"
+    extra = ["--beamformer", str(tmp_path / "bf.txt")] if command == "gain-map" else []
+    assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
