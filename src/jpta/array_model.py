@@ -9,7 +9,7 @@ hertz, seconds, radians and linear power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,7 +62,10 @@ class SystemConfig:
     line covers ``[0, delay_range / bandwidth]`` seconds.  ``ttd_groups`` lists
     the 1-based antenna numbers driven by each delay line and defaults to
     contiguous blocks.  ``total_power`` defaults to ``num_subcarriers`` so the
-    stock targets carry unit norm per subcarrier.
+    stock targets carry unit norm per subcarrier.  The line layout is derived
+    once as read-only arrays: ``line_columns``, the 0-based antenna columns,
+    line after line in each group's listed order; ``line_starts``, where each
+    line's run starts; ``antenna_line``, each antenna's 0-based line.
     """
 
     num_antennas: int
@@ -73,6 +76,9 @@ class SystemConfig:
     delay_range: float
     total_power: float | None = None
     ttd_groups: tuple[tuple[int, ...], ...] | None = None
+    line_columns: np.ndarray = field(init=False, repr=False)
+    line_starts: np.ndarray = field(init=False, repr=False)
+    antenna_line: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_antennas < 1:
@@ -101,6 +107,13 @@ class SystemConfig:
             groups = tuple(tuple(int(m) for m in g) for g in self.ttd_groups)
             object.__setattr__(self, "ttd_groups", groups)
         self._validate_groups()
+        sizes = [len(g) for g in self.ttd_groups]
+        columns = np.array([m - 1 for g in self.ttd_groups for m in g], dtype=np.intp)
+        antenna_line = np.repeat(np.arange(self.num_ttds), sizes)[np.argsort(columns)]  # columns is a permutation
+        starts = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        for name, arr in (("line_columns", columns), ("line_starts", starts), ("antenna_line", antenna_line)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def _validate_groups(self) -> None:
         groups = self.ttd_groups
@@ -124,17 +137,9 @@ class SystemConfig:
         """Upper end of the per-delay-line tuning range, in seconds."""
         return self.delay_range / self.bandwidth
 
-    def group_indices(self) -> list[np.ndarray]:
-        """0-based antenna index array per delay line."""
-        return [np.asarray(g, dtype=np.intp) - 1 for g in self.ttd_groups]
-
     def ttd_index_per_antenna(self) -> np.ndarray:
-        """0-based delay-line index for each antenna (length M)."""
-        out = np.empty(self.num_antennas, dtype=np.intp)
-        for n, group in enumerate(self.ttd_groups):
-            for m in group:
-                out[m - 1] = n
-        return out
+        """0-based delay-line index for each antenna (length M), the read-only ``antenna_line``."""
+        return self.antenna_line
 
 
 @dataclass(frozen=True, eq=False)

@@ -101,6 +101,8 @@ class DesignOptions:
             if any(b < a for a, b in zip(values, values[1:])):
                 raise ValueError("discrete delay set must be sorted ascending")
             object.__setattr__(self, "discrete_delays", values)
+        if self.init_phase_seed is not None and self.init_phase_seed < 0:
+            raise ValueError(f"init_phase_seed ({self.init_phase_seed}) must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +138,13 @@ def digital_power_allocation(target: BeamTarget) -> np.ndarray:
     return target.norms.copy()
 
 
-def _group_columns(config: SystemConfig, n: int) -> np.ndarray:
+def _layout(config: SystemConfig, n: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Antenna columns and run starts of delay line ``n`` (1-based), or of all lines when ``n`` is None."""
+    if n is None:
+        return config.line_columns, config.line_starts
     if not 1 <= n <= config.num_ttds:
         raise ValueError(f"delay line number {n} out of range 1..{config.num_ttds}")
-    return np.asarray(config.ttd_groups[n - 1], dtype=np.intp) - 1
-
-
-def _layout(config: SystemConfig, lines) -> tuple[np.ndarray, np.ndarray]:
-    """Antenna columns of ``lines`` (1-based), line after line, and where each line's run starts."""
-    groups = [_group_columns(config, n) for n in lines]
-    return np.concatenate(groups), np.cumsum([0] + [g.size for g in groups[:-1]])
+    return np.split(config.line_columns, config.line_starts[1:])[n - 1], config.line_starts[:1]
 
 
 class _SearchGrid(NamedTuple):
@@ -187,10 +186,10 @@ def _grid_table(config: SystemConfig, grid: SubcarrierGrid, points: int) -> _Sea
     return _GRID_TABLE[key]
 
 
-def _line_coeffs(config: SystemConfig, lines, target: BeamTarget, alpha_phases) -> tuple[np.ndarray, np.ndarray]:
-    """(antennas, K) rows ``w_k e^{j ang_k} conj(bbar_{k,m})`` of the antennas of ``lines``, line
-    after line, and the row where each line starts."""
-    cols, starts = _layout(config, lines)
+def _line_coeffs(config: SystemConfig, n, target: BeamTarget, alpha_phases) -> tuple[np.ndarray, np.ndarray]:
+    """(antennas, K) rows ``w_k e^{j ang_k} conj(bbar_{k,m})`` of the antennas of ``_layout(config, n)``,
+    line after line, and the row where each line starts."""
+    cols, starts = _layout(config, n)
     rot = target.weights * np.exp(1j * np.asarray(alpha_phases, dtype=np.float64))
     return np.conj(target.unit_vectors.T[cols]) * rot, starts
 
@@ -216,7 +215,7 @@ def ttd_objective(
     with period K/W.
     """
     table = delay_response(grid.frequencies, [float(tau)])
-    return float(_line_objective(*_line_coeffs(config, [n], target, alpha_phases), table)[0, 0])
+    return float(_line_objective(*_line_coeffs(config, n, target, alpha_phases), table)[0, 0])
 
 
 def _grid_values(coeffs: np.ndarray, starts: np.ndarray, freqs: np.ndarray, search: _SearchGrid) -> np.ndarray:
@@ -269,15 +268,15 @@ def _grid_values(coeffs: np.ndarray, starts: np.ndarray, freqs: np.ndarray, sear
 
 
 def _line_search(
-    config: SystemConfig, grid: SubcarrierGrid, lines, target: BeamTarget, alpha_phases, search: _SearchGrid
+    config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget, alpha_phases, search: _SearchGrid
 ) -> np.ndarray:
-    """Best delay of each line on the grid ``search.taus``, then refined.
+    """Best delay of each line of ``_layout(config, n)`` on the grid ``search.taus``, then refined.
 
     Ties within ``_TIE_TOL`` go to the smallest delay; a line keeps its
     parabolic vertex only when it beats the line's best grid value.
     """
     taus = search.taus
-    coeffs, starts = _line_coeffs(config, lines, target, alpha_phases)
+    coeffs, starts = _line_coeffs(config, n, target, alpha_phases)
     values = _grid_values(coeffs, starts, grid.frequencies, search)
     rows = np.arange(values.shape[0])
     best = np.argmax(values >= values.max(axis=1, keepdims=True) - _TIE_TOL, axis=1)
@@ -310,7 +309,7 @@ def ttd_update_line_search(
     trails any grid point.
     """
     search = _grid_table(config, grid, options.line_search_grid)
-    return float(_line_search(config, grid, [n], target, alpha_phases, search)[0])
+    return float(_line_search(config, grid, n, target, alpha_phases, search)[0])
 
 
 def phase_unwrap(seq: np.ndarray) -> np.ndarray:
@@ -328,20 +327,20 @@ def phase_unwrap(seq: np.ndarray) -> np.ndarray:
 
 
 def _wls_delays(
-    config: SystemConfig, grid: SubcarrierGrid, lines, target: BeamTarget, alpha_phases
+    config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget, alpha_phases
 ) -> np.ndarray:
-    """Closed-form weighted least-squares delay of each line in ``lines``."""
+    """Closed-form weighted least-squares delay of each line of ``_layout(config, n)``."""
     active = target.weights > 0.0
     if not np.any(active):
         raise ValueError("all subcarrier weights vanish; the delay lines are unconstrained")
-    cols, starts = _layout(config, lines)
+    cols, starts = _layout(config, n)
     f = grid.frequencies[active]
     block = target.unit_vectors[np.ix_(np.flatnonzero(active), cols)].T  # (antennas, K)
     v = target.weights[active] * np.abs(block)
     sv = v.sum(axis=1)
     seen = np.add.reduceat(sv, starts)
     if np.any(seen == 0.0):
-        raise ValueError(f"all fit weights vanish for delay line {lines[int(np.argmax(seen == 0.0))]}")
+        raise ValueError(f"all fit weights vanish for delay line {n or 1 + int(np.argmax(seen == 0.0))}")
     c = phase_unwrap(np.angle(block) - np.asarray(alpha_phases, dtype=np.float64)[active])
     sv = np.where(sv == 0.0, 1.0, sv)[:, None]  # antennas without fit weight add nothing
     df = f - (v * f).sum(axis=1, keepdims=True) / sv
@@ -370,7 +369,7 @@ def ttd_update_wls(
     scalar quadratic whose minimizer is returned after wrapping into the
     period ``[-K/(2W), K/(2W))`` and clamping to ``[-kappa/(2W), kappa/(2W)]``.
     """
-    return float(_wls_delays(config, grid, [n], target, alpha_phases)[0])
+    return float(_wls_delays(config, grid, n, target, alpha_phases)[0])
 
 
 def _ps_phases(target: BeamTarget, alpha_phases, response: np.ndarray, cols=slice(None)) -> np.ndarray:
@@ -503,8 +502,6 @@ def design_jpta(
         _discrete_set(config, options.discrete_delays)
 
     freqs = grid.frequencies
-    lines = range(1, config.num_ttds + 1)
-    tau_of_antenna = config.ttd_index_per_antenna()
     root_m = math.sqrt(config.num_antennas)
 
     magnitudes = digital_power_allocation(target)
@@ -521,10 +518,10 @@ def design_jpta(
     previous = None
     for _ in range(options.max_iter):
         if use_line_search:
-            tau = _line_search(config, grid, lines, target, ang, search)
+            tau = _line_search(config, grid, None, target, ang, search)
         else:
-            tau = _wls_delays(config, grid, lines, target, ang)
-        response = delay_response(freqs, tau)[:, tau_of_antenna]
+            tau = _wls_delays(config, grid, None, target, ang)
+        response = delay_response(freqs, tau)[:, config.ttd_index_per_antenna()]
         phi = _ps_phases(target, ang, response)
         tau, offset = center_delays(config, tau)
         u = _digital_alignment(target.unit_vectors, phi, response) * delay_response(freqs, [offset])[:, 0]

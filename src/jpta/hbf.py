@@ -107,11 +107,10 @@ class HbfBeamformer:
 
 
 def _alternating_fit(target_matrix: TargetMatrix, structure: HbfStructure, n_rf: int, iters: int, seed: int,
-                     restarts: int, draw, step, solve, init_analog: np.ndarray | None = None) -> HbfBeamformer:
+                     restarts: int, draw, step, solve) -> HbfBeamformer:
     """The restart, stopping, keep-best and normalization policy of both fits.
 
-    Restart r starts from ``draw(rng, M, n_rf)``, ``rng`` seeded ``seed + r``, or
-    restart 0 from ``init_analog``, whose own exact fit then competes too.  A run
+    Restart r starts from ``draw(rng, M, n_rf)``, ``rng`` seeded ``seed + r``.  A run
     repeats ``step(b, analog) -> (analog, digital)`` up to ``iters`` times, until
     the residual improves by less than ``_REL_STOP`` relative, then takes the
     exact ``solve(b, analog)``.  The first run with the least final residual wins.
@@ -122,15 +121,7 @@ def _alternating_fit(target_matrix: TargetMatrix, structure: HbfStructure, n_rf:
 
     def runs():  # (final residual, restart seed, residual trace, analog, digital) per candidate
         for r in range(restarts):
-            if r == 0 and init_analog is not None:
-                analog = np.asarray(init_analog, dtype=np.complex128)
-                if analog.shape != (m, n_rf):
-                    raise ValueError(f"init_analog must have shape {(m, n_rf)}")
-                digital = solve(b, analog)
-                residual = float(np.linalg.norm(b - analog @ digital))
-                yield residual, seed, [residual], analog, digital
-            else:
-                analog = draw(np.random.default_rng(seed + r), m, n_rf)
+            analog = draw(np.random.default_rng(seed + r), m, n_rf)
             trace: list[float] = []
             previous = math.inf
             for _ in range(iters):
@@ -174,20 +165,17 @@ def pe_altmin_fc(
     iters: int = _DEFAULT_ITERS,
     seed: int = 0,
     restarts: int = _DEFAULT_RESTARTS,
-    init_analog: np.ndarray | None = None,
 ) -> HbfBeamformer:
     """Phase-extraction alternating fit with every antenna wired to every chain.
 
-    Each restart draws uniform random analog phases (``init_analog``, when
-    given, seeds the first restart instead, e.g. a lower-chain solution padded
-    with fresh columns).  Per iteration the digital factor is the best
-    semi-unitary-times-scale least-squares fit (SVD Procrustes), then analog
-    phases take the phase of the target-digital cross term.  A final
-    unconstrained digital least squares sharpens each run before the power
-    normalization.
+    Each restart draws uniform random analog phases.  Per iteration the
+    digital factor is the best semi-unitary-times-scale least-squares fit (SVD
+    Procrustes), then analog phases take the phase of the target-digital cross
+    term.  A final unconstrained digital least squares sharpens each run before
+    the power normalization.
     """
     return _alternating_fit(target_matrix, HbfStructure.FULLY_CONNECTED, n_rf, iters, seed, restarts,
-                            _fc_draw, _fc_step, _fc_solve, init_analog)
+                            _fc_draw, _fc_step, _fc_solve)
 
 
 def _pc_entries(m: int, n_rf: int) -> tuple[np.ndarray, np.ndarray]:

@@ -74,7 +74,7 @@ def heuristic_behavior2(
         )
     probe = np.conj(b_mid) * third
     tau = np.empty(config.num_ttds)
-    for n, cols in enumerate(config.group_indices()):
+    for n, cols in enumerate(np.split(config.line_columns, config.line_starts[1:])):
         s = probe[cols].sum()
         if abs(s) <= _CANCEL_TOL:
             warnings.warn("antipodal split angles: delay probe vanished; delay defaults to 0", stacklevel=2)

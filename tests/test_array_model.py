@@ -339,3 +339,17 @@ def test_custom_groups_and_default_power():
     assert cfg.total_power == 8.0
     assert list(cfg.ttd_index_per_antenna()) == [0, 1, 1, 0]
     assert contiguous_ttd_groups(4, 2) == ((1, 2), (3, 4))
+
+
+@pytest.mark.parametrize("num_antennas, groups, columns, starts, antenna_line", [
+    (6, None, [0, 1, 2, 3, 4, 5], [0, 3], [0, 0, 0, 1, 1, 1]),
+    (6, ((1, 3, 5), (2, 4, 6)), [0, 2, 4, 1, 3, 5], [0, 3], [0, 1, 0, 1, 0, 1]),
+    (4, ((3, 1), (4, 2)), [2, 0, 3, 1], [0, 2], [0, 1, 0, 1]),
+])
+def test_line_layout_keeps_each_groups_listed_order(num_antennas, groups, columns, starts, antenna_line):
+    cfg = SystemConfig(num_antennas=num_antennas, num_ttds=2, carrier_freq=100e9, bandwidth=10e9,
+                       num_subcarriers=8, delay_range=4.0, ttd_groups=groups)
+    for arr, expected in ((cfg.line_columns, columns), (cfg.line_starts, starts), (cfg.antenna_line, antenna_line)):
+        assert arr.dtype == np.intp and arr.tolist() == expected
+        assert not arr.flags.writeable
+    assert np.array_equal(cfg.ttd_index_per_antenna(), cfg.antenna_line)

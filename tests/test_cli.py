@@ -669,6 +669,7 @@ def test_non_finite_system_field_is_config_error(tmp_path, capsys):
         ("algorithm.jpta.discrete_delays_ns=[0,0.9]", "within [0, kappa/W]"),
         ("algorithm.jpta.discrete_delays_ns=[-0.1,0.4]", "within [0, kappa/W]"),
         ("algorithm.jpta.max_iter=0", "at least 1"),
+        ("algorithm.jpta.init_phase_seed=-1", "init_phase_seed (-1) must be non-negative"),
     ],
 )
 def test_bad_jpta_options_are_config_errors(tmp_path, capsys, override, field):

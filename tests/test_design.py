@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,6 +510,31 @@ def test_design_with_interleaved_ttd_groups():
     assert fit_objective(target, beams) > 0.5
 
 
+@pytest.mark.parametrize("update", [
+    lambda cfg, grid, n, target, ang: ttd_objective(cfg, grid, n, 0.0, target, ang),
+    ttd_update_line_search,
+    ttd_update_wls,
+])
+@pytest.mark.parametrize("n", [0, 3])
+def test_per_line_updates_reject_a_line_number_out_of_range(update, n):
+    cfg = SystemConfig(num_antennas=4, num_ttds=2, carrier_freq=100e9, bandwidth=10e9,
+                       num_subcarriers=16, delay_range=4.0, ttd_groups=((3, 1), (4, 2)))
+    grid = build_grid(cfg)
+    target = behavior1_target(cfg, grid, 0.3, 0.4)
+    with pytest.raises(ValueError, match=f"^delay line number {n} out of range 1..2$"):
+        update(cfg, grid, n, target, np.zeros(16))
+
+
+def test_the_delay_line_layout_has_one_owner():
+    # SystemConfig derives the layout; the optimizer reads its arrays and never the groups
+    src = Path(design_module.__file__).parent
+    assert "ttd_groups" not in (src / "design.py").read_text(encoding="utf-8")
+    for module in src.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_group_columns", "group_indices"}, module.name
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         DesignOptions(max_iter=0)
@@ -522,7 +549,10 @@ def test_options_validation():
             DesignOptions(discrete_delays=(0.0, bad))
     with pytest.raises(ValueError):
         DesignOptions(ttd_update="newton")
+    with pytest.raises(ValueError, match=r"init_phase_seed \(-1\) must be non-negative"):
+        DesignOptions(init_phase_seed=-1)
     assert DesignOptions(ttd_update="wls").ttd_update is TtdUpdate.WLS
+    assert DesignOptions(init_phase_seed=0).init_phase_seed == 0
 
 
 def test_design_rejects_discrete_set_outside_range():
@@ -697,7 +727,7 @@ def _exhaustive_line_search(cfg, grid, n, target, ang, taus):
 
 def _assert_matches_exhaustive(cfg, grid, target, ang, points):
     search = _grid_table(cfg, grid, points)
-    found = _line_search(cfg, grid, range(1, cfg.num_ttds + 1), target, ang, search)
+    found = _line_search(cfg, grid, None, target, ang, search)
     # the two sum in different orders, so a vertex may move by rounding
     step = search.taus[1] - search.taus[0]
     for n in range(1, cfg.num_ttds + 1):
@@ -733,7 +763,7 @@ def test_line_search_peak_past_the_window_edge_takes_the_last_grid_point(points)
     half = cfg.delay_range / (2 * cfg.bandwidth)
     target = linear_phase_target(cfg, grid, 1.2 * half)
     search = _grid_table(cfg, grid, points)
-    found = _line_search(cfg, grid, range(1, 5), target, np.zeros(32), search)
+    found = _line_search(cfg, grid, None, target, np.zeros(32), search)
     assert np.array_equal(found, np.full(4, search.taus[-1]))
     _assert_matches_exhaustive(cfg, grid, target, np.zeros(32), points)
 
@@ -749,7 +779,7 @@ def test_line_search_on_flat_objectives_evaluates_every_point_and_takes_the_smal
     weights[100] = 1.0
     target = BeamTarget(vectors=steered.vectors, weights=weights, power_budget=steered.power_budget)
     ang = np.random.default_rng(1).uniform(-np.pi, np.pi, 256)
-    found = _line_search(cfg, grid, range(1, 5), target, ang, _grid_table(cfg, grid, points))
+    found = _line_search(cfg, grid, None, target, ang, _grid_table(cfg, grid, points))
     assert np.array_equal(found, np.full(4, -cfg.delay_range / (2 * cfg.bandwidth)))
 
 

@@ -17,7 +17,6 @@ from jpta.hbf import (
     pe_altmin_fc,
     stack_target,
 )
-from jpta.metrics import fit_objective
 
 from helpers import make_config
 
@@ -166,25 +165,6 @@ def test_fc_beats_pc_at_equal_chain_count():
         fc = pe_altmin_fc(tm, n_rf, seed=7, restarts=5)
         pc = altmin_pc(tm, n_rf, seed=7, restarts=5)
         assert pc.residual >= fc.residual - 1e-9
-
-
-def test_fc_warm_start_keeps_f_obj_non_decreasing():
-    cfg = _wideband()
-    grid = build_grid(cfg)
-    target = behavior1_target(cfg, grid, math.pi / 6, math.pi / 4)
-    tm = stack_target(target)
-    prev = None
-    prev_f = 0.0
-    for n_rf in (1, 2, 4, 8, 16):
-        init = None
-        if prev is not None:
-            rng = np.random.default_rng(500 + n_rf)
-            pad = np.exp(1j * rng.uniform(-np.pi, np.pi, (16, n_rf - prev.analog.shape[1])))
-            init = np.concatenate([prev.analog, pad], axis=1)
-        hb = pe_altmin_fc(tm, n_rf, seed=9, init_analog=init)
-        f = fit_objective(target, hb.unit_effective_vectors())
-        assert f >= prev_f - 1e-9
-        prev, prev_f = hb, f
 
 
 def test_unit_effective_vectors_are_unit_norm():
