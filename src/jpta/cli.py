@@ -397,12 +397,14 @@ def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget
         return RunOutput(label=label, report=report, hbf=hb, beams=beams)
     if kind == "jpta":
         bf, trace = design_jpta(system, grid, target, spec)
-        report = build_fit_report(system, grid, target, bf, trace, seed=spec.init_phase_seed)
+        seed = spec.init_phase_seed
     else:
         behavior, angles = spec
         bf = (heuristic_behavior1 if behavior == 1 else heuristic_behavior2)(system, grid, *angles)
-        report = build_fit_report(system, grid, target, bf)
-    return RunOutput(label=label, report=report, beamformer=bf, beams=effective_beamformer_matrix(system, grid, bf))
+        trace = seed = None
+    beams = effective_beamformer_matrix(system, grid, bf)
+    report = build_fit_report(system, grid, target, bf, trace, seed=seed, beams=beams)
+    return RunOutput(label=label, report=report, beamformer=bf, beams=beams)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +589,23 @@ def _tasks(config: dict, seed: int = 0, keep_beams: bool = False) -> list[Task]:
     return [Task(config, entry, seed, keep_beams) for entry in algorithms(config, build_system(config))]
 
 
+# the last target a task of the current `_map` call built, by its target block and the system
+# fields a target reads (every field but num_ttds, delay_range and ttd_groups); one slot, so
+# that a run of tasks sharing a target builds it once and at most one target is kept
+_TARGETS: dict[tuple, BeamTarget] = {}
+
+
 def _run_task(task: Task) -> RunOutput:
     """The run's label and fit report, its beams when the task keeps them, and its wall time."""
     start = time.perf_counter()
-    output = run_algorithm(*_prepare(task.config), task.algorithm, base_seed=task.seed)
+    system = build_system(task.config)
+    grid = build_grid(system)
+    key = (json.dumps(task.config.get("target"), sort_keys=True), system.num_antennas, system.carrier_freq,
+           system.bandwidth, system.num_subcarriers, system.total_power)
+    if key not in _TARGETS:
+        _TARGETS.clear()
+        _TARGETS[key] = build_target(task.config, system, grid)
+    output = run_algorithm(system, grid, _TARGETS[key], task.algorithm, base_seed=task.seed)
     return RunOutput(output.label, output.report, beams=output.beams if task.keep_beams else None,
                      wall_time_s=time.perf_counter() - start)
 
@@ -610,10 +625,14 @@ def _one_blas_thread() -> None:
 
 def _map(tasks: list[Task], workers: int) -> list[RunOutput]:
     """The results of ``tasks`` in order, run serially or by up to ``workers`` pool processes."""
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_one_blas_thread) as pool:
-            return list(pool.map(_run_task, tasks))
-    return [_run_task(task) for task in tasks]
+    _TARGETS.clear()  # pool workers start from this empty memo
+    try:
+        if workers > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_one_blas_thread) as pool:
+                return list(pool.map(_run_task, tasks))
+        return [_run_task(task) for task in tasks]
+    finally:
+        _TARGETS.clear()
 
 
 # sweep parameter -> the config section it sets, whose schema gives its kind.  An algorithm
@@ -664,7 +683,10 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
 
 def _compare_points(config: dict, seed: int) -> tuple[list[tuple], list[str]]:
     """The delay-phase reference, then each structure's chain-count sweep; notes name the counts skipped."""
-    m = _prepare(config)[0].num_antennas  # validate the base config before queuing work
+    system = _prepare(config)[0]  # validate the base config before queuing work
+    if "algorithm" in config or "algorithms" in config:
+        algorithms(config, system)  # checked whole, though the reference and the chain sweeps replace them
+    m = system.num_antennas
     compare = _section(config, "compare", required=False)
     names = compare.get("structures", [s.value for s in HbfStructure])
     structures = [_choice(s, "compare.structures", HbfStructure) for s in _distinct(names, "compare.structures")]
@@ -712,7 +734,7 @@ def cmd_gain_map(config: dict, beamformer_path: Path, out_dir: Path) -> int:
             raise ConfigError(f"beamformer file: section [{name}] holds {values.size} values, "
                               f"the config needs {count}")
     beams = effective_beamformer_matrix(system, grid, bf)
-    report = build_fit_report(system, grid, target, bf)
+    report = build_fit_report(system, grid, target, bf, beams=beams)
     thetas = _theta_grid_from(config)
     gains = gain_map(system, grid, beams, thetas)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,10 +12,14 @@ front: the optimal power split simply copies the per-subcarrier target norms.
 The public per-line updates run the optimizer's batched updates on a single line.
 
 The line search is exact but pruned.  It evaluates each line's objective at
-every 16th grid point, bounds the objective between those points by how fast
-it can bend, and evaluates only the grid points of the stretches whose bound
-reaches the line's best value.  It returns the argmax of an exhaustive grid
-scan without ever holding a subcarriers-by-grid phase table.
+every 16th grid point in single precision, bounds the objective between those
+points by how fast it can bend and by the rounding of that pass, and evaluates
+in double precision only the grid points of the stretches whose bound reaches
+the line's best value.  It returns the argmax of an exhaustive grid scan
+without ever holding a subcarriers-by-grid phase table.  What an iteration
+does not change (the target's conjugate rows, the curvature bounds, the wLS
+weights) is built once per design, and the vertex refine's delay factors
+serve as the iteration's delay response.
 """
 
 from __future__ import annotations
@@ -148,17 +152,19 @@ def _layout(config: SystemConfig, n: int | None) -> tuple[np.ndarray, np.ndarray
 
 
 class _SearchGrid(NamedTuple):
-    """Line-search delays and the two small phase tables the pruned search reads.
+    """Line-search delays and the small phase tables the pruned search reads.
 
     ``coarse`` holds every ``_COARSE_STEP``-th grid index plus the last one;
     row ``i`` of ``phases`` is ``e^{-j 2 pi f tau}`` at ``taus[coarse[i]]``, and
     column ``i`` of ``steps`` is ``e^{-j 2 pi f i h}`` for the grid step ``h``.
+    ``phases32`` is ``phases.T`` in single precision, for the bound pass.
     """
 
     taus: np.ndarray
     coarse: np.ndarray
     phases: np.ndarray
     steps: np.ndarray
+    phases32: np.ndarray
 
 
 _GRID_TABLE: dict[tuple, _SearchGrid] = {}  # the last line-search grid and its tables
@@ -179,23 +185,47 @@ def _grid_table(config: SystemConfig, grid: SubcarrierGrid, points: int) -> _Sea
         coarse = np.append(np.arange(0, points - 1, _COARSE_STEP), points - 1)
         phases = np.ascontiguousarray(delay_response(grid.frequencies, taus[coarse]).T)
         steps = delay_response(grid.frequencies, np.arange(np.diff(coarse).max() + 1) * (2.0 * half / (points - 1)))
-        search = _SearchGrid(taus, coarse, phases, steps)
+        search = _SearchGrid(taus, coarse, phases, steps, phases.T.astype(np.complex64))
         for arr in search:
             arr.setflags(write=False)
         _GRID_TABLE[key] = search
     return _GRID_TABLE[key]
 
 
-def _line_coeffs(config: SystemConfig, n, target: BeamTarget, alpha_phases) -> tuple[np.ndarray, np.ndarray]:
-    """(antennas, K) rows ``w_k e^{j ang_k} conj(bbar_{k,m})`` of the antennas of ``_layout(config, n)``,
-    line after line, and the row where each line starts."""
+class _Lines(NamedTuple):
+    """What the line search over the lines of ``_layout(config, n)`` reads that no iteration changes.
+
+    Row m of the coefficients ``_coeffs`` builds is ``w_k e^{j ang_k} conj(bbar_{k,m})``, rows
+    line after line; ``|c_{m,k}| = w_k |bbar_{k,m}|`` whatever the digital phases, so each
+    line's curvature bound ``bend`` and coefficient mass ``sum_{m,k} |c_{m,k}|`` are fixed.
+    """
+
+    conj: np.ndarray  # (antennas, K) conj(bbar_{k,m}) of the lines' antennas
+    weights: np.ndarray
+    starts: np.ndarray  # the row where each line starts
+    sizes: np.ndarray  # each line's antenna count
+    freqs: np.ndarray
+    bend: np.ndarray  # (lines, 1)
+    mass: np.ndarray  # (lines,)
+
+
+def _lines(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget) -> _Lines:
     cols, starts = _layout(config, n)
-    rot = target.weights * np.exp(1j * np.asarray(alpha_phases, dtype=np.float64))
-    return np.conj(target.unit_vectors.T[cols]) * rot, starts
+    conj = np.conj(target.unit_vectors.T[cols])
+    mags = np.abs(conj) * target.weights
+    freqs = grid.frequencies
+    bend = (2.0 * np.pi) ** 2 * np.add.reduceat(mags @ (freqs - freqs.mean()) ** 2, starts)[:, None]
+    sizes = np.diff(np.append(starts, cols.size))
+    return _Lines(conj, target.weights, starts, sizes, freqs, bend, np.add.reduceat(mags.sum(axis=1), starts))
+
+
+def _coeffs(lines: _Lines, alpha_phases) -> np.ndarray:
+    """(antennas, K) rows ``w_k e^{j ang_k} conj(bbar_{k,m})`` of the lines' antennas, line after line."""
+    return lines.conj * (lines.weights * np.exp(1j * np.asarray(alpha_phases, dtype=np.float64)))
 
 
 def _line_objective(coeffs: np.ndarray, starts: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(lines, T) delay objective from the rows of ``_line_coeffs``: per line, the sum over its
+    """(lines, T) delay objective from the rows of ``_coeffs``: per line, the sum over its
     antennas m of ``|sum_k w_k e^{j ang_k} conj(bbar_{k,m}) e^{-j 2 pi f_k tau_t}|``."""
     return np.add.reduceat(np.abs(coeffs @ table), starts, axis=0)
 
@@ -214,13 +244,34 @@ def ttd_objective(
     subcarrier series rotated by the candidate delay.  Periodic in ``tau``
     with period K/W.
     """
+    lines = _lines(config, grid, n, target)
     table = delay_response(grid.frequencies, [float(tau)])
-    return float(_line_objective(*_line_coeffs(config, n, target, alpha_phases), table)[0, 0])
+    return float(_line_objective(_coeffs(lines, alpha_phases), lines.starts, table)[0, 0])
 
 
-def _grid_values(coeffs: np.ndarray, starts: np.ndarray, freqs: np.ndarray, search: _SearchGrid) -> np.ndarray:
-    """(lines, G) objective on the grid, ``-inf`` where a point provably trails its line's best
-    grid value by more than ``_TIE_TOL``.
+def _single_precision_slack(num_subcarriers: int) -> float:
+    """Largest error of the single-precision coarse objective, per unit of a line's coefficient mass.
+
+    Take u = 2^-24, the unit roundoff of float32, and g = (1 + u)^(2K+2) - 1 (about
+    (2K + 2) u).  Per antenna the bound pass rounds each ``c_k`` and each phase ``p_k``
+    (``|p_k| = 1``) to complex64, each off by at most u relative, which moves ``q`` by at
+    most ``(2u + u^2)`` times the antenna's mass ``sum_k |c_k|``.  ``Re q`` and ``Im q`` are
+    each a real dot product of 2K terms whose sizes ``|a c| + |b d|`` add up to at most
+    ``|c_k||p_k|`` per k (Cauchy-Schwarz); summed in any order, fused or not, each is off by
+    at most ``(1 + u)^(2K) - 1`` times that sum, so with the rounded factors ``q`` is off by
+    at most ``sqrt(2) g``.  Then ``|q| <= (1 + sqrt(2) g + 3u)`` mass, its float32 magnitude
+    (one ulp, 2u relative) adds at most 2u times that, and the float64 sum over a line's
+    antennas adds far less than u.  In all, at most ``sqrt(2) g (1 + 2u) + 6u``.
+    """
+    u = 2.0**-24
+    g = math.expm1((2 * num_subcarriers + 2) * math.log1p(u))
+    return math.sqrt(2.0) * g * (1.0 + 2.0 * u) + 6.0 * u
+
+
+def _grid_values(coeffs: np.ndarray, lines: _Lines, search: _SearchGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The line, grid index and objective value of every grid point the pruned search evaluates,
+    line after line in ascending grid order; a point left out provably trails its line's best
+    grid value by more than ``_TIE_TOL``, and every line keeps at least one point.
 
     Per antenna the objective is ``|q(tau)|`` for the trigonometric polynomial
     ``q(tau) = sum_k c_k e^{-j 2 pi (f_k - fbar) tau}`` (``fbar`` the mean frequency;
@@ -230,68 +281,96 @@ def _grid_values(coeffs: np.ndarray, starts: np.ndarray, freqs: np.ndarray, sear
     antennas of ``Re(e^{-j arg q(t)} q)`` touches ``F`` from below, is flat at
     ``t`` and bends down by at most the line's summed ``B``; so an end of the
     interval at distance ``d`` from ``t`` has ``F >= F(t) - B d^2 / 2``.  The
-    peak is thus at most where the bounds from the two ends meet.  Intervals
-    whose bound falls below the line's best coarse value are skipped; every
-    other grid point is evaluated from its interval's start.
+    peak is thus at most where the bounds from the two ends meet.  The coarse
+    values are computed in single precision; the bound rises by their rounding
+    slack, which is monotone and shift-equivariant in the end values, and the
+    line's best coarse value falls by it.  Intervals whose bound falls below
+    that floor are skipped; every other grid point is evaluated in double
+    precision from its interval's start.  A coarse point that two kept
+    intervals share takes the later interval's value.
     """
-    taus, coarse, phases, steps = search
-    size = np.abs(coeffs)
-    tops = _line_objective(coeffs, starts, phases.T)
-    bend = (2.0 * np.pi) ** 2 * np.add.reduceat(size @ (freqs - freqs.mean()) ** 2, starts)[:, None]
+    taus, coarse, phases, steps, phases32 = search
+    starts, bend, mass = lines.starts, lines.bend, lines.mass
+    tops = np.add.reduceat(np.abs(coeffs.astype(np.complex64) @ phases32), starts, axis=0, dtype=np.float64)
+    slack = _single_precision_slack(coeffs.shape[1]) * mass
     half = np.diff(taus[coarse]) / 2.0
     left, right = tops[:, :-1], tops[:, 1:]
     # the farthest from the left end that a peak can sit: where the two ends' bounds meet
     shift = np.divide(right - left, 2.0 * bend * half, out=np.zeros_like(left), where=bend > 0.0)
     far = np.clip(half + shift, 0.0, 2.0 * half)
-    bound = np.maximum(left + 0.5 * bend * far**2, right)
-    floor = tops.max(axis=1) - _TIE_TOL - _PRUNE_RTOL * np.add.reduceat(size.sum(axis=1), starts)
+    bound = np.maximum(left + 0.5 * bend * far**2, right) + slack[:, None]
+    floor = tops.max(axis=1) - slack - _TIE_TOL - _PRUNE_RTOL * mass
     line, interval = np.nonzero(bound >= floor[:, None])
 
-    # one row per (kept interval, antenna of its line), the antennas of a pair adjacent
-    sizes = np.diff(np.append(starts, coeffs.shape[0]))[line]
-    firsts = np.cumsum(sizes) - sizes
-    pair = np.repeat(np.arange(line.size), sizes)
-    row = starts[line][pair] + np.arange(pair.size) - firsts[pair]
-    mags = np.empty((pair.size, steps.shape[1]))
-    chunk = max(1, _FINE_CHUNK_CELLS // coeffs.shape[1])
-    for lo in range(0, pair.size, chunk):
-        part = slice(lo, lo + chunk)
-        np.abs((coeffs[row[part]] * phases[interval[pair[part]]]) @ steps, out=mags[part])
-    sums = np.add.reduceat(mags, firsts, axis=0)
+    kn, width = coeffs.shape[1], steps.shape[1]
+    sums = np.empty((line.size, width))
+    for size in set(lines.sizes.tolist()):
+        if size > width:
+            # one (K, width) table per kept interval, shared by the line's antennas
+            chunk = max(1, _FINE_CHUNK_CELLS // (kn * width))
+            for n in np.flatnonzero(lines.sizes == size):
+                rows = coeffs[starts[n]:starts[n] + size]
+                own = np.arange(*np.searchsorted(line, (n, n + 1)))  # every line keeps a pair
+                for lo in range(0, own.size, chunk):
+                    part = own[lo:lo + chunk]
+                    factors = np.empty((kn, part.size, width), dtype=complex)
+                    np.multiply(phases[interval[part]].T[:, :, None], steps[:, None, :], out=factors)
+                    sums[part] = np.abs(rows @ factors.reshape(kn, -1)).sum(axis=0).reshape(part.size, width)
+        else:
+            # each kept (line, interval) block times its phase row, all blocks in one product
+            pairs = np.flatnonzero(lines.sizes[line] == size)
+            chunk = max(1, _FINE_CHUNK_CELLS // (kn * size))
+            for lo in range(0, pairs.size, chunk):
+                part = pairs[lo:lo + chunk]
+                block = coeffs[starts[line[part]][:, None] + np.arange(size)]
+                block *= phases[interval[part]][:, None, :]
+                mags = np.abs(block.reshape(-1, kn) @ steps)
+                # reduceat, like _line_objective: a sum over a middle axis rounds differently
+                sums[part] = np.add.reduceat(mags, np.arange(0, mags.shape[0], size), axis=0)
 
-    values = np.full((starts.size, taus.size), -np.inf)
-    offset = np.arange(steps.shape[1])
-    inside = offset <= np.diff(coarse)[interval][:, None]
+    later = np.append((line[1:] == line[:-1]) & (interval[1:] == interval[:-1] + 1), False)
+    offset = np.arange(width)
+    inside = offset <= (np.diff(coarse)[interval] - later)[:, None]
     points = coarse[interval][:, None] + offset
-    values[np.broadcast_to(line[:, None], points.shape)[inside], points[inside]] = sums[inside]
-    return values
+    return np.broadcast_to(line[:, None], points.shape)[inside], points[inside], sums[inside]
 
 
-def _line_search(
-    config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget, alpha_phases, search: _SearchGrid
-) -> np.ndarray:
-    """Best delay of each line of ``_layout(config, n)`` on the grid ``search.taus``, then refined.
+def _line_search(lines: _Lines, alpha_phases, search: _SearchGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Best delay of each line on the grid ``search.taus``, then refined, and its (K, lines) delay
+    factors, equal to ``delay_response(lines.freqs, tau)``.
 
     Ties within ``_TIE_TOL`` go to the smallest delay; a line keeps its
-    parabolic vertex only when it beats the line's best grid value.
+    parabolic vertex only when it beats the line's best grid value.  The
+    factors are the refine's table, with the columns of the lines that keep
+    their grid point rebuilt.
     """
     taus = search.taus
-    coeffs, starts = _line_coeffs(config, n, target, alpha_phases)
-    values = _grid_values(coeffs, starts, grid.frequencies, search)
-    rows = np.arange(values.shape[0])
-    best = np.argmax(values >= values.max(axis=1, keepdims=True) - _TIE_TOL, axis=1)
+    coeffs = _coeffs(lines, alpha_phases)
+    line, point, value = _grid_values(coeffs, lines, search)
+    firsts = np.searchsorted(line, np.arange(lines.starts.size))
+    ties = np.flatnonzero(value >= np.maximum.reduceat(value, firsts)[line] - _TIE_TOL)
+    at = ties[np.searchsorted(ties, firsts)]  # each line's first tie: its smallest delay
+    best = point[at]
     mid = np.clip(best, 1, taus.size - 2)
-    # an interior best point's neighbors lie in its kept intervals; an edge point is kept as is
-    interior = best == mid
+    # the neighbors of an interior best point lie in kept intervals; one that was not
+    # evaluated, like an edge point, leaves the grid point as it is
+    below, above = np.maximum(at - 1, 0), np.minimum(at + 1, point.size - 1)
+    interior = (best == mid) & (point[below] == best - 1) & (point[above] == best + 1)
+    interior &= (line[below] == line[at]) & (line[above] == line[at])
     x1, x2, x3 = taus[mid - 1], taus[mid], taus[mid + 1]
-    y1, y2, y3 = np.where(interior[:, None], values[rows[:, None], mid[:, None] + np.arange(-1, 2)], 0.0).T
+    y1, y2, y3 = np.where(interior, value[[below, at, above]], 0.0)
     denom = (x2 - x1) * (y2 - y3) - (x2 - x3) * (y2 - y1)
     interior &= np.abs(denom) > 0.0
     denom = np.where(interior, denom, 1.0)
     vertex = x2 - 0.5 * ((x2 - x1) ** 2 * (y2 - y3) - (x2 - x3) ** 2 * (y2 - y1)) / denom
     vertex = np.clip(vertex, x1, x3)
-    refined = np.diagonal(_line_objective(coeffs, starts, delay_response(grid.frequencies, vertex)))
-    return np.where(interior & (refined > values[rows, best]), vertex, taus[best])
+    table = delay_response(lines.freqs, vertex)
+    refined = np.diagonal(_line_objective(coeffs, lines.starts, table))
+    keep = interior & (refined > value[at])
+    tau = np.where(keep, vertex, taus[best])
+    if not keep.all():
+        table[:, ~keep] = delay_response(lines.freqs, tau[~keep])
+    return tau, table
 
 
 def ttd_update_line_search(
@@ -309,7 +388,7 @@ def ttd_update_line_search(
     trails any grid point.
     """
     search = _grid_table(config, grid, options.line_search_grid)
-    return float(_line_search(config, grid, n, target, alpha_phases, search)[0])
+    return float(_line_search(_lines(config, grid, n, target), alpha_phases, search)[0][0])
 
 
 def phase_unwrap(seq: np.ndarray) -> np.ndarray:
@@ -326,10 +405,9 @@ def phase_unwrap(seq: np.ndarray) -> np.ndarray:
     return x + 2.0 * np.pi * turns
 
 
-def _wls_delays(
-    config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget, alpha_phases
-) -> np.ndarray:
-    """Closed-form weighted least-squares delay of each line of ``_layout(config, n)``."""
+def _wls_update(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget):
+    """The closed-form weighted least-squares delay of each line of ``_layout(config, n)``, as a
+    function of the digital phases; every term but their unwrapped phases ``c`` is built once here."""
     active = target.weights > 0.0
     if not np.any(active):
         raise ValueError("all subcarrier weights vanish; the delay lines are unconstrained")
@@ -341,17 +419,23 @@ def _wls_delays(
     seen = np.add.reduceat(sv, starts)
     if np.any(seen == 0.0):
         raise ValueError(f"all fit weights vanish for delay line {n or 1 + int(np.argmax(seen == 0.0))}")
-    c = phase_unwrap(np.angle(block) - np.asarray(alpha_phases, dtype=np.float64)[active])
     sv = np.where(sv == 0.0, 1.0, sv)[:, None]  # antennas without fit weight add nothing
     df = f - (v * f).sum(axis=1, keepdims=True) / sv
-    dc = c - (v * c).sum(axis=1, keepdims=True) / sv
-    num = np.add.reduceat((v * df * dc).sum(axis=1), starts)
-    den = np.add.reduceat((v * df * df).sum(axis=1), starts)
-    tau = np.divide(-num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den != 0.0)
+    vdf = v * df
+    den = np.add.reduceat((vdf * df).sum(axis=1), starts)
+    angles = np.angle(block)
     period = config.num_subcarriers / config.bandwidth
-    tau = np.mod(tau + period / 2.0, period) - period / 2.0
     half = config.max_delay / 2.0
-    return np.clip(tau, -half, half)
+
+    def delays(alpha_phases) -> np.ndarray:
+        c = phase_unwrap(angles - np.asarray(alpha_phases, dtype=np.float64)[active])
+        dc = c - (v * c).sum(axis=1, keepdims=True) / sv
+        num = np.add.reduceat((vdf * dc).sum(axis=1), starts)
+        tau = np.divide(-num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den != 0.0)
+        tau = np.mod(tau + period / 2.0, period) - period / 2.0
+        return np.clip(tau, -half, half)
+
+    return delays
 
 
 def ttd_update_wls(
@@ -369,14 +453,14 @@ def ttd_update_wls(
     scalar quadratic whose minimizer is returned after wrapping into the
     period ``[-K/(2W), K/(2W))`` and clamping to ``[-kappa/(2W), kappa/(2W)]``.
     """
-    return float(_wls_delays(config, grid, n, target, alpha_phases)[0])
+    return float(_wls_update(config, grid, n, target)(alpha_phases)[0])
 
 
-def _ps_phases(target: BeamTarget, alpha_phases, response: np.ndarray, cols=slice(None)) -> np.ndarray:
-    """Closed-form phase of each antenna column in ``cols``; column i of the (K, len(cols))
-    ``response`` is the delay factor ``e^{-j 2 pi f tau}`` of that antenna's line."""
+def _ps_phases(target: BeamTarget, alpha_phases, aligned: np.ndarray) -> np.ndarray:
+    """Closed-form phase of each antenna column of ``aligned``, the (K, columns) products
+    ``bbar_{k,m} conj(r_{k,m})`` of the target and the delay factor of that antenna's line."""
     rot = target.weights * np.exp(-1j * np.asarray(alpha_phases, dtype=np.float64))
-    s = rot @ (target.unit_vectors[:, cols] * np.conj(response))
+    s = rot @ aligned
     if np.any(np.abs(s) == 0.0):
         warnings.warn("degenerate target: phase-shifter sum vanished; defaulting to 0", stacklevel=3)
     return np.asarray(wrap_angle(np.angle(s)), dtype=np.float64)
@@ -393,13 +477,14 @@ def ps_update(
     """Closed-form phase for antenna ``m`` (1-based) given its line's delay."""
     if not 1 <= m <= config.num_antennas:
         raise ValueError(f"antenna number {m} out of range 1..{config.num_antennas}")
-    return float(_ps_phases(target, alpha_phases, delay_response(grid.frequencies, [float(tau)]), [m - 1])[0])
+    aligned = target.unit_vectors[:, [m - 1]] * np.conj(delay_response(grid.frequencies, [float(tau)]))
+    return float(_ps_phases(target, alpha_phases, aligned)[0])
 
 
-def _digital_alignment(unit_vectors: np.ndarray, phases: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """Per-subcarrier sum  sum_m bbar_{k,m} e^{-j phi_m} conj(r_{k,m}), with ``response`` the
-    antenna-gathered delay factors ``r_{k,m} = e^{-j 2 pi f_k tau_{n(m)}}``."""
-    return (unit_vectors * np.conj(response)) @ np.exp(-1j * phases)
+def _digital_alignment(aligned: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Per-subcarrier sum  sum_m bbar_{k,m} e^{-j phi_m} conj(r_{k,m}), from the ``aligned`` products
+    ``bbar_{k,m} conj(r_{k,m})`` with the antenna-gathered delay factors ``r_{k,m} = e^{-j 2 pi f_k tau_{n(m)}}``."""
+    return aligned @ np.exp(-1j * phases)
 
 
 def digital_phase_update(
@@ -413,7 +498,7 @@ def digital_phase_update(
     """Digital phase aligning subcarrier ``k`` with its realized analog beam."""
     row = [grid.position(k)]
     response = delay_response(grid.frequencies[row], delays)[:, config.ttd_index_per_antenna()]
-    u = _digital_alignment(target.unit_vectors[row], np.asarray(phases, dtype=np.float64), response)
+    u = _digital_alignment(target.unit_vectors[row] * np.conj(response), np.asarray(phases, dtype=np.float64))
     if abs(u[0]) == 0.0:
         warnings.warn("degenerate target: digital alignment sum vanished; defaulting to 0", stacklevel=2)
     return float(np.angle(u[0]))
@@ -474,7 +559,7 @@ def quantize_delays(
     hi = values[np.minimum(pos, values.size - 1)]
     snapped = np.where(np.abs(bf.delays - lo) <= np.abs(hi - bf.delays), lo, hi)
     response = delay_response(grid.frequencies, snapped)[:, config.ttd_index_per_antenna()]
-    phases = _ps_phases(target, bf.alpha_phases, response)
+    phases = _ps_phases(target, bf.alpha_phases, target.unit_vectors * np.conj(response))
     return JptaBeamformer(delays=snapped, phases=phases, alpha=bf.alpha)
 
 
@@ -513,18 +598,24 @@ def design_jpta(
     use_line_search = options.ttd_update is TtdUpdate.LINE_SEARCH
     if use_line_search:
         search = _grid_table(config, grid, options.line_search_grid)
+        lines = _lines(config, grid, None, target)
+    else:
+        wls_delays = _wls_update(config, grid, None, target)
 
     trace: list[float] = []
     previous = None
     for _ in range(options.max_iter):
         if use_line_search:
-            tau = _line_search(config, grid, None, target, ang, search)
+            tau, table = _line_search(lines, ang, search)
         else:
-            tau = _wls_delays(config, grid, None, target, ang)
-        response = delay_response(freqs, tau)[:, config.ttd_index_per_antenna()]
-        phi = _ps_phases(target, ang, response)
+            tau = wls_delays(ang)
+            table = delay_response(freqs, tau)
+        # the phase-shifter update and the digital alignment share bbar_{k,m} conj(r_{k,m}); it is
+        # formed as in the per-line updates, since numpy rounds the product by its operands' layout
+        aligned = target.unit_vectors * np.conj(table[:, config.ttd_index_per_antenna()])
+        phi = _ps_phases(target, ang, aligned)
         tau, offset = center_delays(config, tau)
-        u = _digital_alignment(target.unit_vectors, phi, response) * delay_response(freqs, [offset])[:, 0]
+        u = _digital_alignment(aligned, phi) * delay_response(freqs, [offset])[:, 0]
         ang = np.angle(u)
         objective = float(np.sum(target.weights * np.abs(u)) / root_m)
         trace.append(objective)

@@ -106,7 +106,7 @@ def _assemble(
     tau_per_antenna = tau[config.ttd_index_per_antenna()]
     phi = wrap_angle(carrier_phase + 2.0 * np.pi * config.carrier_freq * tau_per_antenna)
     unit = steering_vectors(config, grid.frequencies, angles_per_subcarrier) / math.sqrt(config.num_antennas)
-    u = _digital_alignment(unit, phi, delay_response(grid.frequencies, tau_per_antenna))
+    u = _digital_alignment(unit * np.conj(delay_response(grid.frequencies, tau_per_antenna)), phi)
     magnitude = math.sqrt(config.total_power / config.num_subcarriers)
     alpha = magnitude * np.exp(1j * np.angle(u))
     bf = JptaBeamformer(delays=tau, phases=phi, alpha=alpha)

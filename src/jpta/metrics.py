@@ -58,9 +58,14 @@ def objective_tilde(
     grid: SubcarrierGrid,
     target: BeamTarget,
     bf: JptaBeamformer,
+    beams: np.ndarray | None = None,
 ) -> float:
-    """Full matching objective: power mismatch plus weighted beam mismatch, averaged over K."""
-    beams = effective_beamformer_matrix(config, grid, bf)
+    """Full matching objective: power mismatch plus weighted beam mismatch, averaged over K.
+
+    ``beams`` are the (K, M) beams ``bf`` realizes, built here when not given.
+    """
+    if beams is None:
+        beams = effective_beamformer_matrix(config, grid, bf)
     power_term = (target.norms - np.abs(bf.alpha)) ** 2
     rotated = beams * np.exp(1j * np.angle(bf.alpha))[:, None]
     beam_term = target.weights * np.sum(np.abs(target.unit_vectors - rotated) ** 2, axis=1)
@@ -120,11 +125,14 @@ def build_fit_report(
     bf: JptaBeamformer,
     convergence_trace: np.ndarray | None = None,
     seed: int | None = None,
+    beams: np.ndarray | None = None,
 ) -> FitReport:
-    beams = effective_beamformer_matrix(config, grid, bf)
+    """Fit report of ``bf``; ``beams`` are the (K, M) beams it realizes, built here when not given."""
+    if beams is None:
+        beams = effective_beamformer_matrix(config, grid, bf)
     return FitReport(
         f_obj=fit_objective(target, beams),
-        f_tilde_obj=objective_tilde(config, grid, target, bf),
+        f_tilde_obj=objective_tilde(config, grid, target, bf, beams),
         per_subcarrier_match=per_subcarrier_match(target, beams),
         convergence_trace=np.asarray([] if convergence_trace is None else convergence_trace),
         seed=seed,

@@ -393,6 +393,9 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
         ("compare-hbf", "compare.structures=[]", "compare.structures: must not be empty"),
         ("sweep", 'sweep={"parameter":"num_ttds","values":[2,4,2]}', "sweep.values: repeats [2.0]"),
         ("sweep", 'sweep={"parameter":"num_ttds","values":[]}', "sweep.values: must not be empty"),
+        ("compare-hbf", "algorithm.jpta.max_itr=3", "algorithm.jpta.max_itr: unknown key (did you mean 'max_iter'?)"),
+        ("compare-hbf", 'algorithm={"hbf":{"structure":"pc","n_rf":3}}',
+         "algorithm.hbf: n_rf (3) must divide the antenna count (8)"),
     ],
 )
 def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):

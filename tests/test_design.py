@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jpta.design as design_module
@@ -727,26 +727,42 @@ def _exhaustive_line_search(cfg, grid, n, target, ang, taus):
 
 def _assert_matches_exhaustive(cfg, grid, target, ang, points):
     search = _grid_table(cfg, grid, points)
-    found = _line_search(cfg, grid, None, target, ang, search)
+    found = _line_search(design_module._lines(cfg, grid, None, target), ang, search)[0]
     # the two sum in different orders, so a vertex may move by rounding
     step = search.taus[1] - search.taus[0]
     for n in range(1, cfg.num_ttds + 1):
         assert abs(found[n - 1] - _exhaustive_line_search(cfg, grid, n, target, ang, search.taus)) <= 1e-6 * step
 
 
+@st.composite
+def _line_layouts(draw):
+    """ttd_groups of one line, of a line per antenna, or of lines of unequal size in shuffled order."""
+    antennas = list(range(1, draw(st.integers(1, 8)) + 1))
+    kind = draw(st.sampled_from(["one line", "a line per antenna", "uneven"]))
+    if kind == "one line":
+        return (tuple(antennas),)
+    if kind == "a line per antenna":
+        return tuple((m,) for m in antennas)
+    antennas = draw(st.permutations(antennas))
+    cuts = sorted(draw(st.sets(st.integers(1, len(antennas) - 1)))) if len(antennas) > 1 else []
+    return tuple(tuple(antennas[a:b]) for a, b in zip([0, *cuts], [*cuts, len(antennas)]))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
-    num_antennas=st.integers(1, 8),
-    line_per_antenna=st.booleans(),
+    groups=_line_layouts(),
     num_subcarriers=st.sampled_from([1, 2, 8, 32]),
     points=st.integers(3, 300).filter(lambda g: g % _COARSE_STEP != 0),
     delay_range=st.sampled_from([4.0, 16.0, 64.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pruned_line_search_matches_an_exhaustive_scan(
-    num_antennas, line_per_antenna, num_subcarriers, points, delay_range, seed
-):
-    cfg = make_config(num_antennas=num_antennas, num_ttds=num_antennas if line_per_antenna else 1,
+# K=256, where the single-precision bound pass rounds the most of the sizes above; the second
+# layout has a line of more than 17 antennas, whose fine pass shares one table per interval
+@example(groups=((1, 2, 3), (4,), (5, 6)), num_subcarriers=256, points=300, delay_range=16.0, seed=11)
+@example(groups=(tuple(range(1, 21)), (21,), (24, 22, 23)), num_subcarriers=256, points=1001, delay_range=64.0,
+         seed=12)
+def test_pruned_line_search_matches_an_exhaustive_scan(groups, num_subcarriers, points, delay_range, seed):
+    cfg = make_config(num_antennas=sum(map(len, groups)), num_ttds=len(groups), ttd_groups=groups,
                       num_subcarriers=num_subcarriers, delay_range=delay_range)
     grid = build_grid(cfg)
     rng = np.random.default_rng(seed)
@@ -763,7 +779,7 @@ def test_line_search_peak_past_the_window_edge_takes_the_last_grid_point(points)
     half = cfg.delay_range / (2 * cfg.bandwidth)
     target = linear_phase_target(cfg, grid, 1.2 * half)
     search = _grid_table(cfg, grid, points)
-    found = _line_search(cfg, grid, None, target, np.zeros(32), search)
+    found = _line_search(design_module._lines(cfg, grid, None, target), np.zeros(32), search)[0]
     assert np.array_equal(found, np.full(4, search.taus[-1]))
     _assert_matches_exhaustive(cfg, grid, target, np.zeros(32), points)
 
@@ -779,7 +795,7 @@ def test_line_search_on_flat_objectives_evaluates_every_point_and_takes_the_smal
     weights[100] = 1.0
     target = BeamTarget(vectors=steered.vectors, weights=weights, power_budget=steered.power_budget)
     ang = np.random.default_rng(1).uniform(-np.pi, np.pi, 256)
-    found = _line_search(cfg, grid, None, target, ang, _grid_table(cfg, grid, points))
+    found = _line_search(design_module._lines(cfg, grid, None, target), ang, _grid_table(cfg, grid, points))[0]
     assert np.array_equal(found, np.full(4, -cfg.delay_range / (2 * cfg.bandwidth)))
 
 
@@ -802,11 +818,59 @@ def test_no_phase_table_spans_the_subcarriers_times_the_grid(monkeypatch):
     # the largest is the coarse table, K x (G/16 + 1)
     assert built and max(map(math.prod, built)) < cfg.num_subcarriers * opts.line_search_grid // 8
     # every iteration builds one (K, N) delay factor, shared by the phase-shifter update and
-    # the digital alignment; the line search's vertex refine builds one (K, N) table of its own
-    for variant, per_iteration in ((TtdUpdate.WLS, 1), (TtdUpdate.LINE_SEARCH, 2)):
+    # the digital alignment; the line search's is its vertex refine table, of which it would
+    # rebuild only the columns of lines that keep their grid point (none here).  Each iteration
+    # also builds the (K, 1) rotation of its centering, and the nonnegative shift one more.
+    kn, n = cfg.num_subcarriers, cfg.num_ttds
+    for variant in TtdUpdate:
         built.clear()
         design_jpta(cfg, grid, target, DesignOptions(ttd_update=variant, max_iter=3))
-        assert built.count((cfg.num_subcarriers, cfg.num_ttds)) == 3 * per_iteration
+        assert built == [(kn, n), (kn, 1)] * 3 + [(kn, 1)]
+
+
+@pytest.mark.parametrize("variant", list(TtdUpdate))
+def test_each_iteration_uses_the_delay_factors_of_its_own_delays(monkeypatch, variant):
+    # uneven lines, one of more than 17 antennas; on this window some lines keep their grid
+    # point and others their refined vertex, so the line search rebuilds some refine columns
+    groups = (tuple(range(1, 21)), (21,), (24, 22, 23), (25, 26))
+    cfg = make_config(num_antennas=26, num_ttds=4, num_subcarriers=16, ttd_groups=groups, delay_range=1.0)
+    grid = build_grid(cfg)
+    target = random_gaussian_target(cfg, grid, np.random.default_rng(3))
+    delays, aligned = [], []
+    center, ps_phases = design_module.center_delays, design_module._ps_phases
+    monkeypatch.setattr(design_module, "center_delays", lambda config, tau: center(config, delays.append(tau) or tau))
+    monkeypatch.setattr(design_module, "_ps_phases", lambda t, ang, a: ps_phases(t, ang, aligned.append(a) or a))
+    opts = DesignOptions(ttd_update=variant, max_iter=4, line_search_grid=300)
+    design_jpta(cfg, grid, target, opts)
+    assert len(delays) == len(aligned) == 4
+    for tau, used in zip(delays, aligned):
+        response = delay_response(grid.frequencies, tau)[:, cfg.antenna_line]
+        assert np.array_equal(used.view(np.uint64), (target.unit_vectors * np.conj(response)).view(np.uint64))
+    if variant is TtdUpdate.LINE_SEARCH:
+        on_grid = np.isin(delays, _grid_table(cfg, grid, 300).taus)
+        assert on_grid.any() and not on_grid.all()
+
+
+@pytest.mark.parametrize("num_subcarriers", [16, 256, 2048])
+def test_single_precision_bound_pass_stays_within_its_slack(num_subcarriers):
+    groups = (tuple(range(1, 21)), (21,), (24, 22, 23))
+    cfg = make_config(num_antennas=24, num_ttds=3, num_subcarriers=num_subcarriers, ttd_groups=groups,
+                      delay_range=64.0)
+    grid = build_grid(cfg)
+    rng = np.random.default_rng(num_subcarriers)
+    search = _grid_table(cfg, grid, 4096)
+    slack = design_module._single_precision_slack(num_subcarriers)
+    for target in (random_gaussian_target(cfg, grid, rng), behavior1_target(cfg, grid, 0.3, 0.4)):
+        lines = design_module._lines(cfg, grid, None, target)
+        for _ in range(3):
+            coeffs = design_module._coeffs(lines, rng.uniform(-np.pi, np.pi, num_subcarriers))
+            single = np.add.reduceat(np.abs(coeffs.astype(np.complex64) @ search.phases32), lines.starts,
+                                     axis=0, dtype=np.float64)
+            double = design_module._line_objective(coeffs, lines.starts, search.phases.T)
+            assert np.all(np.abs(single - double).max(axis=1) <= slack * lines.mass)
+    # about (2 sqrt(2) (K + 1) + 6) u, and finite far past any K whose tables fit in memory
+    assert slack == pytest.approx((2 * math.sqrt(2) * (num_subcarriers + 1) + 6) * 2.0**-24, rel=1e-3)
+    assert math.isfinite(design_module._single_precision_slack(2**30))
 
 
 @pytest.mark.parametrize("variant", list(TtdUpdate))
