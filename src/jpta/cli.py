@@ -30,33 +30,19 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .array_model import (
-    SubcarrierGrid,
-    SystemConfig,
-    build_grid,
-    check_angle,
-    check_sweep,
-    default_theta_grid,
-    effective_beamformer_matrix,
-    gain_map,
-)
-from .beam_targets import (
-    BeamTarget,
-    WeightScheme,
-    behavior1_target,
-    behavior2_target,
-    custom_target,
-    multi_angle_target,
-)
-from .design import DesignOptions, JptaBeamformer, TtdUpdate, _discrete_set, design_jpta
-from .hbf import HbfBeamformer, HbfStructure, _check_fit, altmin_pc, chains_fit, pe_altmin_fc, stack_target
+from .array_model import (SubcarrierGrid, SystemConfig, build_grid, default_theta_grid, effective_beamformer_matrix,
+                          gain_map)
+from .beam_targets import BeamTarget, behavior1_target, behavior2_target, custom_target, multi_angle_target
+from .config import (NS, ConfigError, algorithms, apply_overrides, build_system, check_preset_overrides,
+                     read_compare, read_config, read_sweep, read_target, sweep_point, theta_grid, wants_gain_map)
+from .design import JptaBeamformer, design_jpta
+from .hbf import HbfBeamformer, HbfStructure, altmin_pc, chains_fit, pe_altmin_fc, stack_target
 from .heuristics import heuristic_behavior1, heuristic_behavior2
 # objective_tilde is unused here but stays bound: bench/tracing.py wraps each name it lists in this module
 from .metrics import (
@@ -71,9 +57,6 @@ from .metrics import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-GHZ = 1e9
-NS = 1e-9
 
 GAIN_MAP_HEADER = ["k", "f_hz", "theta_deg", "gain_linear", "gain_db"]
 RESULT_HEADER = ["experiment_id", "algorithm", "parameter", "value", "f_obj", "f_tilde_obj", "iterations", "seed"]
@@ -91,280 +74,8 @@ PRESET_BEHAVIOR1 = {"behavior": 1, "theta0_deg": 30.0, "delta_theta_deg": 45.0}
 PRESET_BEHAVIOR2 = {"behavior": 2, "theta1_deg": -45.0, "theta2_deg": 30.0}
 
 
-class ConfigError(ValueError):
-    """Configuration problem, reported with the offending field path."""
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-# ---------------------------------------------------------------------------
-# config ingestion
-# ---------------------------------------------------------------------------
-
-# The keys of each config section and their kinds: a type, [type] for a list of it, or an Enum.
-# "" is the top level, "algorithm" one algorithm entry, and "jpta", "heuristic" and "hbf" the
-# entry bodies.  `_read` is the only reader, and it rejects every key not listed here.
-_SCHEMA = {
-    "": {"system": dict, "target": dict, "algorithm": dict, "algorithms": list, "sweep": dict,
-         "compare": dict, "output": dict},
-    "system": {"num_antennas": int, "num_ttds": int, "carrier_freq_ghz": float, "bandwidth_ghz": float,
-               "num_subcarriers": int, "delay_range": float, "total_power": float, "ttd_groups": list},
-    "target": {"behavior": int, "theta0_deg": float, "delta_theta_deg": float, "theta1_deg": float,
-               "theta2_deg": float, "band_edges": [int], "angles_deg": [float], "weight_scheme": WeightScheme,
-               "custom_file": str, "rescale": bool},
-    "algorithm": {"jpta": dict, "heuristic": dict, "hbf": dict},
-    "jpta": {"variant": TtdUpdate, "max_iter": int, "grid": int, "discrete_delays_ns": [float],
-             "nonnegative": bool, "epsilon": float, "init_phase_seed": int, "label": str},
-    "heuristic": {"label": str},
-    "hbf": {"structure": HbfStructure, "n_rf": int, "iters": int, "restarts": int, "seed": int, "label": str},
-    "sweep": {"parameter": str, "values": [float]},
-    "compare": {"n_rf_values": [int], "structures": [str], "iters": int, "restarts": int},
-    "output": {"gain_map": bool, "theta_step_deg": float},
-}
-
-
-def _is(value, kind) -> bool:
-    """JSON `value` is a `kind`: bool is not a number, and a float must be finite."""
-    if kind in (int, float) and isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, kind)
-
-
-def _value(value, field: str, kind):
-    """``value`` as a ``kind`` of `_SCHEMA`, or a ConfigError naming ``field``."""
-    if isinstance(kind, list):
-        return _items(_value(value, field, list), field, kind[0])
-    if issubclass(kind, Enum):
-        return _choice(value, field, kind)
-    if not _is(value, kind):
-        expected = "a finite number" if kind is float else kind.__name__
-        raise ConfigError(f"{field}: expected {expected}, got {value!r}")
-    return kind(value) if kind in (int, float) else value
-
-
-def _items(values, field: str, kind) -> list:
-    if not isinstance(values, list) or not all(_is(v, kind) for v in values):
-        noun = {int: "integers", str: "strings"}.get(kind, "finite numbers")
-        raise ConfigError(f"{field}: expected a list of {noun}, got {values!r}")
-    return [kind(v) for v in values]
-
-
-class _Fields(dict):
-    """The checked values of the keys a config section sets, whose ``prefix`` is the section's path and
-    a dot; indexing a key it leaves out is a ConfigError, and ``get`` gives a default instead."""
-
-    def __missing__(self, key: str):
-        raise ConfigError(f"{self.prefix}{key}: required field is missing")
-
-
-def _read(block: dict, section: str, path: str) -> _Fields:
-    """The keys ``block`` sets, each checked against ``_SCHEMA[section]``; ``null`` counts as left out.
-    A key the section does not hold is a ConfigError naming its full ``path`` and the closest key."""
-    kinds, fields = _SCHEMA[section], _Fields()
-    fields.prefix = f"{path}." if path else ""
-    for key, value in block.items():
-        if key not in kinds:
-            import difflib  # only a rejected config pays for the import
-
-            near = difflib.get_close_matches(key, kinds, n=1)
-            hint = f" (did you mean {near[0]!r}?)" if near else ""
-            raise ConfigError(f"{fields.prefix}{key}: unknown key{hint}")
-        if value is not None:
-            fields[key] = _value(value, fields.prefix + key, kinds[key])
-    return fields
-
-
-def _section(config: dict, name: str, required: bool = True) -> _Fields:
-    """Top-level section ``name`` of ``config``, read with the top level; an optional one left out is empty."""
-    top = _read(config, "", "")
-    return _read(top[name] if required else top.get(name, {}), name, name)
-
-
-def _distinct(values: list, field: str) -> list:
-    """``values``, or a ConfigError naming ``field`` when the list is empty or repeats an entry."""
-    if not values:
-        raise ConfigError(f"{field}: must not be empty")
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise ConfigError(f"{field}: repeats {list(dict.fromkeys(repeated))}")
-    return values
-
-
-def _choice(value, field: str, enum):
-    """A config value as a member of ``enum``, or a ConfigError naming the field and the choices."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise ConfigError(f"{field}: unknown value {value!r} (choose from {[m.value for m in enum]})") from None
-
-
-def _angle_rad(deg: float, field: str) -> float:
-    """A config angle in degrees as radians inside the array's field of view."""
-    try:
-        return check_angle(math.radians(deg), field)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def apply_overrides(config: dict, overrides: Iterable[str]) -> dict:
-    """Apply dotted-path `key=value` overrides; values parse as JSON when possible."""
-    out = copy.deepcopy(config)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key.path=value")
-        dotted, _, raw = item.partition("=")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = out
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override {item!r}: {part} is not a config section")
-        node[parts[-1]] = value
-    return out
-
-
-def load_config_file(path: str | Path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"config file {path}: {exc}") from None
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}, line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(config, dict):
-        raise ConfigError(f"config file {path}: top level must be a JSON object")
-    return config
-
-
-def build_system(config: dict) -> SystemConfig:
-    block = _section(config, "system")
-    groups = block.get("ttd_groups")
-    fields = dict(  # every field is read first, so that a missing one is not reported as a SystemConfig error
-        num_antennas=block["num_antennas"],
-        num_ttds=block["num_ttds"],
-        carrier_freq=block["carrier_freq_ghz"] * GHZ,
-        bandwidth=block["bandwidth_ghz"] * GHZ,
-        num_subcarriers=block["num_subcarriers"],
-        delay_range=block["delay_range"],
-        total_power=block.get("total_power"),
-        ttd_groups=None if groups is None else tuple(tuple(_items(g, "system.ttd_groups", int)) for g in groups),
-    )
-    try:
-        return SystemConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from None
-
-
-def _target_angles(block: _Fields, behavior: int) -> list[float]:
-    """Radians of a behavior-1 (theta0, delta_theta) or behavior-2 (theta1, theta2) target, in
-    the argument order of the target and closed-form builders.  A sweep width is checked only
-    through the sweep edges, so it may exceed 90 degrees."""
-    if behavior == 2:
-        return [_angle_rad(block[key], f"target.{key}") for key in ("theta1_deg", "theta2_deg")]
-    theta0 = _angle_rad(block["theta0_deg"], "target.theta0_deg")
-    width = math.radians(block["delta_theta_deg"])
-    try:
-        check_sweep(theta0, width, "target.theta0_deg", "target.delta_theta_deg")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return [theta0, width]
-
-
-def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
-    block = _section(config, "target")
-    scheme = {"scheme": block["weight_scheme"]} if "weight_scheme" in block else {}
-    try:
-        if "custom_file" in block:
-            rescale = {"rescale": block["rescale"]} if "rescale" in block else {}
-            return custom_target(system, grid, block["custom_file"], **rescale, **scheme)
-        behavior = block["behavior"]
-        if behavior in (1, 2):
-            angles = _target_angles(block, behavior)
-            return (behavior1_target if behavior == 1 else behavior2_target)(system, grid, *angles, **scheme)
-        if behavior == 3:
-            angles = [_angle_rad(a, f"target.angles_deg[{i}]") for i, a in enumerate(block["angles_deg"])]
-            return multi_angle_target(system, grid, block["band_edges"], angles, **scheme)
-    except ConfigError:
-        raise
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"target: {exc}") from None
-    raise ConfigError(f"target.behavior: unsupported behavior {behavior!r} (use 1, 2, 3 or custom_file)")
-
-
-def _entries(config: dict) -> Iterator[tuple[str, str, dict]]:
-    """The path, kind and entry of each of the config's algorithm entries, whose keys are checked."""
-    top = _read(config, "", "")
-    if "algorithm" in top and "algorithms" in top:
-        raise ConfigError("algorithm: give an 'algorithm' block or an 'algorithms' list, not both")
-    if "algorithms" in top:
-        blocks, paths = top["algorithms"], [f"algorithms[{i}]" for i in range(len(top["algorithms"]))]
-        if not blocks:
-            raise ConfigError("algorithms: must not be empty")
-    elif "algorithm" in top:
-        blocks, paths = [top["algorithm"]], ["algorithm"]
-    else:
-        raise ConfigError("algorithm: provide an 'algorithm' block or an 'algorithms' list")
-    for path, block in zip(paths, blocks):
-        if not isinstance(block, dict):
-            raise ConfigError(f"{path}: each entry must be an object")
-        _read(block, "algorithm", path)
-        kinds = [k for k in _SCHEMA["algorithm"] if k in block]
-        if len(kinds) != 1:
-            raise ConfigError(f"{path}: exactly one of {tuple(_SCHEMA['algorithm'])} per entry, "
-                              f"found {kinds or 'none'}")
-        yield f"{path}.{kinds[0]}", kinds[0], block
-
-
-def algorithms(config: dict, system: SystemConfig) -> list[tuple]:
-    """Every algorithm entry of ``config`` checked whole, as the (kind, label, spec) `run_algorithm` takes: the
-    DesignOptions of jpta, the (behavior, angles) of the closed form, or the (structure, fit kwargs) of hbf."""
-    parsed = []
-    for path, kind, block in _entries(config):
-        body = _read(block[kind] or {}, kind, path)
-        if kind == "jpta":
-            # each key the body sets is checked on its own, so that an error names it; a key left out
-            # keeps the DesignOptions default
-            given = {}
-            for key, field in (("variant", "ttd_update"), ("max_iter", "max_iter"), ("grid", "line_search_grid"),
-                               ("discrete_delays_ns", "discrete_delays"),
-                               ("nonnegative", "enforce_nonnegative_delays"), ("epsilon", "convergence_epsilon"),
-                               ("init_phase_seed", "init_phase_seed")):
-                if key in body:
-                    value = tuple(v * NS for v in body[key]) if key == "discrete_delays_ns" else body[key]
-                    try:
-                        DesignOptions(**{field: value})
-                        if key == "discrete_delays_ns":
-                            _discrete_set(system, value)
-                    except ValueError as exc:
-                        raise ConfigError(f"{path}.{key}: {exc}") from None
-                    given[field] = value
-            options = DesignOptions(**given)
-            parsed.append((kind, body.get("label", f"jpta_{options.ttd_update.value}"), options))
-        elif kind == "heuristic":
-            target = _section(config, "target")
-            behavior = target.get("behavior")
-            if behavior not in (1, 2):
-                raise ConfigError(f"{path}: closed-form designs exist only for behaviors 1 and 2")
-            parsed.append((kind, body.get("label", "heuristic"), (behavior, _target_angles(target, behavior))))
-        else:
-            structure = body.get("structure", HbfStructure.FULLY_CONNECTED)
-            # n_rf is read outside the try, so that a missing one is not reported as a fit error
-            fit = {"n_rf": body["n_rf"], **{key: body[key] for key in ("iters", "restarts", "seed") if key in body}}
-            try:
-                _check_fit(structure, system.num_antennas, **fit)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-            parsed.append((kind, body.get("label", f"hbf_{structure.value}"), (structure, fit)))
-    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -535,18 +246,24 @@ def write_provenance(out_dir: Path, resolved: dict, wall_time_s: float, notes: l
 # ---------------------------------------------------------------------------
 
 
+def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
+    """The target `read_target` parses, built by the builder bound here, which bench/tracing.py wraps."""
+    behavior, args, options = read_target(config)
+    try:
+        if behavior is None:
+            return custom_target(system, grid, *args, **options)
+        if behavior in (1, 2):
+            return (behavior1_target if behavior == 1 else behavior2_target)(system, grid, *args, **options)
+        return multi_angle_target(system, grid, *args, **options)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"target: {exc}") from None
+
+
 def _prepare(config: dict) -> tuple[SystemConfig, SubcarrierGrid, BeamTarget]:
     system = build_system(config)
     grid = build_grid(system)
     target = build_target(config, system, grid)
     return system, grid, target
-
-
-def _theta_grid_from(config: dict) -> np.ndarray:
-    step = _section(config, "output", required=False).get("theta_step_deg", 1.0)
-    if step <= 0.0:
-        raise ConfigError("output.theta_step_deg: must be positive")
-    return default_theta_grid(step)
 
 
 def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
@@ -555,8 +272,7 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
     entries = algorithms(config, system)
     if len(entries) != 1:
         raise ConfigError("design: expected exactly one algorithm block")
-    wants_map = _section(config, "output", required=False).get("gain_map", False)
-    thetas = _theta_grid_from(config) if wants_map else None
+    thetas = theta_grid(config) if wants_gain_map(config) else None
     output = run_algorithm(system, grid, target, entries[0], base_seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     if output.beamformer is not None:
@@ -566,7 +282,7 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
             np.savetxt(out_dir / f"hbf_{name}_re_im.csv", np.column_stack([matrix.real, matrix.imag]),
                        delimiter=",", fmt="%.12g")
     write_fit_report(out_dir, "design", output, grid)
-    if wants_map:
+    if thetas is not None:
         gains = gain_map(system, grid, output.beams, thetas)
         write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
     write_provenance(out_dir, config, time.perf_counter() - start, [])
@@ -635,19 +351,11 @@ def _map(tasks: list[Task], workers: int) -> list[RunOutput]:
         _TARGETS.clear()
 
 
-# sweep parameter -> the config section it sets, whose schema gives its kind.  An algorithm
-# section sets the field in every entry of that kind, and the sweep skips entries of other kinds.
-_SWEEPS = {"num_ttds": "system", "delay_range": "system", "max_iter": "jpta", "n_rf": "hbf"}
-
-
 def _sweep_points(config: dict, parameter: str, values, seed: int, prefix: str = "") -> list[tuple]:
     """A (task, experiment-id format of its {label}, parameter, value) per (value, entry) the parameter sets."""
-    section, points = _SWEEPS[parameter], []
+    points = []
     for value in map(float, values):
-        point = copy.deepcopy(config)
-        holders = [point] if section == "system" else [entry for _, kind, entry in _entries(point) if kind == section]
-        for holder in holders:
-            holder[section] = {**(holder[section] or {}), parameter: _SCHEMA[section][parameter](value)}
+        point, section = sweep_point(config, parameter, value)
         points += [(task, prefix + "{label}" + f"[{parameter}={value:g}]", parameter, value)
                    for task in _tasks(point, seed) if section in ("system", task.algorithm[0])]
     return points
@@ -665,18 +373,9 @@ def _write_results(out_dir: Path, config: dict, start: float, rows: list[list[st
 
 def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     start = time.perf_counter()
-    sweep = _section(config, "sweep")
-    parameter = sweep["parameter"]
-    if parameter not in _SWEEPS:
-        raise ConfigError(f"sweep.parameter: unknown parameter {parameter!r} (choose from {tuple(_SWEEPS)})")
-    section = _SWEEPS[parameter]
-    values = _distinct(sweep["values"], "sweep.values")
-    if _SCHEMA[section][parameter] is int and not all(v.is_integer() for v in values):
-        raise ConfigError(f"sweep.values: {parameter} takes integers, got {values!r}")
+    parameter, values = read_sweep(config)
     _prepare(config)  # validate the base config before queuing work
     points = _sweep_points(config, parameter, values, seed)
-    if not points:
-        raise ConfigError(f"sweep.parameter: {parameter} sets no algorithm block; it sets only {section!r} blocks")
     _write_results(out_dir, config, start, _records(points, workers), [])
     return EXIT_OK
 
@@ -684,22 +383,8 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
 def _compare_points(config: dict, seed: int) -> tuple[list[tuple], list[str]]:
     """The delay-phase reference, then each structure's chain-count sweep; notes name the counts skipped."""
     system = _prepare(config)[0]  # validate the base config before queuing work
-    if "algorithm" in config or "algorithms" in config:
-        algorithms(config, system)  # checked whole, though the reference and the chain sweeps replace them
+    structures, n_rf_values, fit = read_compare(config, system)
     m = system.num_antennas
-    compare = _section(config, "compare", required=False)
-    names = compare.get("structures", [s.value for s in HbfStructure])
-    structures = [_choice(s, "compare.structures", HbfStructure) for s in _distinct(names, "compare.structures")]
-    n_rf_values = _distinct(compare.get("n_rf_values", [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m]),
-                            "compare.n_rf_values")
-    for n in n_rf_values:
-        if not any(chains_fit(structure, n, m) for structure in structures):
-            raise ConfigError(f"compare.n_rf_values: {n} chains fit none of the structures "
-                              f"{[s.value for s in structures]} on {m} antennas")
-    fit = {key: compare[key] for key in ("iters", "restarts") if key in compare}
-    for key, value in fit.items():
-        if value < 1:
-            raise ConfigError(f"compare.{key}: expected a positive integer, got {value}")
     base = {key: value for key, value in config.items() if key not in ("algorithm", "algorithms")}
     points = [(task, "jpta[reference]", "n_rf", 1.0) for task in _tasks({**base, "algorithm": {"jpta": {}}}, seed)]
     notes = []
@@ -735,7 +420,7 @@ def cmd_gain_map(config: dict, beamformer_path: Path, out_dir: Path) -> int:
                               f"the config needs {count}")
     beams = effective_beamformer_matrix(system, grid, bf)
     report = build_fit_report(system, grid, target, bf, beams=beams)
-    thetas = _theta_grid_from(config)
+    thetas = theta_grid(config)
     gains = gain_map(system, grid, beams, thetas)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
@@ -913,10 +598,7 @@ def cmd_reproduce(figure: str, out_dir: Path, fast: bool, seed: int, workers: in
         raise ConfigError(f"figure: unknown figure id {figure!r} (choose from {sorted(_FIGURES)})")
     start = time.perf_counter()
     config = apply_overrides(_preset_config(fast), overrides)
-    for item in overrides:
-        key = item.partition("=")[0]
-        if key.split(".")[0] != "system":
-            raise ConfigError(f"{key}: reproduce presets take only system.* overrides")
+    check_preset_overrides(overrides)
     build_system(config)  # validate early
     out_dir.mkdir(parents=True, exist_ok=True)
     notes = _FIGURES[figure](config, out_dir, seed, workers) or []  # fig9 notes the maps it skips
@@ -983,9 +665,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args.figure, Path(args.out), args.fast, args.seed,
                                  args.workers, args.overrides)
-        config = apply_overrides(load_config_file(args.config), args.overrides)
-        for name in ("sweep", "compare", "output"):  # checked even where the command does not use them
-            _section(config, name, required=False)
+        config = read_config(args.config, args.overrides)
         if args.command == "design":
             return cmd_design(config, Path(args.out), args.seed)
         if args.command == "sweep":

@@ -6,7 +6,10 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jpta import cli
+from jpta import config as jpta_config
 from jpta.array_model import build_grid, effective_beamformer_matrix
 from jpta.beam_targets import behavior1_target
 from jpta.cli import main, parse_beamformer_file
@@ -131,6 +135,7 @@ def test_out_of_range_angle_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("step, message", [
     (float("nan"), "output.theta_step_deg: expected a finite number, got nan"),
     (0.0, "output.theta_step_deg: must be positive"),
+    (1e-9, "output.theta_step_deg: 1e-09 gives 180000000001 angles, more than 18001"),
 ])
 def test_design_checks_its_gain_map_grid_before_it_designs(tmp_path, capsys, step, message):
     bad = json.loads(json.dumps(BASE_CONFIG))
@@ -147,6 +152,16 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     path.write_text('{\n  "system": [,]\n}\n')
     assert main(["design", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"system": "\xff\xfe"}')
+    out = tmp_path / "x"
+    assert main(["design", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: config file {path}: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 12: invalid start byte\n")
+    assert not out.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -282,7 +297,7 @@ def test_empty_jpta_block_designs_with_the_design_options_defaults():
     system = cli.build_system(config)
     grid = build_grid(system)
     target = cli.build_target(config, system, grid)
-    (entry,) = cli.algorithms({**config, "algorithm": {"jpta": {}}}, system)
+    (entry,) = jpta_config.algorithms({**config, "algorithm": {"jpta": {}}}, system)
     output = cli.run_algorithm(system, grid, target, entry)
     bf, trace = design_jpta(system, grid, target, DesignOptions())
     for name in ("delays", "phases", "alpha"):
@@ -299,7 +314,7 @@ def test_hbf_block_without_iters_and_restarts_fits_with_the_library_defaults(str
     grid = build_grid(system)
     target = cli.build_target(config, system, grid)
     # at seed 32 both fits keep their fifth (last default) restart, and the fc fit runs all 50 iterations
-    (entry,) = cli.algorithms({**config, "algorithm": {"hbf": {"structure": structure, "n_rf": 2}}}, system)
+    (entry,) = jpta_config.algorithms({**config, "algorithm": {"hbf": {"structure": structure, "n_rf": 2}}}, system)
     output = cli.run_algorithm(system, grid, target, entry, base_seed=32)
     expected = fit(stack_target(target), 2, seed=32)
     assert expected.seed == 32 + 4
@@ -842,6 +857,18 @@ def test_traced_presets_record_every_layer(tmp_path):
     assert {"behavior1_target", "behavior2_target", "build_fit_report", "fit_objective"} <= called
 
 
+def test_config_binds_no_traced_layer():
+    # a traced name bound in `jpta.config` would be called past the tracer, which wraps only `jpta.cli`
+    tracing = _load_bench_module("tracing")
+    assert [name for name in tracing.BINDING_LAYERS if hasattr(jpta_config, name)] == []
+    assert [name for name in dir(jpta_config)
+            if name.startswith(tracing.WRITER_PREFIX) and callable(getattr(jpta_config, name))] == []
+    probe = "import sys, jpta.config; print(sorted(name for name in sys.modules if name.startswith('jpta.cli')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_one_pool_and_one_run_path():
     # `_map` is the only place that builds a process pool, and every run but `design` goes through it
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
@@ -858,17 +885,23 @@ def test_one_pool_and_one_run_path():
     assert "config" not in [arg.arg for arg in run.args.args]
     named = {node.id for node in ast.walk(run) if isinstance(node, ast.Name)}
     assert {"_read", "_section", "ConfigError"} & named == set()
+    # `jpta.config` reads every config section: the runner neither binds nor names its reader or its table
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert {"_read", "_section", "_SCHEMA"} & names == set()
     # `algorithms` is the one reader of algorithm bodies: every other `_read` or `_section` call names a fixed
     # section that is not a body, except in `_section`, which reads the top-level section it is given, and in
-    # `main`, which gives it top-level names
+    # `read_config`, which gives it top-level names
     readers = {}
-    for fn in [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]:
+    config_tree = ast.parse(Path(jpta_config.__file__).read_text(encoding="utf-8"))
+    for fn in [node for node in ast.walk(config_tree) if isinstance(node, ast.FunctionDef)]:
         for call in ast.walk(fn):
             if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("_read", "_section"):
                 section = call.args[1]
-                if not isinstance(section, ast.Constant) or section.value in cli._SCHEMA["algorithm"]:
+                if not isinstance(section, ast.Constant) or section.value in jpta_config._SCHEMA["algorithm"]:
                     readers.setdefault(call.func.id, set()).add(fn.name)
-    assert readers == {"_read": {"_section", "algorithms"}, "_section": {"main"}}
+    assert readers == {"_read": {"_section", "algorithms"}, "_section": {"read_config"}}
 
 
 def _blas_threads():
@@ -906,28 +939,29 @@ def _readme_config():
 
 def test_schema_accepts_every_key_the_readme_names():
     config = _readme_config()
-    cli._read(config, "", "")
+    jpta_config._read(config, "", "")
     for name in ("system", "target", "sweep", "compare", "output"):
-        cli._read(config[name], name, name)
+        jpta_config._read(config[name], name, name)
     for i, entry in enumerate(config["algorithms"]):
-        cli._read(entry, "algorithm", f"algorithms[{i}]")
+        jpta_config._read(entry, "algorithm", f"algorithms[{i}]")
         ((kind, body),) = entry.items()
-        cli._read({**body, "label": "x"}, kind, kind)
+        jpta_config._read({**body, "label": "x"}, kind, kind)
     prose = {"custom_file": "t.txt", "rescale": True, "theta1_deg": -45.0, "theta2_deg": 30.0,
              "band_edges": [-5, 5], "angles_deg": [-45.0, 0.0, 30.0]}
-    assert cli._read(prose, "target", "target") == prose
+    assert jpta_config._read(prose, "target", "target") == prose
 
 
 def test_every_schema_key_is_read_outside_the_table():
     # a key the schema accepts but no code reads would be accepted and then ignored
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    tree = ast.parse(Path(jpta_config.__file__).read_text(encoding="utf-8"))
     (table,) = [node for node in tree.body if isinstance(node, ast.Assign)
                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_SCHEMA"]]
     keys = {key.value for section in table.value.values for key in section.keys}
     inside = {id(node) for node in ast.walk(table)}
-    used = {node.value for node in ast.walk(tree)
+    runner = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    used = {node.value for module in (tree, runner) for node in ast.walk(module)
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in inside}
-    assert keys == set().union(*(cli._SCHEMA[s] for s in cli._SCHEMA))
+    assert keys == set().union(*(jpta_config._SCHEMA[s] for s in jpta_config._SCHEMA))
     assert sorted(keys - used) == []
 
 
