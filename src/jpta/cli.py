@@ -22,26 +22,24 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import ctypes
 import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from . import __version__
 from .array_model import (SubcarrierGrid, SystemConfig, build_grid, default_theta_grid, effective_beamformer_matrix,
                           gain_map)
 from .beam_targets import BeamTarget, behavior1_target, behavior2_target, custom_target, multi_angle_target
-from .config import (NS, ConfigError, algorithms, apply_overrides, build_system, check_preset_overrides,
+from .config import (ConfigError, algorithms, apply_overrides, build_system, check_preset_overrides,
                      read_compare, read_config, read_sweep, read_target, sweep_point, theta_grid, wants_gain_map)
 from .design import JptaBeamformer, design_jpta
+from .formats import (RESULT_HEADER, _fmt, parse_beamformer_file, result_rows, save_rows, write_beamformer_file,
+                      write_fit_report, write_gain_map_csv, write_hbf_matrices, write_provenance, write_records_csv)
 from .hbf import HbfBeamformer, HbfStructure, altmin_pc, chains_fit, pe_altmin_fc, stack_target
 from .heuristics import heuristic_behavior1, heuristic_behavior2
 # objective_tilde is unused here but stays bound: bench/tracing.py wraps each name it lists in this module
@@ -49,7 +47,6 @@ from .metrics import (
     FitReport,
     build_fit_report,
     fit_objective,
-    linear_to_db,
     objective_tilde,
     per_subcarrier_match,
 )
@@ -57,9 +54,6 @@ from .metrics import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-GAIN_MAP_HEADER = ["k", "f_hz", "theta_deg", "gain_linear", "gain_db"]
-RESULT_HEADER = ["experiment_id", "algorithm", "parameter", "value", "f_obj", "f_tilde_obj", "iterations", "seed"]
 
 STOCK_SYSTEM = {
     "num_antennas": 64,
@@ -72,10 +66,6 @@ STOCK_SYSTEM = {
 FAST_SUBCARRIERS = 256
 PRESET_BEHAVIOR1 = {"behavior": 1, "theta0_deg": 30.0, "delta_theta_deg": 45.0}
 PRESET_BEHAVIOR2 = {"behavior": 2, "theta1_deg": -45.0, "theta2_deg": 30.0}
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 # ---------------------------------------------------------------------------
@@ -119,129 +109,6 @@ def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget
 
 
 # ---------------------------------------------------------------------------
-# file writers and parsers
-# ---------------------------------------------------------------------------
-
-
-def write_beamformer_file(path: Path, bf: JptaBeamformer, resolved: dict) -> None:
-    lines = ["# joint phase-time array beamformer"]
-    lines.append("# config: " + json.dumps(resolved, sort_keys=True, separators=(",", ":")))
-    lines.append("[delays_ns]")
-    lines.extend(_fmt(t / NS) for t in bf.delays)
-    lines.append("[phases_rad]")
-    lines.extend(_fmt(p) for p in bf.phases)
-    lines.append("[alpha_re_im]")
-    lines.extend(f"{_fmt(a.real)} {_fmt(a.imag)}" for a in bf.alpha)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def parse_beamformer_file(path: str | Path) -> JptaBeamformer:
-    widths = {"delays_ns": 1, "phases_rad": 1, "alpha_re_im": 2}  # values per line
-    rows: dict[str, list[list[float]]] = {}
-    name = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            if name in rows:
-                raise ValueError(f"{path}:{lineno}: section [{name}]: repeated header")
-            rows[name] = []
-            continue
-        if name is None:
-            raise ValueError(f"{path}:{lineno}: content before the first section header")
-        if name not in widths:
-            continue
-        where = f"{path}:{lineno}: section [{name}]"
-        try:
-            row = [float(v) for v in line.split()]
-            if len(row) != widths[name]:
-                raise ValueError(f"expected {widths[name]} values, got {len(row)}")
-        except ValueError as exc:
-            raise ValueError(f"{where}: malformed entry {line!r}: {exc}") from None
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"{where}: non-finite value {line!r}")
-        rows[name].append(row)
-    for name in widths:
-        if name not in rows:
-            raise ValueError(f"{path}: missing section [{name}]")
-    return JptaBeamformer(
-        delays=np.array([t for (t,) in rows["delays_ns"]]) * NS,
-        phases=np.array([p for (p,) in rows["phases_rad"]]),
-        alpha=np.array([complex(a, b) for a, b in rows["alpha_re_im"]]),
-    )
-
-
-def write_gain_map_csv(
-    path: Path,
-    grid: SubcarrierGrid,
-    gains: np.ndarray,
-    theta_grid: np.ndarray,
-) -> None:
-    """Row-major by subcarrier, then angle; CRLF line ends as csv.writer writes them.
-
-    Every angle is formatted once, into a template of one subcarrier's lines;
-    each subcarrier then fills its ``k,f_hz`` prefix and its gains with one
-    ``%``.  The bytes are those of ``np.savetxt`` with ``%d`` and ``%.12g``
-    fields, without its per-row loop.
-    """
-    angles = ["%.12g" % deg for deg in np.rad2deg(theta_grid).tolist()]
-    template = "".join(f"@,{deg},%.12g,%.12g\r\n" for deg in angles)  # "@" marks the k,f_hz prefix
-    with path.open("w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(GAIN_MAP_HEADER) + "\r\n")
-        for k, f, row in zip(grid.indices.tolist(), grid.frequencies.tolist(), gains, strict=True):
-            fields = np.column_stack([row, linear_to_db(row)]).ravel().tolist()
-            fh.write(template.replace("@", "%d,%.12g" % (k, f)) % tuple(fields))
-
-
-def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_fit_report(out_dir: Path, experiment_id: str, output: RunOutput, grid: SubcarrierGrid) -> None:
-    report = output.report
-    row = [experiment_id, output.label, _fmt(report.f_obj), _fmt(report.f_tilde_obj), report.iterations,
-           "" if report.seed is None else report.seed]
-    _write_rows(out_dir / "fit_report.csv",
-                ["experiment_id", "algorithm", "f_obj", "f_tilde_obj", "iterations", "seed"], [row])
-    _write_rows(out_dir / "per_subcarrier_match.csv", ["k", "match"],
-                ([int(k), _fmt(match)] for k, match in zip(grid.indices, report.per_subcarrier_match)))
-    if report.convergence_trace.size:
-        _write_rows(out_dir / "convergence_trace.csv", ["iteration", "objective"],
-                    ([i, _fmt(value)] for i, value in enumerate(report.convergence_trace, start=1)))
-
-
-def _result_rows(points: list[tuple], outputs: list[RunOutput]) -> list[list[str]]:
-    """A results row per point of `_sweep_points` and its run's output, sorted by parameter, value
-    and then algorithm."""
-    runs = sorted(zip(points, outputs), key=lambda run: (run[0][2], run[0][3], run[1].label))
-    return [[experiment_id.format(label=out.label), out.label, parameter, _fmt(value), _fmt(out.report.f_obj),
-             _fmt(out.report.f_tilde_obj), str(out.report.iterations),
-             "" if out.report.seed is None else str(out.report.seed)]
-            for (_, experiment_id, parameter, value), out in runs]
-
-
-def write_records_csv(path: Path, rows: list[list[str]]) -> None:
-    _write_rows(path, RESULT_HEADER, rows)
-
-
-def write_provenance(out_dir: Path, resolved: dict, wall_time_s: float, notes: list[str]) -> None:
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    meta = {
-        "version": __version__,
-        "wall_time_s": wall_time_s,
-        "notes": notes,
-    }
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
 # subcommand drivers
 # ---------------------------------------------------------------------------
 
@@ -278,10 +145,8 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
     if output.beamformer is not None:
         write_beamformer_file(out_dir / "beamformer.txt", output.beamformer, config)
     if output.hbf is not None:
-        for name, matrix in (("analog", output.hbf.analog), ("digital", output.hbf.digital)):
-            np.savetxt(out_dir / f"hbf_{name}_re_im.csv", np.column_stack([matrix.real, matrix.imag]),
-                       delimiter=",", fmt="%.12g")
-    write_fit_report(out_dir, "design", output, grid)
+        write_hbf_matrices(out_dir, output.hbf.analog, output.hbf.digital)
+    write_fit_report(out_dir, "design", output.label, output.report, grid)
     if thetas is not None:
         gains = gain_map(system, grid, output.beams, thetas)
         write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
@@ -344,6 +209,9 @@ def _map(tasks: list[Task], workers: int) -> list[RunOutput]:
     _TARGETS.clear()  # pool workers start from this empty memo
     try:
         if workers > 1 and len(tasks) > 1:
+            # imported here: it loads multiprocessing, logging, socket and subprocess, which a serial run never uses
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_one_blas_thread) as pool:
                 return list(pool.map(_run_task, tasks))
         return [_run_task(task) for task in tasks]
@@ -359,6 +227,11 @@ def _sweep_points(config: dict, parameter: str, values, seed: int, prefix: str =
         points += [(task, prefix + "{label}" + f"[{parameter}={value:g}]", parameter, value)
                    for task in _tasks(point, seed) if section in ("system", task.algorithm[0])]
     return points
+
+
+def _result_rows(points: list[tuple], outputs: list[RunOutput]) -> list[list[str]]:
+    return result_rows((experiment_id, parameter, value, output.label, output.report)
+                       for (_, experiment_id, parameter, value), output in zip(points, outputs))
 
 
 def _records(points: list[tuple], workers: int) -> list[list[str]]:
@@ -409,22 +282,16 @@ def cmd_gain_map(config: dict, beamformer_path: Path, out_dir: Path) -> int:
     start = time.perf_counter()
     system, grid, target = _prepare(config)
     try:
-        bf = parse_beamformer_file(beamformer_path)
+        bf = parse_beamformer_file(beamformer_path, system)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"beamformer file: {exc}") from None
-    for name, values, count in (("delays_ns", bf.delays, system.num_ttds),
-                                ("phases_rad", bf.phases, system.num_antennas),
-                                ("alpha_re_im", bf.alpha, system.num_subcarriers)):
-        if values.size != count:
-            raise ConfigError(f"beamformer file: section [{name}] holds {values.size} values, "
-                              f"the config needs {count}")
     beams = effective_beamformer_matrix(system, grid, bf)
     report = build_fit_report(system, grid, target, bf, beams=beams)
     thetas = theta_grid(config)
     gains = gain_map(system, grid, beams, thetas)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
-    write_fit_report(out_dir, "gain-map", RunOutput(label="stored", report=report), grid)
+    write_fit_report(out_dir, "gain-map", "stored", report, grid)
     write_provenance(out_dir, config, time.perf_counter() - start, [])
     return EXIT_OK
 
@@ -530,8 +397,8 @@ def _reproduce_fig7(config: dict, out_dir: Path, seed: int, workers: int) -> Non
     for behavior, ratios in zip(behaviors, np.split(traces / traces[:, -1:], len(behaviors))):
         stats = np.column_stack([ratios.mean(axis=0), np.percentile(ratios, [10, 90], axis=0).T])
         rows += [[f"behavior{behavior}", i, *map(_fmt, row)] for i, row in enumerate(stats, start=1)]
-    _write_rows(out_dir / "convergence_ratio.csv",
-                ["behavior", "iteration", "mean_ratio", "p10_ratio", "p90_ratio"], rows)
+    save_rows(out_dir / "convergence_ratio.csv",
+              ["behavior", "iteration", "mean_ratio", "p10_ratio", "p90_ratio"], rows)
 
 
 def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> None:
@@ -547,7 +414,7 @@ def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> Non
         part, outputs = _result_rows(runs, outputs[:len(runs)]), outputs[len(runs):]
         _write_results(out_dir / name, points[name], start, part, notes)
         rows += [[name, *row] for row in part]
-    _write_rows(out_dir / "f_obj_vs_n_rf.csv", ["behavior", *RESULT_HEADER], rows)
+    save_rows(out_dir / "f_obj_vs_n_rf.csv", ["behavior", *RESULT_HEADER], rows)
 
 
 def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> list[str]:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .array_model import SystemConfig, check_angle, check_sweep, default_theta_grid
 from .beam_targets import WeightScheme
-from .design import DesignOptions, TtdUpdate, _discrete_set
+from .design import _COARSE_STEP, DesignOptions, TtdUpdate, _discrete_set
 from .hbf import HbfStructure, _check_fit, chains_fit
 
 GHZ = 1e9
@@ -23,6 +23,13 @@ NS = 1e-9
 
 # a gain map over [-90, 90] degrees takes at most this many angles: a theta step of at least 0.01 degrees
 MAX_THETA_ANGLES = 18_001
+# size limits, checked before anything is allocated: each size on its own, and the K x M beams, the
+# K x (grid/16 + 1) line-search tables and the K x angles gain maps at most MAX_CELLS cells each (a preset's
+# 181-angle maps fit at any K up to MAX_SUBCARRIERS)
+MAX_ANTENNAS = 4_096
+MAX_SUBCARRIERS = 32_768
+MAX_LINE_SEARCH_GRID = 1_048_576
+MAX_CELLS = 16_777_216
 
 
 class ConfigError(ValueError):
@@ -205,6 +212,13 @@ def build_system(config: dict) -> SystemConfig:
         total_power=block.get("total_power"),
         ttd_groups=None if groups is None else tuple(tuple(_items(g, "system.ttd_groups", int)) for g in groups),
     )
+    k, m = fields["num_subcarriers"], fields["num_antennas"]
+    for key, limit in (("num_antennas", MAX_ANTENNAS), ("num_subcarriers", MAX_SUBCARRIERS)):
+        if fields[key] > limit:
+            raise ConfigError(f"system.{key}: {fields[key]} is more than {limit}")
+    if k * m > MAX_CELLS:
+        raise ConfigError(f"system.num_subcarriers: {k} subcarriers times {m} antennas is {k * m} cells, "
+                          f"more than {MAX_CELLS}")
     try:
         return SystemConfig(**fields)
     except ValueError as exc:
@@ -287,6 +301,8 @@ def algorithms(config: dict, system: SystemConfig) -> list[tuple]:
                         DesignOptions(**{field: value})
                         if key == "discrete_delays_ns":
                             _discrete_set(system, value)
+                        if key == "grid":
+                            _check_grid(value, system.num_subcarriers)
                     except ValueError as exc:
                         raise ConfigError(f"{path}.{key}: {exc}") from None
                     given[field] = value
@@ -308,6 +324,16 @@ def algorithms(config: dict, system: SystemConfig) -> list[tuple]:
                 raise ConfigError(f"{path}: {exc}") from None
             parsed.append((kind, body.get("label", f"hbf_{structure.value}"), (structure, fit)))
     return parsed
+
+
+def _check_grid(points: int, k: int) -> None:
+    """A line-search grid of ``points`` delays within the size limits at ``k`` subcarriers."""
+    if points > MAX_LINE_SEARCH_GRID:
+        raise ValueError(f"{points} is more than {MAX_LINE_SEARCH_GRID}")
+    cells = k * (points // _COARSE_STEP + 1)
+    if cells > MAX_CELLS:
+        raise ValueError(f"{k} subcarriers times {points // _COARSE_STEP + 1} coarse delays is {cells} cells, "
+                         f"more than {MAX_CELLS}")
 
 
 def read_sweep(config: dict) -> tuple[str, list[float]]:
@@ -364,11 +390,16 @@ def wants_gain_map(config: dict) -> bool:
 
 
 def theta_grid(config: dict):
-    """The gain-map angles of ``config`` in radians, from -90 to 90 degrees in ``output.theta_step_deg`` steps."""
+    """The gain-map angles of ``config`` in radians, from -90 to 90 degrees in ``output.theta_step_deg`` steps;
+    its system section must be valid."""
     step = _section(config, "output", required=False).get("theta_step_deg", 1.0)
     if step <= 0.0:
         raise ConfigError("output.theta_step_deg: must be positive")
     count = math.ceil((90.0 + step / 2.0 + 90.0) / step)  # the length of default_theta_grid(step)
     if count > MAX_THETA_ANGLES:
         raise ConfigError(f"output.theta_step_deg: {step:g} gives {count} angles, more than {MAX_THETA_ANGLES}")
+    k = _section(config, "system")["num_subcarriers"]
+    if k * count > MAX_CELLS:
+        raise ConfigError(f"output.theta_step_deg: {k} subcarriers times {count} angles is {k * count} cells, "
+                          f"more than {MAX_CELLS}")
     return default_theta_grid(step)

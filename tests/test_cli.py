@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 
 from jpta import cli
 from jpta import config as jpta_config
+from jpta import formats
 from jpta.array_model import build_grid, effective_beamformer_matrix
 from jpta.beam_targets import behavior1_target
-from jpta.cli import main, parse_beamformer_file
+from jpta.cli import main
 from jpta.design import DesignOptions, design_jpta
+from jpta.formats import parse_beamformer_file
 from jpta.hbf import altmin_pc, pe_altmin_fc, stack_target
 from jpta.metrics import fit_objective, linear_to_db
 
@@ -411,6 +413,10 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
         ("compare-hbf", "algorithm.jpta.max_itr=3", "algorithm.jpta.max_itr: unknown key (did you mean 'max_iter'?)"),
         ("compare-hbf", 'algorithm={"hbf":{"structure":"pc","n_rf":3}}',
          "algorithm.hbf: n_rf (3) must divide the antenna count (8)"),
+        ("design", "system.num_subcarriers=10000000000000",
+         "system.num_subcarriers: 10000000000000 is more than 32768"),
+        ("design", "algorithm.jpta.grid=100000000000", "algorithm.jpta.grid: 100000000000 is more than 1048576"),
+        ("design", "system.num_antennas=100000000000", "system.num_antennas: 100000000000 is more than 4096"),
     ],
 )
 def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):
@@ -774,7 +780,7 @@ def test_gain_map_csv_bytes_match_csv_writer(tmp_path):
         [7.0, 63.99999999999, 1e-12],
     ])
     path = tmp_path / "gain_map.csv"
-    cli.write_gain_map_csv(path, grid, gains, thetas)
+    formats.write_gain_map_csv(path, grid, gains, thetas)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["k", "f_hz", "theta_deg", "gain_linear", "gain_db"])
@@ -801,7 +807,7 @@ def test_gain_map_csv_bytes_match_savetxt_on_a_large_map(tmp_path):
     gains[1::5, 7::61] = 3e-13  # below it
     assert gains.size == 57616 > 2**14
     path = tmp_path / "gain_map.csv"
-    cli.write_gain_map_csv(path, grid, gains, thetas)
+    formats.write_gain_map_csv(path, grid, gains, thetas)
     num_angles = thetas.size
     rows = np.column_stack([
         np.repeat(grid.indices, num_angles),
@@ -812,7 +818,7 @@ def test_gain_map_csv_bytes_match_savetxt_on_a_large_map(tmp_path):
     ])
     expected = tmp_path / "savetxt.csv"
     np.savetxt(expected, rows, fmt=["%d"] + ["%.12g"] * 4, delimiter=",",
-               header=",".join(cli.GAIN_MAP_HEADER), comments="", newline="\r\n")
+               header=",".join(formats.GAIN_MAP_HEADER), comments="", newline="\r\n")
     data = path.read_bytes()
     assert data == expected.read_bytes()
     assert data.count(b",0,-100\r\n") >= 16 * 37 and b",1e-10,-100\r\n" in data and b",3e-13,-100\r\n" in data
@@ -867,6 +873,69 @@ def test_config_binds_no_traced_layer():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_cli_writes_every_file_through_jpta_formats():
+    # the tracer counts the bytes of each `write_*` name bound in `jpta.cli`, wherever the writer is defined
+    tracing = _load_bench_module("tracing")
+    writers = {name for name, layer in tracing.bindings(cli).items() if layer == tracing.WRITE_LAYER}
+    parent = {"write_beamformer_file", "write_fit_report", "write_gain_map_csv", "write_provenance",
+              "write_records_csv"}
+    assert writers - parent == {"write_hbf_matrices"} and parent <= writers
+    assert [name for name in writers if getattr(cli, name) is not getattr(formats, name)] == []
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    defined = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    assert [name for name in defined if name.startswith(("write_", "parse_"))] == []
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "csv" not in imported and "savetxt" not in attributes
+    probe = "import sys, jpta.formats; print(sorted(name for name in sys.modules if name.startswith('jpta.cli')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_serial_runs_import_no_process_pool(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    probe = (
+        "import sys\n"
+        "from jpta.cli import main\n"
+        f"assert main(['reproduce', 'fig4', '--fast', '--out', {str(tmp_path / 'fig4')!r}, *{TINY_PRESET!r}]) == 0\n"
+        f"assert main(['design', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'design')!r}]) == 0\n"
+        "print(sorted(name for name in ('concurrent.futures', 'multiprocessing') if name in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    ("command", "overrides", "message"),
+    [
+        ("design", ["system.num_subcarriers=32768", "system.num_antennas=1024"],
+         "system.num_subcarriers: 32768 subcarriers times 1024 antennas is 33554432 cells, more than 16777216"),
+        ("design", ["system.num_subcarriers=32768", "algorithm.jpta.grid=1048576"],
+         "algorithm.jpta.grid: 32768 subcarriers times 65537 coarse delays is 2147516416 cells, more than 16777216"),
+        ("design", ["system.num_subcarriers=2048", "output.theta_step_deg=0.01"],
+         "output.theta_step_deg: 2048 subcarriers times 18001 angles is 36866048 cells, more than 16777216"),
+        ("reproduce", ["system.num_subcarriers=32769"], "system.num_subcarriers: 32769 is more than 32768"),
+    ],
+)
+def test_oversized_tables_exit_2_before_the_output_directory(tmp_path, capsys, command, overrides, message):
+    args = ["fig4"] if command == "reproduce" else ["--config", str(write_config(tmp_path, BASE_CONFIG))]
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([command, *args, "--out", str(tmp_path / "x"), *sets]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_preset_maps_and_default_line_searches_fit_the_size_limits():
+    # presets check only their system, so their gain maps and line searches must fit at every allowed K
+    cli.build_system(cli._preset_config(fast=False))
+    k = jpta_config.MAX_SUBCARRIERS
+    assert k * cli.default_theta_grid().size <= jpta_config.MAX_CELLS
+    assert k * (DesignOptions().line_search_grid // 16 + 1) <= jpta_config.MAX_CELLS
 
 
 def test_one_pool_and_one_run_path():
