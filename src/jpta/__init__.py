@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 from .array_model import (
     SubcarrierGrid,
     SystemConfig,
-    array_gain,
-    array_response,
     build_grid,
     default_theta_grid,
     delay_response,
-    effective_beamformer,
     effective_beamformer_matrix,
     gain_map,
     steering_vectors,
@@ -54,7 +51,6 @@ from .hbf import (
 from .heuristics import (
     heuristic_behavior1,
     heuristic_behavior2,
-    required_delay_budget,
 )
 from .metrics import (
     FitReport,

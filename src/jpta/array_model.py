@@ -27,10 +27,7 @@ __all__ = [
     "steering_ratio",
     "steering_vectors",
     "delay_response",
-    "array_response",
-    "effective_beamformer",
     "effective_beamformer_matrix",
-    "array_gain",
     "gain_map",
     "default_theta_grid",
 ]
@@ -137,10 +134,6 @@ class SystemConfig:
         """Upper end of the per-delay-line tuning range, in seconds."""
         return self.delay_range / self.bandwidth
 
-    def ttd_index_per_antenna(self) -> np.ndarray:
-        """0-based delay-line index for each antenna (length M), the read-only ``antenna_line``."""
-        return self.antenna_line
-
 
 @dataclass(frozen=True, eq=False)
 class SubcarrierGrid:
@@ -236,32 +229,6 @@ def delay_response(freqs: np.ndarray | float, taus) -> np.ndarray:
     return np.exp(table, out=table)
 
 
-def array_response(
-    config: SystemConfig,
-    grid: SubcarrierGrid,
-    k: int,
-    theta: float,
-) -> np.ndarray:
-    """Plane-wave response of the array at subcarrier ``k`` toward ``theta``.
-
-    Element ``m`` (1-based) is ``exp(j*(m-1)*pi*sin(theta)*f_k/f0)``; the
-    half-wavelength spacing is set at the carrier, so off-carrier subcarriers
-    pick up the beam-squint factor ``f_k/f0``.
-    """
-    return steering_vectors(config, grid.frequency(k), float(theta))
-
-
-def effective_beamformer(
-    config: SystemConfig,
-    grid: SubcarrierGrid,
-    bf: "JptaBeamformer",
-    k: int,
-) -> np.ndarray:
-    """Unit-norm analog beam at subcarrier ``k`` realized by delays and phases."""
-    pos = grid.position(k)
-    return effective_beamformer_matrix(config, grid, bf)[pos]
-
-
 def effective_beamformer_matrix(
     config: SystemConfig,
     grid: SubcarrierGrid,
@@ -272,23 +239,8 @@ def effective_beamformer_matrix(
         raise ValueError(f"expected {config.num_antennas} phase-shifter values, got {bf.phases.shape}")
     if bf.delays.shape != (config.num_ttds,):
         raise ValueError(f"expected {config.num_ttds} delay values, got {bf.delays.shape}")
-    response = delay_response(grid.frequencies, bf.delays)[:, config.ttd_index_per_antenna()]
+    response = delay_response(grid.frequencies, bf.delays)[:, config.antenna_line]
     return response * (np.exp(1j * bf.phases) / math.sqrt(config.num_antennas))
-
-
-def array_gain(
-    config: SystemConfig,
-    grid: SubcarrierGrid,
-    w_k: np.ndarray,
-    k: int,
-    theta: float,
-) -> float:
-    """Array gain |a_k(theta)^H w_k|^2 of a beam vector at one (k, theta) pair."""
-    w = np.asarray(w_k)
-    if w.shape != (config.num_antennas,):
-        raise ValueError(f"beam vector must have length {config.num_antennas}")
-    a = array_response(config, grid, k, theta)
-    return float(np.abs(np.vdot(a, w)) ** 2)
 
 
 def default_theta_grid(step_deg: float = 1.0) -> np.ndarray:
@@ -309,8 +261,8 @@ def gain_map(
     """Array gain of per-subcarrier beams over an angle grid.
 
     ``beams`` is (K, M) with row order matching the grid; the result is
-    (K, len(theta_grid)) with entry (k, t) equal to
-    ``array_gain(config, grid, beams[k], k, theta_grid[t])``.  Horner's rule
+    (K, len(theta_grid)) with entry (k, t) equal to ``|a_k(theta_t)^H w_k|^2``, where
+    ``w_k = beams[k]`` and ``a_k(theta) = steering_vectors(config, f_k, theta)``.  Horner's rule
     evaluates ``a^H w_k = sum_m w_km z^m`` with ``z = exp(-j*pi*sin(theta)*f_k/f0)``:
     one exponential per cell, not one per antenna.
     """

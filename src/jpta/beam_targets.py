@@ -93,14 +93,6 @@ class BeamTarget:
         object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "unit_vectors", unit)
 
-    @property
-    def num_subcarriers(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.vectors.shape[1]
-
 
 def _behavior_angles(
     config: SystemConfig,

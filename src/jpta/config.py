@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -30,6 +31,7 @@ MAX_ANTENNAS = 4_096
 MAX_SUBCARRIERS = 32_768
 MAX_LINE_SEARCH_GRID = 1_048_576
 MAX_CELLS = 16_777_216
+_NORMAL = sys.float_info.min  # the smallest normal double
 
 
 class ConfigError(ValueError):
@@ -220,9 +222,23 @@ def build_system(config: dict) -> SystemConfig:
         raise ConfigError(f"system.num_subcarriers: {k} subcarriers times {m} antennas is {k * m} cells, "
                           f"more than {MAX_CELLS}")
     try:
-        return SystemConfig(**fields)
+        system = SystemConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from None
+    top = system.carrier_freq + system.bandwidth / 2.0  # above every subcarrier frequency, in Hz
+    phase = 2.0 * math.pi * top * system.max_delay  # above every delay phase 2 pi f tau
+    power = system.total_power
+    # the model multiplies frequencies by delays and squares bandwidths and powers: each result must be a
+    # finite, normal double
+    for key, what, ok in (
+        ("carrier_freq_ghz", "carrier_freq + bandwidth / 2 in Hz overflow", math.isfinite(top)),
+        ("delay_range", "the delay phases 2 pi f tau overflow", math.isfinite(phase)),
+        ("bandwidth_ghz", "bandwidth^2 in Hz^2 underflow", system.bandwidth * system.bandwidth >= _NORMAL),
+        ("total_power", "total_power^2 leave the normal double range", _NORMAL <= power * power < math.inf),
+    ):
+        if not ok:
+            raise ConfigError(f"system.{key}: {block[key]:g} makes {what}")
+    return system
 
 
 def _target_angles(block: _Fields, behavior: int) -> list[float]:

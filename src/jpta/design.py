@@ -295,12 +295,15 @@ def _grid_values(coeffs: np.ndarray, lines: _Lines, search: _SearchGrid) -> tupl
     slack = _single_precision_slack(coeffs.shape[1]) * mass
     half = np.diff(taus[coarse]) / 2.0
     left, right = tops[:, :-1], tops[:, 1:]
-    # the farthest from the left end that a peak can sit: where the two ends' bounds meet
-    shift = np.divide(right - left, 2.0 * bend * half, out=np.zeros_like(left), where=bend > 0.0)
+    # the farthest from the left end that a peak can sit: where the two ends' bounds meet, or the right
+    # end where they cannot meet (no bend, a zero-width window or an underflow), which bounds any peak
+    denom = 2.0 * bend * half
+    shift = np.divide(right - left, denom, out=np.zeros_like(left) + half, where=denom > 0.0)
     far = np.clip(half + shift, 0.0, 2.0 * half)
     bound = np.maximum(left + 0.5 * bend * far**2, right) + slack[:, None]
     floor = tops.max(axis=1) - slack - _TIE_TOL - _PRUNE_RTOL * mass
-    line, interval = np.nonzero(bound >= floor[:, None])
+    # a bound that overflowed to NaN rules nothing out
+    line, interval = np.nonzero(~(bound < floor[:, None]))
 
     kn, width = coeffs.shape[1], steps.shape[1]
     sums = np.empty((line.size, width))
@@ -497,7 +500,7 @@ def digital_phase_update(
 ) -> float:
     """Digital phase aligning subcarrier ``k`` with its realized analog beam."""
     row = [grid.position(k)]
-    response = delay_response(grid.frequencies[row], delays)[:, config.ttd_index_per_antenna()]
+    response = delay_response(grid.frequencies[row], delays)[:, config.antenna_line]
     u = _digital_alignment(target.unit_vectors[row] * np.conj(response), np.asarray(phases, dtype=np.float64))
     if abs(u[0]) == 0.0:
         warnings.warn("degenerate target: digital alignment sum vanished; defaulting to 0", stacklevel=2)
@@ -558,7 +561,7 @@ def quantize_delays(
     lo = values[np.maximum(pos - 1, 0)]
     hi = values[np.minimum(pos, values.size - 1)]
     snapped = np.where(np.abs(bf.delays - lo) <= np.abs(hi - bf.delays), lo, hi)
-    response = delay_response(grid.frequencies, snapped)[:, config.ttd_index_per_antenna()]
+    response = delay_response(grid.frequencies, snapped)[:, config.antenna_line]
     phases = _ps_phases(target, bf.alpha_phases, target.unit_vectors * np.conj(response))
     return JptaBeamformer(delays=snapped, phases=phases, alpha=bf.alpha)
 
@@ -612,7 +615,7 @@ def design_jpta(
             table = delay_response(freqs, tau)
         # the phase-shifter update and the digital alignment share bbar_{k,m} conj(r_{k,m}); it is
         # formed as in the per-line updates, since numpy rounds the product by its operands' layout
-        aligned = target.unit_vectors * np.conj(table[:, config.ttd_index_per_antenna()])
+        aligned = target.unit_vectors * np.conj(table[:, config.antenna_line])
         phi = _ps_phases(target, ang, aligned)
         tau, offset = center_delays(config, tau)
         u = _digital_alignment(aligned, phi) * delay_response(freqs, [offset])[:, 0]

@@ -14,7 +14,6 @@ from .design import JptaBeamformer, _digital_alignment, shift_nonnegative, wrap_
 __all__ = [
     "heuristic_behavior1",
     "heuristic_behavior2",
-    "required_delay_budget",
 ]
 
 
@@ -103,7 +102,7 @@ def _assemble(
     """
     half = config.max_delay / 2.0
     tau = np.clip(tau - tau.mean(), -half, half)
-    tau_per_antenna = tau[config.ttd_index_per_antenna()]
+    tau_per_antenna = tau[config.antenna_line]
     phi = wrap_angle(carrier_phase + 2.0 * np.pi * config.carrier_freq * tau_per_antenna)
     unit = steering_vectors(config, grid.frequencies, angles_per_subcarrier) / math.sqrt(config.num_antennas)
     u = _digital_alignment(unit * np.conj(delay_response(grid.frequencies, tau_per_antenna)), phi)
@@ -114,13 +113,3 @@ def _assemble(
         bf = shift_nonnegative(config, grid, bf)
     return bf
 
-
-def required_delay_budget(config: SystemConfig, delta_theta: float | None = None) -> float:
-    """Delay range (seconds) the closed-form designs need to avoid clipping.
-
-    Pass the sweep width ``delta_theta`` for the swept beam; leave it out for
-    the split beam.
-    """
-    if delta_theta is not None:
-        return config.num_antennas * abs(math.sin(delta_theta / 2.0)) / config.bandwidth
-    return 3.0 / config.bandwidth

@@ -6,13 +6,10 @@ import pytest
 
 from jpta.array_model import (
     SystemConfig,
-    array_gain,
-    array_response,
     build_grid,
     contiguous_ttd_groups,
     default_theta_grid,
     delay_response,
-    effective_beamformer,
     effective_beamformer_matrix,
     gain_map,
     steering_vectors,
@@ -63,45 +60,45 @@ def test_grid_rejects_malformed_index_sets():
         SubcarrierGrid(indices=np.array([-2, 0, 1, 2]), frequencies=np.array([8.0, 9.0, 10.0, 11.0]))
 
 
-def test_array_response_boresight():
+def test_steering_vectors_boresight():
     cfg = make_config()
     grid = build_grid(cfg)
     for k in (-8, 0, 7):
-        assert np.allclose(array_response(cfg, grid, k, 0.0), np.ones(cfg.num_antennas))
+        assert np.allclose(steering_vectors(cfg, grid.frequency(k), 0.0), np.ones(cfg.num_antennas))
 
 
-def test_array_response_endfire_center():
+def test_steering_vectors_endfire_center():
     cfg = make_config(num_antennas=2, num_ttds=1)
     grid = build_grid(cfg)
-    a = array_response(cfg, grid, 0, math.pi / 2)
+    a = steering_vectors(cfg, grid.frequency(0), math.pi / 2)
     assert np.allclose(a, [1.0, -1.0], atol=1e-12)
 
 
-def test_array_response_quarter_band_phases():
+def test_steering_vectors_quarter_band_phases():
     # subcarrier at f0 + W/4; element phases grow as (m-1)*pi*sin(theta)*f_k/f0
     cfg = make_config(num_antennas=4, num_ttds=4, num_subcarriers=8)
     grid = build_grid(cfg)
-    a = array_response(cfg, grid, 2, math.pi / 6)
+    a = steering_vectors(cfg, grid.frequency(2), math.pi / 6)
     expected = (np.arange(4)) * np.pi * 0.5 * (1.0 + cfg.bandwidth / (4.0 * cfg.carrier_freq))
     assert np.allclose(np.unwrap(np.angle(a)), expected, atol=1e-12)
 
 
-def test_array_response_unit_modulus():
+def test_steering_vectors_unit_modulus():
     rng = np.random.default_rng(11)
     cfg = make_config(num_antennas=8, num_ttds=4)
     grid = build_grid(cfg)
     for _ in range(50):
         k = int(rng.choice(grid.indices))
         theta = rng.uniform(-np.pi / 2, np.pi / 2)
-        a = array_response(cfg, grid, k, theta)
+        a = steering_vectors(cfg, grid.frequency(k), theta)
         assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-12
 
 
-def test_array_response_rejects_off_grid_subcarrier():
+def test_grid_frequency_rejects_off_grid_subcarrier():
     cfg = make_config()
     grid = build_grid(cfg)
-    with pytest.raises(ValueError):
-        array_response(cfg, grid, 99, 0.0)
+    with pytest.raises(ValueError, match="not on the grid"):
+        grid.frequency(99)
 
 
 _FOV_CFG = make_config(num_antennas=4, num_ttds=2, num_subcarriers=8)
@@ -147,8 +144,9 @@ def test_effective_beamformer_identity_settings():
         phases=np.zeros(cfg.num_antennas),
         alpha=np.ones(cfg.num_subcarriers, dtype=complex),
     )
+    beams = effective_beamformer_matrix(cfg, grid, bf)
     for k in grid.indices:
-        w = effective_beamformer(cfg, grid, bf, int(k))
+        w = beams[grid.position(int(k))]
         assert np.allclose(w, np.full(cfg.num_antennas, 1.0 / math.sqrt(cfg.num_antennas)))
 
 
@@ -157,8 +155,9 @@ def test_effective_beamformer_scalar_case():
     grid = build_grid(cfg)
     t, p = 0.4e-9, 1.1
     bf = JptaBeamformer(delays=[t], phases=[p], alpha=np.ones(4, dtype=complex))
+    beams = effective_beamformer_matrix(cfg, grid, bf)
     for k in grid.indices:
-        w = effective_beamformer(cfg, grid, bf, int(k))
+        w = beams[grid.position(int(k))]
         assert w[0] == pytest.approx(np.exp(1j * (p - 2 * np.pi * grid.frequency(int(k)) * t)), abs=1e-12)
 
 
@@ -192,33 +191,32 @@ def test_effective_beamformer_dimension_mismatch():
         effective_beamformer_matrix(cfg, grid, bad)
 
 
-def test_array_gain_matched_beamformer():
+def test_gain_map_of_matched_beams_is_the_antenna_count():
     cfg = make_config(num_antennas=64, num_ttds=64)
     grid = build_grid(cfg)
     theta = 0.3
-    a = array_response(cfg, grid, 3, theta)
-    gain = array_gain(cfg, grid, a / math.sqrt(64), 3, theta)
-    assert gain == pytest.approx(64.0, rel=1e-12)
-    assert 10 * math.log10(gain) == pytest.approx(18.0618, abs=1e-3)
+    beams = steering_vectors(cfg, grid.frequencies, theta) / math.sqrt(64)
+    gains = gain_map(cfg, grid, beams, np.array([theta]))
+    assert gains == pytest.approx(np.full((cfg.num_subcarriers, 1), 64.0), rel=1e-12)
+    assert 10 * math.log10(gains[grid.position(3), 0]) == pytest.approx(18.0618, abs=1e-3)
 
 
-def test_array_gain_orthogonal_beam():
+def test_gain_map_of_an_orthogonal_beam_is_zero():
     cfg = make_config(num_antennas=2, num_ttds=1)
     grid = build_grid(cfg)
-    w = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    assert array_gain(cfg, grid, w, 0, 0.0) == pytest.approx(0.0, abs=1e-24)
+    beams = np.tile(np.array([1.0, -1.0]) / math.sqrt(2.0), (cfg.num_subcarriers, 1))
+    assert gain_map(cfg, grid, beams, np.array([0.0]))[grid.position(0), 0] == pytest.approx(0.0, abs=1e-24)
 
 
-def test_array_gain_bounded_by_antenna_count():
+def test_gain_map_bounded_by_antenna_count():
     rng = np.random.default_rng(17)
     cfg = make_config(num_antennas=8, num_ttds=8)
     grid = build_grid(cfg)
-    for _ in range(200):
-        w = rng.normal(size=8) + 1j * rng.normal(size=8)
-        w /= np.linalg.norm(w)
-        theta = rng.uniform(-np.pi / 2, np.pi / 2)
-        k = int(rng.choice(grid.indices))
-        assert array_gain(cfg, grid, w, k, theta) <= 8.0 + 1e-9
+    for _ in range(10):
+        beams = rng.normal(size=(cfg.num_subcarriers, 8)) + 1j * rng.normal(size=(cfg.num_subcarriers, 8))
+        beams /= np.linalg.norm(beams, axis=1, keepdims=True)
+        thetas = rng.uniform(-np.pi / 2, np.pi / 2, 20)
+        assert gain_map(cfg, grid, beams, thetas).max() <= 8.0 + 1e-9
 
 
 def test_common_delay_shift_leaves_gain_unchanged():
@@ -227,32 +225,27 @@ def test_common_delay_shift_leaves_gain_unchanged():
     grid = build_grid(cfg)
     bf = _random_beamformer(cfg, rng)
     shifted = JptaBeamformer(delays=bf.delays + 0.31e-9, phases=bf.phases, alpha=bf.alpha)
-    for _ in range(30):
-        k = int(rng.choice(grid.indices))
-        theta = rng.uniform(-np.pi / 2, np.pi / 2)
-        w0 = effective_beamformer(cfg, grid, bf, k)
-        w1 = effective_beamformer(cfg, grid, shifted, k)
-        assert array_gain(cfg, grid, w0, k, theta) == pytest.approx(
-            array_gain(cfg, grid, w1, k, theta), abs=1e-10
-        )
+    thetas = rng.uniform(-np.pi / 2, np.pi / 2, 30)
+    g0 = gain_map(cfg, grid, effective_beamformer_matrix(cfg, grid, bf), thetas)
+    g1 = gain_map(cfg, grid, effective_beamformer_matrix(cfg, grid, shifted), thetas)
+    assert np.max(np.abs(g0 - g1)) <= 1e-10
 
 
 def test_gain_map_degenerate_grid():
     cfg = make_config(num_antennas=4, num_ttds=2, num_subcarriers=1)
     grid = build_grid(cfg)
-    w = array_response(cfg, grid, 0, 0.2)[None, :] / 2.0
+    a = steering_vectors(cfg, grid.frequency(0), 0.2)
+    w = a[None, :] / 2.0
     out = gain_map(cfg, grid, w, np.array([0.2]))
     assert out.shape == (1, 1)
-    assert out[0, 0] == pytest.approx(array_gain(cfg, grid, w[0], 0, 0.2), rel=1e-12)
+    assert out[0, 0] == pytest.approx(abs(np.vdot(a, w[0])) ** 2, rel=1e-12)
 
 
 def test_gain_map_matched_set_peaks_at_steering_angle():
     cfg = make_config(num_antennas=16, num_ttds=16, num_subcarriers=8)
     grid = build_grid(cfg)
     theta0 = np.deg2rad(20.0)
-    beams = np.stack(
-        [array_response(cfg, grid, int(k), theta0) / 4.0 for k in grid.indices]
-    )
+    beams = steering_vectors(cfg, grid.frequencies, theta0) / 4.0
     thetas = default_theta_grid()
     gains = gain_map(cfg, grid, beams, thetas)
     center = grid.position(0)
@@ -266,10 +259,9 @@ def test_gain_map_beam_squint_at_band_edges():
     cfg = make_config(num_antennas=64, num_ttds=64, num_subcarriers=64)
     grid = build_grid(cfg)
     theta0 = np.deg2rad(30.0)
-    w0 = array_response(cfg, grid, 0, theta0) / 8.0
-    g_center = array_gain(cfg, grid, w0, 0, theta0)
-    g_low = array_gain(cfg, grid, w0, int(grid.indices[0]), theta0)
-    g_high = array_gain(cfg, grid, w0, int(grid.indices[-1]), theta0)
+    w0 = steering_vectors(cfg, grid.frequency(0), theta0) / 8.0
+    gains = gain_map(cfg, grid, np.tile(w0, (cfg.num_subcarriers, 1)), np.array([theta0]))[:, 0]
+    g_center, g_low, g_high = gains[grid.position(0)], gains[0], gains[-1]
     assert g_low < g_center and g_high < g_center
     assert g_center == pytest.approx(64.0, rel=1e-12)
 
@@ -337,7 +329,7 @@ def test_custom_groups_and_default_power():
     cfg = SystemConfig(num_antennas=4, num_ttds=2, carrier_freq=100e9, bandwidth=10e9,
                        num_subcarriers=8, delay_range=4.0, ttd_groups=((1, 4), (2, 3)))
     assert cfg.total_power == 8.0
-    assert list(cfg.ttd_index_per_antenna()) == [0, 1, 1, 0]
+    assert list(cfg.antenna_line) == [0, 1, 1, 0]
     assert contiguous_ttd_groups(4, 2) == ((1, 2), (3, 4))
 
 
@@ -352,4 +344,3 @@ def test_line_layout_keeps_each_groups_listed_order(num_antennas, groups, column
     for arr, expected in ((cfg.line_columns, columns), (cfg.line_starts, starts), (cfg.antenna_line, antenna_line)):
         assert arr.dtype == np.intp and arr.tolist() == expected
         assert not arr.flags.writeable
-    assert np.array_equal(cfg.ttd_index_per_antenna(), cfg.antenna_line)

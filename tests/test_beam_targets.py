@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jpta import beam_targets, heuristics
-from jpta.array_model import array_response, build_grid
+from jpta.array_model import build_grid, steering_vectors
 from jpta.beam_targets import (
     BeamTarget,
     WeightScheme,
@@ -23,7 +23,7 @@ def test_behavior1_zero_sweep_matches_squint_corrected_steering():
     grid = build_grid(cfg)
     target = behavior1_target(cfg, grid, 0.4, 0.0)
     for pos, k in enumerate(grid.indices):
-        a = array_response(cfg, grid, int(k), 0.4) / math.sqrt(8)
+        a = steering_vectors(cfg, grid.frequency(int(k)), 0.4) / math.sqrt(8)
         assert np.allclose(target.unit_vectors[pos], a, atol=1e-14)
 
 
@@ -57,7 +57,8 @@ def test_behavior1_center_subcarrier_exact():
     theta0 = math.pi / 6
     target = behavior1_target(cfg, grid, theta0, math.pi / 4)
     pos = grid.position(0)
-    expected = math.sqrt(cfg.total_power / (8 * cfg.num_subcarriers)) * array_response(cfg, grid, 0, theta0)
+    amp = math.sqrt(cfg.total_power / (8 * cfg.num_subcarriers))
+    expected = amp * steering_vectors(cfg, grid.frequency(0), theta0)
     assert np.allclose(target.vectors[pos], expected, atol=1e-15)
 
 
@@ -70,7 +71,7 @@ def test_behavior1_sweep_angles_full_grid():
     for k in (-1024, -1, 0, 511, 1023):
         pos = grid.position(k)
         angle = theta0 + k * dtheta / 2048
-        assert np.allclose(target.vectors[pos], amp * array_response(cfg, grid, k, angle), atol=1e-14)
+        assert np.allclose(target.vectors[pos], amp * steering_vectors(cfg, grid.frequency(k), angle), atol=1e-14)
 
 
 def test_target_norms_and_power_budget():
@@ -103,8 +104,8 @@ def test_behavior2_splits_at_center():
     amp = math.sqrt(cfg.total_power / (8 * cfg.num_subcarriers))
     below = grid.position(-1)
     at = grid.position(0)
-    assert np.allclose(target.vectors[below], amp * array_response(cfg, grid, -1, theta1), atol=1e-14)
-    assert np.allclose(target.vectors[at], amp * array_response(cfg, grid, 0, theta2), atol=1e-14)
+    assert np.allclose(target.vectors[below], amp * steering_vectors(cfg, grid.frequency(-1), theta1), atol=1e-14)
+    assert np.allclose(target.vectors[at], amp * steering_vectors(cfg, grid.frequency(0), theta2), atol=1e-14)
 
 
 def test_behavior2_four_subcarriers_split_evenly():
@@ -114,10 +115,10 @@ def test_behavior2_four_subcarriers_split_evenly():
     amp = math.sqrt(cfg.total_power / (2 * 4))
     for k in (-2, -1):
         assert np.allclose(target.vectors[grid.position(k)],
-                           amp * array_response(cfg, grid, k, -0.5), atol=1e-14)
+                           amp * steering_vectors(cfg, grid.frequency(k), -0.5), atol=1e-14)
     for k in (0, 1):
         assert np.allclose(target.vectors[grid.position(k)],
-                           amp * array_response(cfg, grid, k, 0.5), atol=1e-14)
+                           amp * steering_vectors(cfg, grid.frequency(k), 0.5), atol=1e-14)
 
 
 def test_multi_angle_reductions():
@@ -140,7 +141,7 @@ def test_multi_angle_three_bands_piecewise():
     for k in grid.indices:
         k = int(k)
         band = 0 if k < -2 else (1 if k < 2 else 2)
-        expected = amp * array_response(cfg, grid, k, angles[band])
+        expected = amp * steering_vectors(cfg, grid.frequency(k), angles[band])
         assert np.allclose(target.vectors[grid.position(k)], expected, atol=1e-14)
 
 

@@ -417,6 +417,14 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
          "system.num_subcarriers: 10000000000000 is more than 32768"),
         ("design", "algorithm.jpta.grid=100000000000", "algorithm.jpta.grid: 100000000000 is more than 1048576"),
         ("design", "system.num_antennas=100000000000", "system.num_antennas: 100000000000 is more than 4096"),
+        ("design", "system.carrier_freq_ghz=1e300",
+         "system.carrier_freq_ghz: 1e+300 makes carrier_freq + bandwidth / 2 in Hz overflow"),
+        ("design", "system.delay_range=1e308", "system.delay_range: 1e+308 makes the delay phases 2 pi f tau overflow"),
+        ("design", "system.bandwidth_ghz=1e-300", "system.bandwidth_ghz: 1e-300 makes bandwidth^2 in Hz^2 underflow"),
+        ("design", "system.total_power=1e-320",
+         "system.total_power: 9.99989e-321 makes total_power^2 leave the normal double range"),
+        ("design", "system.total_power=1e200",
+         "system.total_power: 1e+200 makes total_power^2 leave the normal double range"),
     ],
 )
 def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):

@@ -5,7 +5,7 @@ import pytest
 
 from jpta.array_model import build_grid, effective_beamformer_matrix
 from jpta.beam_targets import behavior1_target, behavior2_target
-from jpta.heuristics import heuristic_behavior1, heuristic_behavior2, required_delay_budget
+from jpta.heuristics import heuristic_behavior1, heuristic_behavior2
 from jpta.metrics import fit_objective
 
 from helpers import make_config
@@ -107,7 +107,7 @@ def test_behavior2_follows_the_one_based_midpoint_formula():
     assert np.max(np.abs(tau)) <= cfg.delay_range / (2 * cfg.bandwidth)  # no clipping
     bf = heuristic_behavior2(cfg, grid, t1, t2, nonnegative=False)
     assert np.max(np.abs(bf.delays - tau)) <= 1e-22
-    phi = np.angle(mid) + 2 * np.pi * cfg.carrier_freq * tau[cfg.ttd_index_per_antenna()]
+    phi = np.angle(mid) + 2 * np.pi * cfg.carrier_freq * tau[cfg.antenna_line]
     assert np.max(np.abs(np.exp(1j * bf.phases) - np.exp(1j * phi))) <= 1e-10
 
 
@@ -121,16 +121,6 @@ def test_behavior2_antipodal_angles_flagged():
     # the cancelled entry's own phase defaulted to 0, leaving only the delay term
     expected = (2 * np.pi * cfg.carrier_freq * bf.delays[0] + np.pi) % (2 * np.pi) - np.pi
     assert bf.phases[0] == pytest.approx(expected, abs=1e-12)
-
-
-def test_required_delay_budget():
-    cfg = make_config(num_antennas=64, num_ttds=64)
-    assert required_delay_budget(cfg, 0.0) == 0.0
-    sweep = required_delay_budget(cfg, math.pi / 4)
-    assert sweep == pytest.approx(64 * math.sin(math.pi / 8) / 10e9, rel=1e-12)
-    assert sweep == pytest.approx(2.449e-9, abs=1e-12)
-    assert required_delay_budget(cfg, -math.pi / 4) == sweep
-    assert required_delay_budget(cfg) == pytest.approx(0.3e-9, rel=1e-12)
 
 
 def test_iterative_design_strictly_beats_closed_forms():

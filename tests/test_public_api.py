@@ -1,0 +1,29 @@
+"""The public API: every name a module exports exists, and the package re-exports only exported names."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import jpta
+
+PACKAGE = Path(jpta.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_a_modules_all_exists(name):
+    module = importlib.import_module(f"jpta.{name}")
+    assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+def test_the_package_imports_only_names_in_their_modules_all():
+    imports = [node for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"jpta.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"jpta.{node.module}.{alias.name}"
+            assert getattr(jpta, alias.asname or alias.name) is getattr(module, alias.name)
