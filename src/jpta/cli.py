@@ -38,8 +38,9 @@ from .beam_targets import BeamTarget, behavior1_target, behavior2_target, custom
 from .config import (ConfigError, algorithms, apply_overrides, build_system, check_preset_overrides,
                      read_compare, read_config, read_sweep, read_target, sweep_point, theta_grid, wants_gain_map)
 from .design import JptaBeamformer, design_jpta
-from .formats import (RESULT_HEADER, _fmt, parse_beamformer_file, result_rows, save_rows, write_beamformer_file,
-                      write_fit_report, write_gain_map_csv, write_hbf_matrices, write_provenance, write_records_csv)
+from .formats import (parse_beamformer_file, result_rows, write_beamformer_file, write_behavior_records_csv,
+                      write_convergence_ratio_csv, write_fit_report, write_gain_map_csv, write_hbf_matrices,
+                      write_provenance, write_records_csv)
 from .hbf import HbfBeamformer, HbfStructure, altmin_pc, chains_fit, pe_altmin_fc, stack_target
 from .heuristics import heuristic_behavior1, heuristic_behavior2
 # objective_tilde is unused here but stays bound: bench/tracing.py wraps each name it lists in this module
@@ -80,7 +81,7 @@ class RunOutput:
     beamformer: JptaBeamformer | None = None
     hbf: HbfBeamformer | None = None
     beams: np.ndarray | None = None
-    wall_time_s: float = 0.0
+    target: BeamTarget | None = None
 
 
 def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget, algorithm: tuple,
@@ -157,7 +158,7 @@ def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
 @dataclass(frozen=True)
 class Task:
     """One run for `_map`: a point config with its target, an entry `algorithms` parsed, the base seed, and
-    whether the result keeps the (K, M) beams, which only a run whose gain map is written needs."""
+    whether the result keeps the (K, M) beams and the target, which only a run whose gain maps are written needs."""
 
     config: dict
     algorithm: tuple
@@ -177,8 +178,7 @@ _TARGETS: dict[tuple, BeamTarget] = {}
 
 
 def _run_task(task: Task) -> RunOutput:
-    """The run's label and fit report, its beams when the task keeps them, and its wall time."""
-    start = time.perf_counter()
+    """The run's label and fit report, and its beams and the target it ran on when the task keeps them."""
     system = build_system(task.config)
     grid = build_grid(system)
     key = (json.dumps(task.config.get("target"), sort_keys=True), system.num_antennas, system.carrier_freq,
@@ -188,7 +188,7 @@ def _run_task(task: Task) -> RunOutput:
         _TARGETS[key] = build_target(task.config, system, grid)
     output = run_algorithm(system, grid, _TARGETS[key], task.algorithm, base_seed=task.seed)
     return RunOutput(output.label, output.report, beams=output.beams if task.keep_beams else None,
-                     wall_time_s=time.perf_counter() - start)
+                     target=_TARGETS[key] if task.keep_beams else None)
 
 
 def _one_blas_thread() -> None:
@@ -247,7 +247,8 @@ def _write_results(out_dir: Path, config: dict, start: float, rows: list[list[st
 def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
     start = time.perf_counter()
     parameter, values = read_sweep(config)
-    _prepare(config)  # validate the base config before queuing work
+    build_system(config)  # check the base config before queuing work; the runs build its target
+    read_target(config)
     points = _sweep_points(config, parameter, values, seed)
     _write_results(out_dir, config, start, _records(points, workers), [])
     return EXIT_OK
@@ -255,7 +256,8 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
 
 def _compare_points(config: dict, seed: int) -> tuple[list[tuple], list[str]]:
     """The delay-phase reference, then each structure's chain-count sweep; notes name the counts skipped."""
-    system = _prepare(config)[0]  # validate the base config before queuing work
+    system = build_system(config)  # check the base config before queuing work; the runs build its target
+    read_target(config)
     structures, n_rf_values, fit = read_compare(config, system)
     m = system.num_antennas
     base = {key: value for key, value in config.items() if key not in ("algorithm", "algorithms")}
@@ -315,19 +317,24 @@ def _preset_notes(config: dict, fast: bool) -> list[str]:
     return []
 
 
-def _design_maps(config: dict, cases: list[tuple[str, dict]], out_dir: Path, workers: int) -> None:
-    """Ideal and line-search gain maps of each (stem, target block) case."""
+def _gain_maps(config: dict, maps: list[tuple], out_dir: Path, seed: int, workers: int) -> None:
+    """The gain map of each (stem, ideal stem, target block, algorithm block) run's beams as ``<stem>.csv``
+    and, given an ideal stem, that of the target the run built as ``<ideal stem>.csv``."""
+    system = build_system(config)
+    grid = build_grid(system)
     theta = default_theta_grid()
-    points = [{**copy.deepcopy(config), "target": target_block, "algorithm": {"jpta": {}}} for _, target_block in cases]
-    outputs = _map([task for point in points for task in _tasks(point, keep_beams=True)], workers)
-    for (stem, _), point, output in zip(cases, points, outputs):
-        system, grid, target = _prepare(point)
-        for kind, beams in (("ideal", target.unit_vectors), ("jpta", output.beams)):
-            write_gain_map_csv(out_dir / f"{kind}_{stem}.csv", grid, gain_map(system, grid, beams, theta), theta)
+    points = [{**copy.deepcopy(config), "target": target_block, "algorithm": block} for *_, target_block, block in maps]
+    tasks = [task for point in points for task in _tasks(point, seed, keep_beams=True)]
+    for (stem, ideal, *_), output in zip(maps, _map(tasks, workers)):
+        for name, beams in ((ideal, output.target.unit_vectors), (stem, output.beams)):
+            if name is not None:
+                write_gain_map_csv(out_dir / f"{name}.csv", grid, gain_map(system, grid, beams, theta), theta)
 
 
 def _reproduce_fig4(config: dict, out_dir: Path, seed: int, workers: int) -> None:
-    _design_maps(config, [("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2)], out_dir, workers)
+    maps = [("jpta_behavior1", "ideal_behavior1", PRESET_BEHAVIOR1, {"jpta": {}}),
+            ("jpta_behavior2", "ideal_behavior2", PRESET_BEHAVIOR2, {"jpta": {}})]
+    _gain_maps(config, maps, out_dir, seed, workers)
 
 
 _JPTA_ALGOS = [{"jpta": {}}, {"jpta": {"variant": "wls"}}, {"heuristic": {}}]
@@ -393,12 +400,9 @@ def _reproduce_fig7(config: dict, out_dir: Path, seed: int, workers: int) -> Non
     draws, iters, behaviors = 25, 30, (1, 2)
     tasks = [task for b in behaviors for task in _convergence_tasks(config, b, draws, iters, seed + b)]
     traces = np.array([output.report.convergence_trace for output in _map(tasks, workers)])
-    rows = []
-    for behavior, ratios in zip(behaviors, np.split(traces / traces[:, -1:], len(behaviors))):
-        stats = np.column_stack([ratios.mean(axis=0), np.percentile(ratios, [10, 90], axis=0).T])
-        rows += [[f"behavior{behavior}", i, *map(_fmt, row)] for i, row in enumerate(stats, start=1)]
-    save_rows(out_dir / "convergence_ratio.csv",
-              ["behavior", "iteration", "mean_ratio", "p10_ratio", "p90_ratio"], rows)
+    stats = {f"behavior{behavior}": np.column_stack([ratios.mean(axis=0), np.percentile(ratios, [10, 90], axis=0).T])
+             for behavior, ratios in zip(behaviors, np.split(traces / traces[:, -1:], len(behaviors)))}
+    write_convergence_ratio_csv(out_dir / "convergence_ratio.csv", stats)
 
 
 def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> None:
@@ -409,35 +413,29 @@ def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> Non
               for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2))}
     plans = {name: _compare_points(point, seed) for name, point in points.items()}
     outputs = _map([task for runs, _ in plans.values() for task, *_ in runs], workers)
-    rows = []
+    records = {}
     for name, (runs, notes) in plans.items():  # each behavior's rows sort on their own
-        part, outputs = _result_rows(runs, outputs[:len(runs)]), outputs[len(runs):]
-        _write_results(out_dir / name, points[name], start, part, notes)
-        rows += [[name, *row] for row in part]
-    save_rows(out_dir / "f_obj_vs_n_rf.csv", ["behavior", *RESULT_HEADER], rows)
+        records[name], outputs = _result_rows(runs, outputs[:len(runs)]), outputs[len(runs):]
+        _write_results(out_dir / name, points[name], start, records[name], notes)
+    write_behavior_records_csv(out_dir / "f_obj_vs_n_rf.csv", records)
 
 
 def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> list[str]:
     """Hybrid gain maps at chain counts for the stock 64 antennas; notes name each map that does not fit."""
-    theta = default_theta_grid()
-    system = build_system(config)
-    grid = build_grid(system)
+    m = config["system"]["num_antennas"]
     maps, notes = [], []
-    for name, target_block, structure, n_rf in (
+    for name, target_block, structure, n_rf in (  # grouped by target, which the runs then build once each
         ("behavior1", PRESET_BEHAVIOR1, "fc", 22),
-        ("behavior2", PRESET_BEHAVIOR2, "fc", 2),
         ("behavior1", PRESET_BEHAVIOR1, "pc", 32),
+        ("behavior2", PRESET_BEHAVIOR2, "fc", 2),
         ("behavior2", PRESET_BEHAVIOR2, "pc", 32),
     ):
         stem = f"hbf_{structure}_{n_rf}rf_{name}"
-        if not chains_fit(structure, n_rf, system.num_antennas):
-            notes.append(f"{stem}: skipped, {n_rf} {structure} chains do not fit {system.num_antennas} antennas")
+        if not chains_fit(structure, n_rf, m):
+            notes.append(f"{stem}: skipped, {n_rf} {structure} chains do not fit {m} antennas")
             continue
-        block = {"hbf": {"structure": structure, "n_rf": n_rf}}
-        point = {**copy.deepcopy(config), "target": target_block, "algorithm": block}
-        maps += [(stem, task) for task in _tasks(point, seed, keep_beams=True)]
-    for (stem, _), output in zip(maps, _map([task for _, task in maps], workers)):
-        write_gain_map_csv(out_dir / f"{stem}.csv", grid, gain_map(system, grid, output.beams, theta), theta)
+        maps.append((stem, None, target_block, {"hbf": {"structure": structure, "n_rf": n_rf}}))
+    _gain_maps(config, maps, out_dir, seed, workers)
     return notes
 
 
@@ -446,7 +444,7 @@ def _reproduce_fig11(config: dict, out_dir: Path, seed: int, workers: int) -> No
     lo = -(k // 2)
     edges = [lo + k // 3, lo + 2 * (k // 3)]
     target_block = {"behavior": 3, "band_edges": edges, "angles_deg": [-45.0, 0.0, 30.0]}
-    _design_maps(config, [("behavior3", target_block)], out_dir, workers)
+    _gain_maps(config, [("jpta_behavior3", "ideal_behavior3", target_block, {"jpta": {}})], out_dir, seed, workers)
 
 
 _FIGURES = {

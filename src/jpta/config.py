@@ -228,6 +228,11 @@ def build_system(config: dict) -> SystemConfig:
     top = system.carrier_freq + system.bandwidth / 2.0  # above every subcarrier frequency, in Hz
     phase = 2.0 * math.pi * top * system.max_delay  # above every delay phase 2 pi f tau
     power = system.total_power
+    # the line search multiplies a delay line's coefficient mass sum_k w_k sum_m |bbar_km|, at most
+    # sqrt(M) max(K, 2P) (a weight is at most 1 or |alpha_k|^2), by up to 2 (pi delay_range)^2 in its
+    # curvature bound and by up to (delay_range / W)^2 s^2 in its vertex refine
+    mass = math.sqrt(system.num_antennas) * max(system.num_subcarriers, 2.0 * power)
+    reach = 2.0 * math.pi * max(system.delay_range, system.max_delay)
     # the model multiplies frequencies by delays and squares bandwidths and powers: each result must be a
     # finite, normal double
     for key, what, ok in (
@@ -235,6 +240,7 @@ def build_system(config: dict) -> SystemConfig:
         ("delay_range", "the delay phases 2 pi f tau overflow", math.isfinite(phase)),
         ("bandwidth_ghz", "bandwidth^2 in Hz^2 underflow", system.bandwidth * system.bandwidth >= _NORMAL),
         ("total_power", "total_power^2 leave the normal double range", _NORMAL <= power * power < math.inf),
+        ("delay_range", "the line search's squared delays overflow", math.isfinite(reach * reach * mass)),
     ):
         if not ok:
             raise ConfigError(f"system.{key}: {block[key]:g} makes {what}")

@@ -106,7 +106,7 @@ def write_gain_map_csv(path: Path, grid: SubcarrierGrid, gains: np.ndarray, thet
 
 
 def save_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    """A CSV table; the summary tables the CLI writes with it stay out of the benchmark's ``write_*`` byte count."""
+    """A CSV table, as every table writer here lays it out."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -138,6 +138,17 @@ def result_rows(runs: Iterable[tuple[str, str, float, str, FitReport]]) -> list[
 
 def write_records_csv(path: Path, rows: list[list[str]]) -> None:
     save_rows(path, RESULT_HEADER, rows)
+
+
+def write_behavior_records_csv(path: Path, records: dict[str, list[list[str]]]) -> None:
+    """The results rows of each behavior, each row led by the behavior's name."""
+    save_rows(path, ["behavior", *RESULT_HEADER], [[name, *row] for name, rows in records.items() for row in rows])
+
+
+def write_convergence_ratio_csv(path: Path, stats: dict[str, np.ndarray]) -> None:
+    """Per behavior, a row per iteration of its (iterations, 3) mean, 10th and 90th percentile ratios."""
+    save_rows(path, ["behavior", "iteration", "mean_ratio", "p10_ratio", "p90_ratio"],
+              [[name, i, *map(_fmt, row)] for name, table in stats.items() for i, row in enumerate(table, start=1)])
 
 
 def write_provenance(out_dir: Path, resolved: dict, wall_time_s: float, notes: list[str]) -> None:

@@ -889,7 +889,8 @@ def test_cli_writes_every_file_through_jpta_formats():
     writers = {name for name, layer in tracing.bindings(cli).items() if layer == tracing.WRITE_LAYER}
     parent = {"write_beamformer_file", "write_fit_report", "write_gain_map_csv", "write_provenance",
               "write_records_csv"}
-    assert writers - parent == {"write_hbf_matrices"} and parent <= writers
+    summaries = {"write_behavior_records_csv", "write_convergence_ratio_csv"}  # fig8's and fig7's tables
+    assert writers - parent == {"write_hbf_matrices", *summaries} and parent <= writers
     assert [name for name in writers if getattr(cli, name) is not getattr(formats, name)] == []
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     defined = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
@@ -898,10 +899,42 @@ def test_cli_writes_every_file_through_jpta_formats():
                 for alias in node.names}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "csv" not in imported and "savetxt" not in attributes
+    # a table laid out in `jpta.cli` would be written past the `write_*` names, so its bytes would go uncounted
+    assert {"_fmt", "save_rows", "RESULT_HEADER"} & imported == set()
     probe = "import sys, jpta.formats; print(sorted(name for name in sys.modules if name.startswith('jpta.cli')))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_each_command_builds_each_distinct_target_once(tmp_path, monkeypatch):
+    # a config check parses the target block and the runs build the target; gain maps reuse the runs' targets
+    built = []
+    build_target = cli.build_target
+
+    def counted(config, system, grid):
+        built.append(json.dumps(config["target"], sort_keys=True))
+        return build_target(config, system, grid)
+
+    monkeypatch.setattr(cli, "build_target", counted)
+    sweep = write_config(tmp_path, {**BASE_CONFIG, "algorithm": None, "algorithms": [{"jpta": {}}, {"heuristic": {}}],
+                                    "sweep": {"parameter": "num_ttds", "values": [1, 2, 4]}}, "sweep.json")
+    compare = write_config(tmp_path, {**BASE_CONFIG, "compare": {"n_rf_values": [1, 2], "restarts": 1}},
+                           "compare.json")
+    fig9 = ["--set", "system.num_antennas=32", "--set", "system.num_ttds=32",
+            "--set", "system.num_subcarriers=16", "--set", "system.delay_range=8"]  # all four maps fit
+    runs = [
+        (["reproduce", "fig4", "--fast", *TINY_PRESET], 2),
+        (["reproduce", "fig8", "--fast", *TINY_PRESET], 2),
+        (["reproduce", "fig9", "--fast", *fig9], 2),
+        (["reproduce", "fig11", "--fast", *TINY_PRESET], 1),
+        (["sweep", "--config", str(sweep)], 1),
+        (["compare-hbf", "--config", str(compare)], 1),
+    ]
+    for i, (argv, targets) in enumerate(runs):
+        built.clear()
+        assert main([*argv, "--out", str(tmp_path / f"run{i}")]) == 0, argv
+        assert (len(built), len(set(built))) == (targets, targets), argv
 
 
 def test_serial_runs_import_no_process_pool(tmp_path):

@@ -1,17 +1,21 @@
 """Config values at the edges of what `jpta.config` accepts: a run exits 0 or 2 and writes only finite numbers."""
 
 import json
+import math
 import re
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpta.beam_targets import WeightScheme
+from jpta.array_model import SystemConfig, build_grid
+from jpta.beam_targets import WeightScheme, behavior1_target
 from jpta.cli import main
+from jpta.design import design_jpta
 
 BASE_SYSTEM = {"num_antennas": 8, "num_ttds": 2, "carrier_freq_ghz": 100.0, "bandwidth_ghz": 10.0,
                "num_subcarriers": 16, "delay_range": 8.0}
@@ -39,6 +43,14 @@ def non_finite(out: Path) -> list[str]:
     ({"delay_range": 0.0}, None),  # a zero-width delay window
     ({"carrier_freq_ghz": 1e-300, "bandwidth_ghz": 1e-301}, "system.bandwidth_ghz: "),  # W^2 underflows
     ({"delay_range": 1e300, "bandwidth_ghz": 1e-300}, "system.delay_range: "),  # delay_range / W overflows
+    # the line search would square delays past the double range
+    ({"delay_range": 1e300}, "system.delay_range: 1e+300 makes the line search's squared delays overflow"),
+    ({"num_subcarriers": 1, "delay_range": 1e200},
+     "system.delay_range: 1e+200 makes the line search's squared delays overflow"),
+    # just inside that bound
+    ({"delay_range": 2e152}, None),
+    ({"num_subcarriers": 1, "delay_range": 8e152}, None),
+    ({"carrier_freq_ghz": 1e-139, "bandwidth_ghz": 1e-140, "delay_range": 2e21}, None),  # a 2e170 s window
 ])
 def test_degenerate_delay_windows_design_or_exit_2(tmp_path, capsys, variant, system, error):
     config = {"system": {**BASE_SYSTEM, **system}, "target": BEHAVIOR1, "algorithm": VARIANTS[variant]}
@@ -49,19 +61,24 @@ def test_degenerate_delay_windows_design_or_exit_2(tmp_path, capsys, variant, sy
     if error is None:
         assert status == 0, err
         assert non_finite(out) == []
-        delays = (out / "beamformer.txt").read_text().split("[delays_ns]\n")[1].split("[")[0]
-        assert delays.split() == ["0", "0"]
+        if system["delay_range"] == 0.0:
+            delays = (out / "beamformer.txt").read_text().split("[delays_ns]\n")[1].split("[")[0]
+            assert delays.split() == ["0", "0"]
     else:
         assert status == 2 and err.startswith(f"config error: {error}"), err
         assert not out.exists()
 
 
-def test_line_search_keeps_every_interval_whose_bound_is_nan(tmp_path):
-    # one subcarrier bends nothing, and the bound squares a 1e200 s window past the double range: 0 * inf
-    config = {"system": {**BASE_SYSTEM, "num_subcarriers": 1, "delay_range": 1e200}, "target": BEHAVIOR1,
-              "algorithm": VARIANTS["line_search"]}
-    status, out = design(config, tmp_path)
-    assert status == 0 and non_finite(out) == []
+def test_line_search_keeps_every_interval_whose_bound_is_nan():
+    # one subcarrier bends nothing, and the bound squares a 1e190 s window past the double range: 0 * inf;
+    # the config rejects such a window, so the design runs on a directly built system
+    system = SystemConfig(num_antennas=8, num_ttds=2, carrier_freq=100e9, bandwidth=10e9, num_subcarriers=1,
+                          delay_range=1e200)
+    grid = build_grid(system)
+    target = behavior1_target(system, grid, math.radians(30.0), math.radians(45.0))
+    with pytest.warns(RuntimeWarning):  # overflow in far**2, then 0 * inf
+        bf, trace = design_jpta(system, grid, target)
+    assert all(np.isfinite(values).all() for values in (bf.delays, bf.phases, bf.alpha, trace))
 
 
 FINITE = {"allow_nan": False, "allow_infinity": False}
