@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def _store_frozen(obj, **arrays: np.ndarray) -> None:
+    """Make each array read-only and store it as the frozen field of its name on ``obj``."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 def contiguous_ttd_groups(num_antennas: int, num_ttds: int) -> tuple[tuple[int, ...], ...]:
     """Default delay-line mapping: N contiguous blocks of M/N antennas each.
 
@@ -108,9 +115,7 @@ class SystemConfig:
         columns = np.array([m - 1 for g in self.ttd_groups for m in g], dtype=np.intp)
         antenna_line = np.repeat(np.arange(self.num_ttds), sizes)[np.argsort(columns)]  # columns is a permutation
         starts = np.cumsum([0] + sizes[:-1], dtype=np.intp)
-        for name, arr in (("line_columns", columns), ("line_starts", starts), ("antenna_line", antenna_line)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _store_frozen(self, line_columns=columns, line_starts=starts, antenna_line=antenna_line)
 
     def _validate_groups(self) -> None:
         groups = self.ttd_groups
@@ -143,17 +148,14 @@ class SubcarrierGrid:
     frequencies: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        freq = np.asarray(self.frequencies, dtype=np.float64)
+        idx = np.array(self.indices, dtype=np.int64, order="C")
+        freq = np.array(self.frequencies, dtype=np.float64, order="C")
         if idx.shape != freq.shape or idx.ndim != 1 or idx.size == 0:
             raise ValueError("indices and frequencies must be matching nonempty 1-D arrays")
         k = idx.size
         if idx[0] != -(k // 2) or np.any(np.diff(idx) != 1):
             raise ValueError("subcarrier indices must run floor((1-K)/2)..floor((K-1)/2)")
-        idx.setflags(write=False)
-        freq.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "frequencies", freq)
+        _store_frozen(self, indices=idx, frequencies=freq)
 
     @property
     def num_subcarriers(self) -> int:

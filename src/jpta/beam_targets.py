@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, check_angle, check_sweep, steering_vectors
+from .array_model import SubcarrierGrid, SystemConfig, _store_frozen, check_angle, check_sweep, steering_vectors
 
 __all__ = [
     "WeightScheme",
@@ -61,8 +61,8 @@ class BeamTarget:
     unit_vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vectors, dtype=np.complex128)
-        w = np.asarray(self.weights, dtype=np.float64)
+        vec = np.array(self.vectors, dtype=np.complex128, order="C")
+        w = np.array(self.weights, dtype=np.float64, order="C")
         if vec.ndim != 2:
             raise ValueError("target vectors must form a (K, M) array")
         if w.shape != (vec.shape[0],):
@@ -79,19 +79,13 @@ class BeamTarget:
             raise ValueError(
                 f"target power {total:g} exceeds the budget {self.power_budget:g}"
             )
-        w = w.copy()
         w[norms == 0.0] = 0.0
         if not np.any(w > 0.0):
             raise ValueError("subcarrier weights must not all vanish")
         unit = np.zeros_like(vec)
         nz = norms > 0.0
         unit[nz] = vec[nz] / norms[nz, None]
-        for arr in (vec, w, norms, unit):
-            arr.setflags(write=False)
-        object.__setattr__(self, "vectors", vec)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "unit_vectors", unit)
+        _store_frozen(self, vectors=vec, weights=w, norms=norms, unit_vectors=unit)
 
 
 def _behavior_angles(

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, delay_response
+from .array_model import SubcarrierGrid, SystemConfig, _store_frozen, delay_response
 from .beam_targets import BeamTarget
 
 __all__ = [
@@ -118,14 +118,9 @@ class JptaBeamformer:
     alpha: np.ndarray
 
     def __post_init__(self) -> None:
-        delays = np.asarray(self.delays, dtype=np.float64).copy()
-        phases = np.asarray(self.phases, dtype=np.float64).copy()
-        alpha = np.asarray(self.alpha, dtype=np.complex128).copy()
-        for arr in (delays, phases, alpha):
-            arr.setflags(write=False)
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "alpha", alpha)
+        _store_frozen(self, delays=np.array(self.delays, dtype=np.float64, order="C"),
+                      phases=np.array(self.phases, dtype=np.float64, order="C"),
+                      alpha=np.array(self.alpha, dtype=np.complex128, order="C"))
 
     @property
     def alpha_phases(self) -> np.ndarray:
@@ -140,6 +135,12 @@ def wrap_angle(x: np.ndarray | float) -> np.ndarray | float:
 def digital_power_allocation(target: BeamTarget) -> np.ndarray:
     """Optimal digital magnitudes: |alpha_k| equals the target norm, per subcarrier."""
     return target.norms.copy()
+
+
+def _pow2_at_or_below(x: float) -> float:
+    """The power of two in ``(x/2, x]`` for a positive ``x``: scaling by it is exact, and keeps
+    ``x``'s powers and products from leaving the double range."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
 def _layout(config: SystemConfig, n: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +199,10 @@ class _Lines(NamedTuple):
     Row m of the coefficients ``_coeffs`` builds is ``w_k e^{j ang_k} conj(bbar_{k,m})``, rows
     line after line; ``|c_{m,k}| = w_k |bbar_{k,m}|`` whatever the digital phases, so each
     line's curvature bound ``bend`` and coefficient mass ``sum_{m,k} |c_{m,k}|`` are fixed.
+    ``bend`` is in units of ``unit^2``, for the power of two ``unit`` at or below the bandwidth,
+    and the bound pass scales the coefficients by ``coarse_scale``, a power of two that brings the
+    largest weight into ``[1, 2)``; both scalings are exact and keep the search in range at any
+    band or power.
     """
 
     conj: np.ndarray  # (antennas, K) conj(bbar_{k,m}) of the lines' antennas
@@ -207,6 +212,8 @@ class _Lines(NamedTuple):
     freqs: np.ndarray
     bend: np.ndarray  # (lines, 1)
     mass: np.ndarray  # (lines,)
+    unit: float
+    coarse_scale: float
 
 
 def _lines(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget) -> _Lines:
@@ -214,9 +221,12 @@ def _lines(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget) ->
     conj = np.conj(target.unit_vectors.T[cols])
     mags = np.abs(conj) * target.weights
     freqs = grid.frequencies
-    bend = (2.0 * np.pi) ** 2 * np.add.reduceat(mags @ (freqs - freqs.mean()) ** 2, starts)[:, None]
+    unit = _pow2_at_or_below(config.bandwidth)
+    bend = (2.0 * np.pi) ** 2 * np.add.reduceat(mags @ ((freqs - freqs.mean()) / unit) ** 2, starts)[:, None]
     sizes = np.diff(np.append(starts, cols.size))
-    return _Lines(conj, target.weights, starts, sizes, freqs, bend, np.add.reduceat(mags.sum(axis=1), starts))
+    mass = np.add.reduceat(mags.sum(axis=1), starts)
+    return _Lines(conj, target.weights, starts, sizes, freqs, bend, mass, unit,
+                  1.0 / _pow2_at_or_below(float(target.weights.max())))
 
 
 def _coeffs(lines: _Lines, alpha_phases) -> np.ndarray:
@@ -291,9 +301,10 @@ def _grid_values(coeffs: np.ndarray, lines: _Lines, search: _SearchGrid) -> tupl
     """
     taus, coarse, phases, steps, phases32 = search
     starts, bend, mass = lines.starts, lines.bend, lines.mass
-    tops = np.add.reduceat(np.abs(coeffs.astype(np.complex64) @ phases32), starts, axis=0, dtype=np.float64)
+    scaled = (coeffs * lines.coarse_scale).astype(np.complex64)
+    tops = np.add.reduceat(np.abs(scaled @ phases32), starts, axis=0, dtype=np.float64) / lines.coarse_scale
     slack = _single_precision_slack(coeffs.shape[1]) * mass
-    half = np.diff(taus[coarse]) / 2.0
+    half = np.diff(taus[coarse]) * (lines.unit / 2.0)  # in units of 1/unit, like bend
     left, right = tops[:, :-1], tops[:, 1:]
     # the farthest from the left end that a peak can sit: where the two ends' bounds meet, or the right
     # end where they cannot meet (no bend, a zero-width window or an underflow), which bounds any peak
@@ -360,13 +371,14 @@ def _line_search(lines: _Lines, alpha_phases, search: _SearchGrid) -> tuple[np.n
     below, above = np.maximum(at - 1, 0), np.minimum(at + 1, point.size - 1)
     interior = (best == mid) & (point[below] == best - 1) & (point[above] == best + 1)
     interior &= (line[below] == line[at]) & (line[above] == line[at])
-    x1, x2, x3 = taus[mid - 1], taus[mid], taus[mid + 1]
+    # the vertex in units of 1/lines.unit, whose squared steps neither underflow nor overflow
+    x1, x2, x3 = taus[[mid - 1, mid, mid + 1]] * lines.unit
     y1, y2, y3 = np.where(interior, value[[below, at, above]], 0.0)
     denom = (x2 - x1) * (y2 - y3) - (x2 - x3) * (y2 - y1)
     interior &= np.abs(denom) > 0.0
     denom = np.where(interior, denom, 1.0)
     vertex = x2 - 0.5 * ((x2 - x1) ** 2 * (y2 - y3) - (x2 - x3) ** 2 * (y2 - y1)) / denom
-    vertex = np.clip(vertex, x1, x3)
+    vertex = np.clip(vertex, x1, x3) / lines.unit
     table = delay_response(lines.freqs, vertex)
     refined = np.diagonal(_line_objective(coeffs, lines.starts, table))
     keep = interior & (refined > value[at])
@@ -417,13 +429,16 @@ def _wls_update(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarge
     cols, starts = _layout(config, n)
     f = grid.frequencies[active]
     block = target.unit_vectors[np.ix_(np.flatnonzero(active), cols)].T  # (antennas, K)
-    v = target.weights[active] * np.abs(block)
+    # fit weights in units of a power of two near the largest: each delay is a ratio of v-weighted sums, so
+    # this is exact, and it keeps v * f in range for power weights at huge bands
+    v = target.weights[active] * np.abs(block) / _pow2_at_or_below(float(target.weights.max()))
     sv = v.sum(axis=1)
     seen = np.add.reduceat(sv, starts)
     if np.any(seen == 0.0):
         raise ValueError(f"all fit weights vanish for delay line {n or 1 + int(np.argmax(seen == 0.0))}")
     sv = np.where(sv == 0.0, 1.0, sv)[:, None]  # antennas without fit weight add nothing
-    df = f - (v * f).sum(axis=1, keepdims=True) / sv
+    unit = _pow2_at_or_below(config.bandwidth)  # frequency offsets in this unit square without overflow
+    df = (f - (v * f).sum(axis=1, keepdims=True) / sv) / unit
     vdf = v * df
     den = np.add.reduceat((vdf * df).sum(axis=1), starts)
     angles = np.angle(block)
@@ -434,7 +449,7 @@ def _wls_update(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarge
         c = phase_unwrap(angles - np.asarray(alpha_phases, dtype=np.float64)[active])
         dc = c - (v * c).sum(axis=1, keepdims=True) / sv
         num = np.add.reduceat((vdf * dc).sum(axis=1), starts)
-        tau = np.divide(-num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den != 0.0)
+        tau = np.divide(-num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den != 0.0) / unit
         tau = np.mod(tau + period / 2.0, period) - period / 2.0
         return np.clip(tau, -half, half)
 

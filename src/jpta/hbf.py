@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig
+from .array_model import SubcarrierGrid, SystemConfig, _store_frozen
 from .beam_targets import BeamTarget
 
 __all__ = [
@@ -68,11 +68,10 @@ class TargetMatrix:
     power_budget: float
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128).copy()
+        mat = np.array(self.matrix, dtype=np.complex128, order="C")
         if mat.ndim != 2:
             raise ValueError("target matrix must be two-dimensional (M, K)")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        _store_frozen(self, matrix=mat)
 
 
 def stack_target(target: BeamTarget) -> TargetMatrix:
@@ -92,10 +91,8 @@ class HbfBeamformer:
     residual_trace: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("analog", "digital", "residual_trace"):
-            arr = np.asarray(getattr(self, name)).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _store_frozen(self, analog=np.array(self.analog, order="C"), digital=np.array(self.digital, order="C"),
+                      residual_trace=np.array(self.residual_trace, order="C"))
 
     def unit_effective_vectors(self) -> np.ndarray:
         """Per-subcarrier effective beams, each normalized to unit norm, as (K, M)."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from .array_model import SubcarrierGrid, SystemConfig, check_angle, check_sweep, delay_response, steering_vectors
 from .beam_targets import _behavior_angles
-from .design import JptaBeamformer, _digital_alignment, shift_nonnegative, wrap_angle
+from .design import JptaBeamformer, _digital_alignment, _pow2_at_or_below, shift_nonnegative, wrap_angle
 
 __all__ = [
     "heuristic_behavior1",
@@ -35,11 +35,12 @@ def heuristic_behavior1(
     check_sweep(theta0, delta_theta)
     f = grid.frequencies
     f_min, f_max = float(f[0]), float(f[-1])
-    slope = (
+    unit = _pow2_at_or_below(config.bandwidth)  # W f0 overflows at huge bands, (W / unit) f0 does not
+    slope = (  # seconds times unit
         math.sin(theta0 - delta_theta / 2.0) * f_min
         - math.sin(theta0 + delta_theta / 2.0) * f_max
-    ) / (2.0 * config.bandwidth * config.carrier_freq)
-    tau = np.array([slope * np.mean(np.asarray(g, dtype=np.float64)) for g in config.ttd_groups])
+    ) / (2.0 * (config.bandwidth / unit) * config.carrier_freq)
+    tau = np.array([slope * np.mean(np.asarray(g, dtype=np.float64)) for g in config.ttd_groups]) / unit
     ramp = np.angle(steering_vectors(config, config.carrier_freq, theta0))
     angles = _behavior_angles(config, grid, 1, theta0, delta_theta)
     return _assemble(config, grid, tau, ramp, angles_per_subcarrier=angles, nonnegative=nonnegative)
@@ -72,6 +73,7 @@ def heuristic_behavior2(
             stacklevel=2,
         )
     probe = np.conj(b_mid) * third
+    unit = _pow2_at_or_below(config.bandwidth)  # 2 pi W overflows at huge bands, 2 pi W / unit does not
     tau = np.empty(config.num_ttds)
     for n, cols in enumerate(np.split(config.line_columns, config.line_starts[1:])):
         s = probe[cols].sum()
@@ -79,7 +81,7 @@ def heuristic_behavior2(
             warnings.warn("antipodal split angles: delay probe vanished; delay defaults to 0", stacklevel=2)
             tau[n] = 0.0
         else:
-            tau[n] = -3.0 / (2.0 * np.pi * config.bandwidth) * float(np.angle(s))
+            tau[n] = -3.0 / (2.0 * np.pi * (config.bandwidth / unit)) * float(np.angle(s)) / unit
     mid_angle = np.angle(b_mid)
     mid_angle[dead] = 0.0
     angles = _behavior_angles(config, grid, 2, theta1, theta2)
@@ -103,7 +105,8 @@ def _assemble(
     half = config.max_delay / 2.0
     tau = np.clip(tau - tau.mean(), -half, half)
     tau_per_antenna = tau[config.antenna_line]
-    phi = wrap_angle(carrier_phase + 2.0 * np.pi * config.carrier_freq * tau_per_antenna)
+    scale = _pow2_at_or_below(config.carrier_freq)  # 2 pi f0 overflows at huge carriers, 2 pi f0 / scale does not
+    phi = wrap_angle(carrier_phase + 2.0 * np.pi * (config.carrier_freq / scale) * (tau_per_antenna * scale))
     unit = steering_vectors(config, grid.frequencies, angles_per_subcarrier) / math.sqrt(config.num_antennas)
     u = _digital_alignment(unit * np.conj(delay_response(grid.frequencies, tau_per_antenna)), phi)
     magnitude = math.sqrt(config.total_power / config.num_subcarriers)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, effective_beamformer_matrix
+from .array_model import SubcarrierGrid, SystemConfig, _store_frozen, effective_beamformer_matrix
 from .beam_targets import BeamTarget
 from .design import JptaBeamformer
 
@@ -39,14 +39,11 @@ class FitReport:
             raise ValueError(f"goodness of fit {self.f_obj} outside [0, 1]")
         if self.f_tilde_obj < 0.0:
             raise ValueError("matching objective must be nonnegative")
-        match = np.asarray(self.per_subcarrier_match, dtype=np.float64)
+        match = np.array(self.per_subcarrier_match, dtype=np.float64, order="C")
         if match.size and (match.min() < -1e-12 or match.max() > 1.0 + 1e-9):
             raise ValueError("per-subcarrier matches must lie in [0, 1]")
-        trace = np.asarray(self.convergence_trace, dtype=np.float64)
-        match.setflags(write=False)
-        trace.setflags(write=False)
-        object.__setattr__(self, "per_subcarrier_match", match)
-        object.__setattr__(self, "convergence_trace", trace)
+        trace = np.array(self.convergence_trace, dtype=np.float64, order="C")
+        _store_frozen(self, per_subcarrier_match=match, convergence_trace=trace)
 
     @property
     def iterations(self) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from jpta.array_model import (
+    SubcarrierGrid,
     SystemConfig,
     build_grid,
     contiguous_ttd_groups,
@@ -14,9 +16,11 @@ from jpta.array_model import (
     gain_map,
     steering_vectors,
 )
-from jpta.beam_targets import behavior1_target, behavior2_target, multi_angle_target
+from jpta.beam_targets import BeamTarget, behavior1_target, behavior2_target, multi_angle_target
 from jpta.design import JptaBeamformer
+from jpta.hbf import HbfBeamformer, HbfStructure, TargetMatrix
 from jpta.heuristics import heuristic_behavior1, heuristic_behavior2
+from jpta.metrics import FitReport
 
 from helpers import make_config
 
@@ -344,3 +348,42 @@ def test_line_layout_keeps_each_groups_listed_order(num_antennas, groups, column
     for arr, expected in ((cfg.line_columns, columns), (cfg.line_starts, starts), (cfg.antenna_line, antenna_line)):
         assert arr.dtype == np.intp and arr.tolist() == expected
         assert not arr.flags.writeable
+
+
+def _value_objects():
+    """Each frozen value class built from writable arrays, with those arrays; the target matrix gets an
+    F-ordered one, as ``stack_target`` passes it."""
+    rng = np.random.default_rng(0)
+    k, m = 4, 2
+    vectors = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    inputs = [
+        {"ttd_groups": np.array([[1], [2]])},
+        {"indices": np.arange(-2, 2), "frequencies": np.linspace(1.0, 2.0, 4)},
+        {"vectors": vectors, "weights": np.ones(k)},
+        {"delays": np.zeros(2), "phases": np.ones(m), "alpha": np.ones(k, dtype=complex)},
+        {"matrix": vectors.T},
+        {"analog": np.ones((m, 1), dtype=complex), "digital": np.ones((1, k), dtype=complex),
+         "residual_trace": np.ones(3)},
+        {"per_subcarrier_match": np.full(k, 0.5), "convergence_trace": np.ones(3)},
+    ]
+    built = [
+        SystemConfig(num_antennas=m, num_ttds=2, carrier_freq=100e9, bandwidth=10e9, num_subcarriers=k,
+                     delay_range=4.0, **inputs[0]),
+        SubcarrierGrid(**inputs[1]),
+        BeamTarget(power_budget=100.0, **inputs[2]),
+        JptaBeamformer(**inputs[3]),
+        TargetMatrix(power_budget=100.0, **inputs[4]),
+        HbfBeamformer(structure=HbfStructure.FULLY_CONNECTED, n_rf=1, seed=0, residual=0.0, **inputs[5]),
+        FitReport(f_obj=0.5, f_tilde_obj=0.5, **inputs[6]),
+    ]
+    return [pytest.param(obj, given, id=type(obj).__name__) for obj, given in zip(built, inputs)]
+
+
+@pytest.mark.parametrize("obj, inputs", _value_objects())
+def test_value_objects_store_owned_read_only_c_ordered_copies(obj, inputs):
+    stored = [getattr(obj, f.name) for f in dataclasses.fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)]
+    assert stored
+    for arr in stored:
+        assert not arr.flags.writeable and arr.flags.c_contiguous
+        assert not any(np.shares_memory(arr, given) for given in inputs.values())
+    assert all(given.flags.writeable for given in inputs.values())

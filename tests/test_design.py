@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import jpta.design as design_module
 from jpta.array_model import SystemConfig, build_grid, delay_response, effective_beamformer_matrix
-from jpta.beam_targets import BeamTarget, behavior1_target, behavior2_target
+from jpta.beam_targets import BeamTarget, WeightScheme, behavior1_target, behavior2_target
+from jpta.config import build_system
 from jpta.design import (
     DesignOptions,
     JptaBeamformer,
@@ -27,7 +28,7 @@ from jpta.design import (
     ttd_update_wls,
 )
 from jpta.design import _COARSE_STEP, _GRID_TABLE, _TIE_TOL, _grid_table, _line_search
-from jpta.heuristics import heuristic_behavior1
+from jpta.heuristics import heuristic_behavior1, heuristic_behavior2
 from jpta.metrics import build_fit_report, fit_objective
 
 from helpers import (
@@ -961,3 +962,49 @@ def test_common_delay_shift_with_digital_compensation_leaves_fit_unchanged(
     before, after = (build_fit_report(cfg, grid, target, b) for b in (bf, shifted))
     assert after.f_obj == pytest.approx(before.f_obj, abs=1e-10)
     assert after.f_tilde_obj == pytest.approx(before.f_tilde_obj, abs=1e-10)
+
+
+def _scaled_design(algorithm, behavior, j, total_power=None, scheme=WeightScheme.UNIFORM):
+    """A design on 8 antennas, N=2, K=16, with carrier and bandwidth 100 and 10 GHz times 2^j, as
+    ``jpta.config`` builds the system; returns the beamformer and its fit report."""
+    cfg = build_system({"system": {"num_antennas": 8, "num_ttds": 2, "num_subcarriers": 16,
+                                   "carrier_freq_ghz": 100.0 * 2.0**j, "bandwidth_ghz": 10.0 * 2.0**j,
+                                   "delay_range": 8.0, "total_power": total_power}})
+    grid = build_grid(cfg)
+    angles = (math.radians(30.0), math.radians(45.0)) if behavior == 1 else (math.radians(-20.0), math.radians(35.0))
+    target = (behavior1_target if behavior == 1 else behavior2_target)(cfg, grid, *angles, scheme=scheme)
+    if algorithm == "heuristic":
+        bf = (heuristic_behavior1 if behavior == 1 else heuristic_behavior2)(cfg, grid, *angles)
+        trace = None
+    else:
+        bf, trace = design_jpta(cfg, grid, target, DesignOptions(ttd_update=algorithm))
+    return bf, build_fit_report(cfg, grid, target, bf, trace)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("j", [-500, 10, 480, 900])
+@pytest.mark.parametrize("behavior", [1, 2])
+@pytest.mark.parametrize("algorithm", ["line_search", "wls", "heuristic"])
+def test_designs_are_exactly_covariant_under_power_of_two_band_scaling(algorithm, behavior, j):
+    # every design input is a product f * tau, so a band scaled by 2^j must scale the delays by 2^-j
+    # and leave every other output equal to the bit
+    bf, report = _scaled_design(algorithm, behavior, j)
+    ref_bf, ref = _scaled_design(algorithm, behavior, 0)
+    np.testing.assert_array_equal(bf.delays, ref_bf.delays * 2.0**-j)
+    np.testing.assert_array_equal(bf.phases, ref_bf.phases)
+    np.testing.assert_array_equal(bf.alpha, ref_bf.alpha)
+    assert (report.f_obj, report.f_tilde_obj) == (ref.f_obj, ref.f_tilde_obj)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("j", [0, 900])
+@pytest.mark.parametrize("algorithm", ["line_search", "wls"])
+def test_power_weighted_design_is_exactly_covariant_under_power_of_two_power_scaling(algorithm, j):
+    # the power weights |alpha_k|^2 pass float32's range, and times the frequencies of a huge band, the double
+    # range; neither the single-precision bound pass nor the wLS weighted sums may overflow
+    bf, report = _scaled_design(algorithm, 1, j, total_power=16.0 * 4.0**66, scheme=WeightScheme.POWER)
+    ref_bf, ref = _scaled_design(algorithm, 1, 0, total_power=16.0, scheme=WeightScheme.POWER)
+    np.testing.assert_array_equal(bf.delays, ref_bf.delays * 2.0**-j)
+    np.testing.assert_array_equal(bf.phases, ref_bf.phases)
+    np.testing.assert_array_equal(bf.alpha, ref_bf.alpha * 2.0**66)
+    assert (report.f_obj, report.f_tilde_obj) == (ref.f_obj, ref.f_tilde_obj * 4.0**66)

@@ -162,3 +162,14 @@ def test_behavior1_unclipped_when_budget_met():
     assert np.max(np.abs(expected)) <= half
     bf = heuristic_behavior1(cfg, grid, theta0, dtheta, nonnegative=False)
     assert np.array_equal(bf.delays, expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("heuristic, angles", [(heuristic_behavior1, (0.5, 0.8)), (heuristic_behavior2, (-0.3, 0.6))])
+def test_closed_forms_are_exactly_covariant_up_to_the_top_of_the_double_range(heuristic, angles):
+    # carrier = bandwidth = 2^1022 Hz: 2 pi W, 2 pi f0 and W f0 overflow, so the closed forms must not form them
+    low, high = (make_config(num_antennas=8, carrier_freq=2.0**e, bandwidth=2.0**e) for e in (37, 1022))
+    bf_low, bf_high = (heuristic(cfg, build_grid(cfg), *angles) for cfg in (low, high))
+    np.testing.assert_array_equal(bf_high.delays, bf_low.delays * 2.0**-985)
+    np.testing.assert_array_equal(bf_high.phases, bf_low.phases)
+    np.testing.assert_array_equal(bf_high.alpha, bf_low.alpha)
