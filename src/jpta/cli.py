@@ -441,6 +441,8 @@ def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> lis
 
 def _reproduce_fig11(config: dict, out_dir: Path, seed: int, workers: int) -> None:
     k = config["system"]["num_subcarriers"]
+    if k < 3:
+        raise ConfigError(f"system.num_subcarriers: fig11 needs a subcarrier in each of its 3 sub-bands, got {k}")
     lo = -(k // 2)
     edges = [lo + k // 3, lo + 2 * (k // 3)]
     target_block = {"behavior": 3, "band_edges": edges, "angles_deg": [-45.0, 0.0, 30.0]}

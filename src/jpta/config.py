@@ -229,10 +229,10 @@ def build_system(config: dict) -> SystemConfig:
     phase = 2.0 * math.pi * top * system.max_delay  # above every delay phase 2 pi f tau
     power = system.total_power
     # the line search multiplies a delay line's coefficient mass sum_k w_k sum_m |bbar_km|, at most
-    # sqrt(M) max(K, 2P) (a weight is at most 1 or |alpha_k|^2), by up to 2 (pi delay_range)^2 in its
-    # curvature bound and by up to (delay_range / W)^2 s^2 in its vertex refine
+    # sqrt(M) max(K, 2P) (a weight is at most 1 or |alpha_k|^2), by up to (2 pi delay_range)^2: its curvature
+    # bound and vertex refine square offsets and steps in units of the power of two at or below the bandwidth
     mass = math.sqrt(system.num_antennas) * max(system.num_subcarriers, 2.0 * power)
-    reach = 2.0 * math.pi * max(system.delay_range, system.max_delay)
+    reach = 2.0 * math.pi * system.delay_range
     # the model multiplies frequencies by delays and squares bandwidths and powers: each result must be a
     # finite, normal double
     for key, what, ok in (

@@ -220,12 +220,12 @@ def _lines(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarget) ->
     cols, starts = _layout(config, n)
     conj = np.conj(target.unit_vectors.T[cols])
     mags = np.abs(conj) * target.weights
-    freqs = grid.frequencies
-    unit = _pow2_at_or_below(config.bandwidth)
-    bend = (2.0 * np.pi) ** 2 * np.add.reduceat(mags @ ((freqs - freqs.mean()) / unit) ** 2, starts)[:, None]
+    unit = _pow2_at_or_below(config.bandwidth)  # offsets from the carrier in this unit lie inside (-1, 1)
+    offsets = grid.indices * (config.bandwidth / unit / config.num_subcarriers)
+    bend = (2.0 * np.pi) ** 2 * np.add.reduceat(mags @ offsets**2, starts)[:, None]
     sizes = np.diff(np.append(starts, cols.size))
     mass = np.add.reduceat(mags.sum(axis=1), starts)
-    return _Lines(conj, target.weights, starts, sizes, freqs, bend, mass, unit,
+    return _Lines(conj, target.weights, starts, sizes, grid.frequencies, bend, mass, unit,
                   1.0 / _pow2_at_or_below(float(target.weights.max())))
 
 
@@ -284,9 +284,9 @@ def _grid_values(coeffs: np.ndarray, lines: _Lines, search: _SearchGrid) -> tupl
     grid value by more than ``_TIE_TOL``, and every line keeps at least one point.
 
     Per antenna the objective is ``|q(tau)|`` for the trigonometric polynomial
-    ``q(tau) = sum_k c_k e^{-j 2 pi (f_k - fbar) tau}`` (``fbar`` the mean frequency;
+    ``q(tau) = sum_k c_k e^{-j 2 pi (f_k - f0) tau}`` (``f0`` the carrier;
     the shift leaves ``|q|`` unchanged), whose second derivative is at most
-    ``B = (2 pi)^2 sum_k |c_k| (f_k - fbar)^2`` in magnitude.  Where a line's
+    ``B = (2 pi)^2 sum_k |c_k| (f_k - f0)^2`` in magnitude.  Where a line's
     objective ``F`` peaks at ``t`` inside a coarse interval, the sum over its
     antennas of ``Re(e^{-j arg q(t)} q)`` touches ``F`` from below, is flat at
     ``t`` and bends down by at most the line's summed ``B``; so an end of the
@@ -427,18 +427,16 @@ def _wls_update(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarge
     if not np.any(active):
         raise ValueError("all subcarrier weights vanish; the delay lines are unconstrained")
     cols, starts = _layout(config, n)
-    f = grid.frequencies[active]
+    unit = _pow2_at_or_below(config.bandwidth)  # the offsets from the carrier that _lines squares
+    f = grid.indices[active] * (config.bandwidth / unit / config.num_subcarriers)
     block = target.unit_vectors[np.ix_(np.flatnonzero(active), cols)].T  # (antennas, K)
-    # fit weights in units of a power of two near the largest: each delay is a ratio of v-weighted sums, so
-    # this is exact, and it keeps v * f in range for power weights at huge bands
-    v = target.weights[active] * np.abs(block) / _pow2_at_or_below(float(target.weights.max()))
+    v = target.weights[active] * np.abs(block)
     sv = v.sum(axis=1)
     seen = np.add.reduceat(sv, starts)
     if np.any(seen == 0.0):
         raise ValueError(f"all fit weights vanish for delay line {n or 1 + int(np.argmax(seen == 0.0))}")
     sv = np.where(sv == 0.0, 1.0, sv)[:, None]  # antennas without fit weight add nothing
-    unit = _pow2_at_or_below(config.bandwidth)  # frequency offsets in this unit square without overflow
-    df = (f - (v * f).sum(axis=1, keepdims=True) / sv) / unit
+    df = f - (v * f).sum(axis=1, keepdims=True) / sv
     vdf = v * df
     den = np.add.reduceat((vdf * df).sum(axis=1), starts)
     angles = np.angle(block)

@@ -584,6 +584,19 @@ def test_reproduce_fig11_three_angle_maps(tmp_path):
     assert (out / "jpta_behavior3.csv").exists()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reproduce_fig11_needs_a_subcarrier_per_sub_band(tmp_path, capsys, k):
+    code = main(["reproduce", "fig11", "--out", str(tmp_path / "x"), "--fast", *TINY_PRESET,
+                 "--set", f"system.num_subcarriers={k}"])
+    if k < 3:
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: system.num_subcarriers: fig11 needs a subcarrier in each of its 3 sub-bands, got {k}\n")
+    else:
+        assert code == 0
+        assert (tmp_path / "x" / "jpta_behavior3.csv").exists()
+
+
 def _output_bytes(out_dir):
     """Every output file under ``out_dir`` but run_meta.json, by relative path."""
     return {str(p.relative_to(out_dir)): p.read_bytes()

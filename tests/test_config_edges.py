@@ -21,6 +21,13 @@ BASE_SYSTEM = {"num_antennas": 8, "num_ttds": 2, "carrier_freq_ghz": 100.0, "ban
                "num_subcarriers": 16, "delay_range": 8.0}
 BEHAVIOR1 = {"behavior": 1, "theta0_deg": 30.0, "delta_theta_deg": 45.0}
 VARIANTS = {"line_search": {"jpta": {}}, "wls": {"jpta": {"variant": "wls"}}, "closed_form": {"heuristic": {}}}
+# 8 antennas at 1e-130/1e-131 GHz design what 100/10 GHz does, with every delay 1e131 times longer
+TINY_BAND = {"carrier_freq_ghz": 1e-130, "bandwidth_ghz": 1e-131, "delay_range": 16.0, "total_power": 1e60}
+TINY_BAND_DESIGNS = {  # f_obj and delays in ns of each variant
+    "line_search": ("0.764462345404", ["1.44636635948e+131", "0"]),
+    "wls": ("0.764462110173", ["1.44537943542e+131", "0"]),
+    "closed_form": ("0.761003827795", ["1.40812533264e+131", "0"]),
+}
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
@@ -50,7 +57,11 @@ def non_finite(out: Path) -> list[str]:
     # just inside that bound
     ({"delay_range": 2e152}, None),
     ({"num_subcarriers": 1, "delay_range": 8e152}, None),
-    ({"carrier_freq_ghz": 1e-139, "bandwidth_ghz": 1e-140, "delay_range": 2e21}, None),  # a 2e170 s window
+    ({"carrier_freq_ghz": 1e-139, "bandwidth_ghz": 1e-140, "delay_range": 2e21}, None),  # a 2e152 s window
+    (TINY_BAND, None),  # a 1.6e123 s window: its squared delays in seconds times its mass overflow
+    # 2048 subcarriers of up to 1.5e305 Hz, whose sum overflows
+    ({"num_antennas": 1, "num_ttds": 1, "num_subcarriers": 2048, "carrier_freq_ghz": 1e296, "bandwidth_ghz": 1e296},
+     None),
 ])
 def test_degenerate_delay_windows_design_or_exit_2(tmp_path, capsys, variant, system, error):
     config = {"system": {**BASE_SYSTEM, **system}, "target": BEHAVIOR1, "algorithm": VARIANTS[variant]}
@@ -61,9 +72,12 @@ def test_degenerate_delay_windows_design_or_exit_2(tmp_path, capsys, variant, sy
     if error is None:
         assert status == 0, err
         assert non_finite(out) == []
-        if system["delay_range"] == 0.0:
-            delays = (out / "beamformer.txt").read_text().split("[delays_ns]\n")[1].split("[")[0]
-            assert delays.split() == ["0", "0"]
+        delays = (out / "beamformer.txt").read_text().split("[delays_ns]\n")[1].split("[")[0].split()
+        if system.get("delay_range") == 0.0:
+            assert delays == ["0", "0"]
+        if system is TINY_BAND:
+            f_obj = (out / "fit_report.csv").read_text().splitlines()[1].split(",")[2]
+            assert (f_obj, delays) == TINY_BAND_DESIGNS[variant]
     else:
         assert status == 2 and err.startswith(f"config error: {error}"), err
         assert not out.exists()
