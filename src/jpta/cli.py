@@ -86,7 +86,8 @@ class RunOutput:
 
 def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget, algorithm: tuple,
                   base_seed: int = 0) -> RunOutput:
-    """Run one (kind, label, spec) entry of `algorithms`; an hbf fit whose entry sets no seed takes ``base_seed``."""
+    """Run one (kind, label, spec) entry of `algorithms` on ``target``, which the output keeps; an hbf fit whose
+    entry sets no seed takes ``base_seed``."""
     kind, label, spec = algorithm
     if kind == "hbf":
         structure, fit = spec
@@ -96,7 +97,7 @@ def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget
         report = FitReport(f_obj=fit_objective(target, beams), f_tilde_obj=hb.residual**2 / system.num_subcarriers,
                            per_subcarrier_match=per_subcarrier_match(target, beams),
                            convergence_trace=hb.residual_trace, seed=hb.seed)
-        return RunOutput(label=label, report=report, hbf=hb, beams=beams)
+        return RunOutput(label=label, report=report, hbf=hb, beams=beams, target=target)
     if kind == "jpta":
         bf, trace = design_jpta(system, grid, target, spec)
         seed = spec.init_phase_seed
@@ -106,12 +107,7 @@ def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget
         trace = seed = None
     beams = effective_beamformer_matrix(system, grid, bf)
     report = build_fit_report(system, grid, target, bf, trace, seed=seed, beams=beams)
-    return RunOutput(label=label, report=report, beamformer=bf, beams=beams)
-
-
-# ---------------------------------------------------------------------------
-# subcommand drivers
-# ---------------------------------------------------------------------------
+    return RunOutput(label=label, report=report, beamformer=bf, beams=beams, target=target)
 
 
 def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
@@ -127,48 +123,20 @@ def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> Be
         raise ConfigError(f"target: {exc}") from None
 
 
-def _prepare(config: dict) -> tuple[SystemConfig, SubcarrierGrid, BeamTarget]:
-    system = build_system(config)
-    grid = build_grid(system)
-    target = build_target(config, system, grid)
-    return system, grid, target
-
-
-def cmd_design(config: dict, out_dir: Path, seed: int) -> int:
-    start = time.perf_counter()
-    system, grid, target = _prepare(config)
-    entries = algorithms(config, system)
-    if len(entries) != 1:
-        raise ConfigError("design: expected exactly one algorithm block")
-    thetas = theta_grid(config) if wants_gain_map(config) else None
-    output = run_algorithm(system, grid, target, entries[0], base_seed=seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if output.beamformer is not None:
-        write_beamformer_file(out_dir / "beamformer.txt", output.beamformer, config)
-    if output.hbf is not None:
-        write_hbf_matrices(out_dir, output.hbf.analog, output.hbf.digital)
-    write_fit_report(out_dir, "design", output.label, output.report, grid)
-    if thetas is not None:
-        gains = gain_map(system, grid, output.beams, thetas)
-        write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
-    write_provenance(out_dir, config, time.perf_counter() - start, [])
-    return EXIT_OK
-
-
 @dataclass(frozen=True)
 class Task:
     """One run for `_map`: a point config with its target, an entry `algorithms` parsed, the base seed, and
-    whether the result keeps the (K, M) beams and the target, which only a run whose gain maps are written needs."""
+    whether the result keeps the whole run output or only the label and fit report that results rows need."""
 
     config: dict
     algorithm: tuple
     seed: int = 0
-    keep_beams: bool = False
+    keep: bool = False
 
 
-def _tasks(config: dict, seed: int = 0, keep_beams: bool = False) -> list[Task]:
+def _tasks(config: dict, seed: int = 0, keep: bool = False) -> list[Task]:
     """A task per algorithm entry of ``config``, every entry parsed before any task runs."""
-    return [Task(config, entry, seed, keep_beams) for entry in algorithms(config, build_system(config))]
+    return [Task(config, entry, seed, keep) for entry in algorithms(config, build_system(config))]
 
 
 # the last target a task of the current `_map` call built, by its target block and the system
@@ -178,7 +146,6 @@ _TARGETS: dict[tuple, BeamTarget] = {}
 
 
 def _run_task(task: Task) -> RunOutput:
-    """The run's label and fit report, and its beams and the target it ran on when the task keeps them."""
     system = build_system(task.config)
     grid = build_grid(system)
     key = (json.dumps(task.config.get("target"), sort_keys=True), system.num_antennas, system.carrier_freq,
@@ -187,8 +154,7 @@ def _run_task(task: Task) -> RunOutput:
         _TARGETS.clear()
         _TARGETS[key] = build_target(task.config, system, grid)
     output = run_algorithm(system, grid, _TARGETS[key], task.algorithm, base_seed=task.seed)
-    return RunOutput(output.label, output.report, beams=output.beams if task.keep_beams else None,
-                     target=_TARGETS[key] if task.keep_beams else None)
+    return output if task.keep else RunOutput(output.label, output.report)
 
 
 def _one_blas_thread() -> None:
@@ -219,6 +185,36 @@ def _map(tasks: list[Task], workers: int) -> list[RunOutput]:
         _TARGETS.clear()
 
 
+# ---------------------------------------------------------------------------
+# command plans: each takes the config and the parsed arguments, checks the whole
+# config and returns its tasks, a writer (out_dir, outputs) of its files and then
+# any notes for run_meta.json
+# ---------------------------------------------------------------------------
+
+
+def _plan_design(config: dict, args: argparse.Namespace) -> tuple:
+    system = build_system(config)
+    read_target(config)  # the run builds the target
+    entries = algorithms(config, system)
+    if len(entries) != 1:
+        raise ConfigError("design: expected exactly one algorithm block")
+    grid = build_grid(system)
+    thetas = theta_grid(config) if wants_gain_map(config) else None
+
+    def write(out_dir: Path, outputs: list[RunOutput]) -> None:
+        (output,) = outputs
+        if output.beamformer is not None:
+            write_beamformer_file(out_dir / "beamformer.txt", output.beamformer, config)
+        if output.hbf is not None:
+            write_hbf_matrices(out_dir, output.hbf.analog, output.hbf.digital)
+        write_fit_report(out_dir, "design", output.label, output.report, grid)
+        if thetas is not None:
+            gains = gain_map(system, grid, output.beams, thetas)
+            write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
+
+    return [Task(config, entries[0], args.seed, keep=True)], write
+
+
 def _sweep_points(config: dict, parameter: str, values, seed: int, prefix: str = "") -> list[tuple]:
     """A (task, experiment-id format of its {label}, parameter, value) per (value, entry) the parameter sets."""
     points = []
@@ -229,77 +225,68 @@ def _sweep_points(config: dict, parameter: str, values, seed: int, prefix: str =
     return points
 
 
-def _result_rows(points: list[tuple], outputs: list[RunOutput]) -> list[list[str]]:
-    return result_rows((experiment_id, parameter, value, output.label, output.report)
-                       for (_, experiment_id, parameter, value), output in zip(points, outputs))
+def _rows_plan(points: list[tuple], name: str = "results.csv") -> tuple:
+    """The tasks of ``points`` and a writer of their results rows as ``name`` that returns the rows."""
+
+    def write(out_dir: Path, outputs: list[RunOutput]) -> list[list[str]]:
+        rows = result_rows((experiment_id, parameter, value, output.label, output.report)
+                           for (_, experiment_id, parameter, value), output in zip(points, outputs))
+        write_records_csv(out_dir / name, rows)
+        return rows
+
+    return [task for task, *_ in points], write
 
 
-def _records(points: list[tuple], workers: int) -> list[list[str]]:
-    return _result_rows(points, _map([task for task, *_ in points], workers))
-
-
-def _write_results(out_dir: Path, config: dict, start: float, rows: list[list[str]], notes: list[str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_records_csv(out_dir / "results.csv", rows)
-    write_provenance(out_dir, config, time.perf_counter() - start, notes)
-
-
-def cmd_sweep(config: dict, out_dir: Path, seed: int, workers: int) -> int:
-    start = time.perf_counter()
+def _plan_sweep(config: dict, args: argparse.Namespace) -> tuple:
     parameter, values = read_sweep(config)
     build_system(config)  # check the base config before queuing work; the runs build its target
     read_target(config)
-    points = _sweep_points(config, parameter, values, seed)
-    _write_results(out_dir, config, start, _records(points, workers), [])
-    return EXIT_OK
+    return _rows_plan(_sweep_points(config, parameter, values, args.seed))
 
 
-def _compare_points(config: dict, seed: int) -> tuple[list[tuple], list[str]]:
+def _plan_compare_hbf(config: dict, args: argparse.Namespace) -> tuple:
     """The delay-phase reference, then each structure's chain-count sweep; notes name the counts skipped."""
     system = build_system(config)  # check the base config before queuing work; the runs build its target
     read_target(config)
     structures, n_rf_values, fit = read_compare(config, system)
     m = system.num_antennas
     base = {key: value for key, value in config.items() if key not in ("algorithm", "algorithms")}
-    points = [(task, "jpta[reference]", "n_rf", 1.0) for task in _tasks({**base, "algorithm": {"jpta": {}}}, seed)]
+    points = [(task, "jpta[reference]", "n_rf", 1.0)
+              for task in _tasks({**base, "algorithm": {"jpta": {}}}, args.seed)]
     notes = []
     for structure in structures:  # each chain sweep replaces the config's algorithms
         point = {**base, "algorithms": [{"hbf": {"structure": structure.value, **fit}}]}  # copied per value
         values = [n for n in n_rf_values if chains_fit(structure, n, m)]
-        points += _sweep_points(point, "n_rf", values, seed)
+        points += _sweep_points(point, "n_rf", values, args.seed)
         skipped = [n for n in n_rf_values if n not in values]
         if skipped:
             notes.append(f"compare.n_rf_values: {structure.value} skips {skipped} on {m} antennas")
-    return points, notes
+    return (*_rows_plan(points), *notes)
 
 
-def cmd_compare_hbf(config: dict, out_dir: Path, seed: int, workers: int) -> int:
-    start = time.perf_counter()
-    points, notes = _compare_points(config, seed)
-    _write_results(out_dir, config, start, _records(points, workers), notes)
-    return EXIT_OK
-
-
-def cmd_gain_map(config: dict, beamformer_path: Path, out_dir: Path) -> int:
-    start = time.perf_counter()
-    system, grid, target = _prepare(config)
+def _plan_gain_map(config: dict, args: argparse.Namespace) -> tuple:
+    """No task: the stored beamformer is parsed and evaluated while planning."""
+    system = build_system(config)
+    grid = build_grid(system)
+    target = build_target(config, system, grid)
     try:
-        bf = parse_beamformer_file(beamformer_path, system)
+        bf = parse_beamformer_file(Path(args.beamformer), system)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"beamformer file: {exc}") from None
     beams = effective_beamformer_matrix(system, grid, bf)
     report = build_fit_report(system, grid, target, bf, beams=beams)
     thetas = theta_grid(config)
     gains = gain_map(system, grid, beams, thetas)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
-    write_fit_report(out_dir, "gain-map", "stored", report, grid)
-    write_provenance(out_dir, config, time.perf_counter() - start, [])
-    return EXIT_OK
+
+    def write(out_dir: Path, outputs: list[RunOutput]) -> None:
+        write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
+        write_fit_report(out_dir, "gain-map", "stored", report, grid)
+
+    return [], write
 
 
 # ---------------------------------------------------------------------------
-# figure presets
+# figure presets: plans as above, of `_preset_config` with its system.* overrides
 # ---------------------------------------------------------------------------
 
 
@@ -310,62 +297,57 @@ def _preset_config(fast: bool) -> dict:
     return {"system": system}
 
 
-def _preset_notes(config: dict, fast: bool) -> list[str]:
-    """The fast-mode note names the K of the resolved config, which a --set override may have changed."""
-    if fast:
-        return [f"fast mode: num_subcarriers reduced to {config['system']['num_subcarriers']}"]
-    return []
-
-
-def _gain_maps(config: dict, maps: list[tuple], out_dir: Path, seed: int, workers: int) -> None:
-    """The gain map of each (stem, ideal stem, target block, algorithm block) run's beams as ``<stem>.csv``
-    and, given an ideal stem, that of the target the run built as ``<ideal stem>.csv``."""
+def _gain_maps(config: dict, maps: list[tuple], seed: int) -> tuple:
+    """The runs of each (stem, ideal stem, target block, algorithm block) and a writer of the gain map of each
+    run's beams as ``<stem>.csv`` and, given an ideal stem, of the target the run built as ``<ideal stem>.csv``."""
     system = build_system(config)
     grid = build_grid(system)
     theta = default_theta_grid()
     points = [{**copy.deepcopy(config), "target": target_block, "algorithm": block} for *_, target_block, block in maps]
-    tasks = [task for point in points for task in _tasks(point, seed, keep_beams=True)]
-    for (stem, ideal, *_), output in zip(maps, _map(tasks, workers)):
-        for name, beams in ((ideal, output.target.unit_vectors), (stem, output.beams)):
-            if name is not None:
-                write_gain_map_csv(out_dir / f"{name}.csv", grid, gain_map(system, grid, beams, theta), theta)
+
+    def write(out_dir: Path, outputs: list[RunOutput]) -> None:
+        for (stem, ideal, *_), output in zip(maps, outputs):
+            for name, beams in ((ideal, output.target.unit_vectors), (stem, output.beams)):
+                if name is not None:
+                    write_gain_map_csv(out_dir / f"{name}.csv", grid, gain_map(system, grid, beams, theta), theta)
+
+    return [task for point in points for task in _tasks(point, seed, keep=True)], write
 
 
-def _reproduce_fig4(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _reproduce_fig4(config: dict, args: argparse.Namespace) -> tuple:
     maps = [("jpta_behavior1", "ideal_behavior1", PRESET_BEHAVIOR1, {"jpta": {}}),
             ("jpta_behavior2", "ideal_behavior2", PRESET_BEHAVIOR2, {"jpta": {}})]
-    _gain_maps(config, maps, out_dir, seed, workers)
+    return _gain_maps(config, maps, args.seed)
 
 
 _JPTA_ALGOS = [{"jpta": {}}, {"jpta": {"variant": "wls"}}, {"heuristic": {}}]
 
 
-def _preset_sweep(config: dict, parameter: str, cases, seed: int, workers: int) -> list[list[str]]:
-    """Line-search, wLS and closed-form results rows over one value list per (name, target) case."""
+def _preset_sweep(config: dict, parameter: str, cases, seed: int, csv_name: str) -> tuple:
+    """Line-search, wLS and closed-form runs over one value list per (name, target) case, whose results rows
+    are written as ``csv_name``."""
     points = []
     for name, target_block, values in cases:
         point = {**copy.deepcopy(config), "target": target_block, "algorithms": copy.deepcopy(_JPTA_ALGOS)}
         points += _sweep_points(point, parameter, values, seed, prefix=f"{name}:")
-    return _records(points, workers)
+    return _rows_plan(points, csv_name)
 
 
-def _reproduce_fig5(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _reproduce_fig5(config: dict, args: argparse.Namespace) -> tuple:
     m = config["system"]["num_antennas"]
     counts = [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= m and m % n == 0]
     cases = [("behavior1", PRESET_BEHAVIOR1, counts), ("behavior2", PRESET_BEHAVIOR2, counts)]
-    records = _preset_sweep(config, "num_ttds", cases, seed, workers)
-    write_records_csv(out_dir / "f_obj_vs_num_ttds.csv", records)
+    return _preset_sweep(config, "num_ttds", cases, args.seed, "f_obj_vs_num_ttds.csv")
 
 
-def _reproduce_fig6(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _reproduce_fig6(config: dict, args: argparse.Namespace) -> tuple:
     m = config["system"]["num_antennas"]
     cases = [
         ("behavior1", PRESET_BEHAVIOR1,
          [2, 4, 8, 12, 18, m * math.sin(math.pi / 8), 32, m * math.sin(math.pi / 4), 52, 64]),
         ("behavior2", PRESET_BEHAVIOR2, [0.5, 1, 2, 3, 4, 6, 8, 16, 32, 64]),
     ]
-    records = _preset_sweep(config, "delay_range", cases, seed, workers)
-    write_records_csv(out_dir / "f_obj_vs_delay_range.csv", records)
+    return _preset_sweep(config, "delay_range", cases, args.seed, "f_obj_vs_delay_range.csv")
 
 
 def _convergence_tasks(config: dict, behavior: int, draws: int, iters: int, seed: int) -> list[Task]:
@@ -396,31 +378,39 @@ def _convergence_tasks(config: dict, behavior: int, draws: int, iters: int, seed
     return tasks
 
 
-def _reproduce_fig7(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _reproduce_fig7(config: dict, args: argparse.Namespace) -> tuple:
     draws, iters, behaviors = 25, 30, (1, 2)
-    tasks = [task for b in behaviors for task in _convergence_tasks(config, b, draws, iters, seed + b)]
-    traces = np.array([output.report.convergence_trace for output in _map(tasks, workers)])
-    stats = {f"behavior{behavior}": np.column_stack([ratios.mean(axis=0), np.percentile(ratios, [10, 90], axis=0).T])
-             for behavior, ratios in zip(behaviors, np.split(traces / traces[:, -1:], len(behaviors)))}
-    write_convergence_ratio_csv(out_dir / "convergence_ratio.csv", stats)
+
+    def write(out_dir: Path, outputs: list[RunOutput]) -> None:
+        traces = np.array([output.report.convergence_trace for output in outputs])
+        stats = {f"behavior{b}": np.column_stack([ratios.mean(axis=0), np.percentile(ratios, [10, 90], axis=0).T])
+                 for b, ratios in zip(behaviors, np.split(traces / traces[:, -1:], len(behaviors)))}
+        write_convergence_ratio_csv(out_dir / "convergence_ratio.csv", stats)
+
+    return [task for b in behaviors for task in _convergence_tasks(config, b, draws, iters, args.seed + b)], write
 
 
-def _reproduce_fig8(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _reproduce_fig8(config: dict, args: argparse.Namespace) -> tuple:
     start = time.perf_counter()
     m = config["system"]["num_antennas"]
     compare = {"n_rf_values": [n for n in (1, 2, 4, 8, 12, 16, 22, 32, 64) if n <= m]}
     points = {name: {**copy.deepcopy(config), "target": target_block, "compare": compare}
               for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2))}
-    plans = {name: _compare_points(point, seed) for name, point in points.items()}
-    outputs = _map([task for runs, _ in plans.values() for task, *_ in runs], workers)
-    records = {}
-    for name, (runs, notes) in plans.items():  # each behavior's rows sort on their own
-        records[name], outputs = _result_rows(runs, outputs[:len(runs)]), outputs[len(runs):]
-        _write_results(out_dir / name, points[name], start, records[name], notes)
-    write_behavior_records_csv(out_dir / "f_obj_vs_n_rf.csv", records)
+    plans = {name: _plan_compare_hbf(point, args) for name, point in points.items()}
+
+    def write(out_dir: Path, outputs: list[RunOutput]) -> None:
+        """Each behavior's compare-hbf files in its own subdirectory, then both behaviors' rows in one table."""
+        records = {}
+        for name, (tasks, write_rows, *notes) in plans.items():  # each behavior's rows sort on their own
+            (out_dir / name).mkdir(exist_ok=True)
+            records[name], outputs = write_rows(out_dir / name, outputs[:len(tasks)]), outputs[len(tasks):]
+            write_provenance(out_dir / name, points[name], time.perf_counter() - start, notes)
+        write_behavior_records_csv(out_dir / "f_obj_vs_n_rf.csv", records)
+
+    return [task for tasks, *_ in plans.values() for task in tasks], write
 
 
-def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> list[str]:
+def _reproduce_fig9(config: dict, args: argparse.Namespace) -> tuple:
     """Hybrid gain maps at chain counts for the stock 64 antennas; notes name each map that does not fit."""
     m = config["system"]["num_antennas"]
     maps, notes = [], []
@@ -435,18 +425,17 @@ def _reproduce_fig9(config: dict, out_dir: Path, seed: int, workers: int) -> lis
             notes.append(f"{stem}: skipped, {n_rf} {structure} chains do not fit {m} antennas")
             continue
         maps.append((stem, None, target_block, {"hbf": {"structure": structure, "n_rf": n_rf}}))
-    _gain_maps(config, maps, out_dir, seed, workers)
-    return notes
+    return (*_gain_maps(config, maps, args.seed), *notes)
 
 
-def _reproduce_fig11(config: dict, out_dir: Path, seed: int, workers: int) -> None:
+def _reproduce_fig11(config: dict, args: argparse.Namespace) -> tuple:
     k = config["system"]["num_subcarriers"]
     if k < 3:
         raise ConfigError(f"system.num_subcarriers: fig11 needs a subcarrier in each of its 3 sub-bands, got {k}")
     lo = -(k // 2)
     edges = [lo + k // 3, lo + 2 * (k // 3)]
     target_block = {"behavior": 3, "band_edges": edges, "angles_deg": [-45.0, 0.0, 30.0]}
-    _gain_maps(config, [("jpta_behavior3", "ideal_behavior3", target_block, {"jpta": {}})], out_dir, seed, workers)
+    return _gain_maps(config, [("jpta_behavior3", "ideal_behavior3", target_block, {"jpta": {}})], args.seed)
 
 
 _FIGURES = {
@@ -458,19 +447,6 @@ _FIGURES = {
     "fig9": _reproduce_fig9,
     "fig11": _reproduce_fig11,
 }
-
-
-def cmd_reproduce(figure: str, out_dir: Path, fast: bool, seed: int, workers: int, overrides: list[str]) -> int:
-    if figure not in _FIGURES:
-        raise ConfigError(f"figure: unknown figure id {figure!r} (choose from {sorted(_FIGURES)})")
-    start = time.perf_counter()
-    config = apply_overrides(_preset_config(fast), overrides)
-    check_preset_overrides(overrides)
-    build_system(config)  # validate early
-    out_dir.mkdir(parents=True, exist_ok=True)
-    notes = _FIGURES[figure](config, out_dir, seed, workers) or []  # fig9 notes the maps it skips
-    write_provenance(out_dir, config, time.perf_counter() - start, _preset_notes(config, fast) + notes)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="jpta",
         description="Design and evaluate frequency-dependent analog beamformers.",
     )
+    parser.set_defaults(seed=0, workers=1)  # of the commands that take no --seed or no --workers
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
@@ -524,24 +501,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"design": _plan_design, "sweep": _plan_sweep, "compare-hbf": _plan_compare_hbf,
+             "gain-map": _plan_gain_map}
+
+
+def _run_plan(config: dict, plan: tuple, out_dir: Path, workers: int, start: float) -> int:
+    """Run the plan's tasks; only then create ``out_dir`` and write the plan's files and the provenance."""
+    tasks, write, *notes = plan
+    outputs = _map(tasks, workers)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write(out_dir, outputs)
+    write_provenance(out_dir, config, time.perf_counter() - start, notes)
+    return EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy generators take no negative seed
+        if args.seed < 0:  # numpy generators take no negative seed
             raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
         if args.command == "reproduce":
-            return cmd_reproduce(args.figure, Path(args.out), args.fast, args.seed,
-                                 args.workers, args.overrides)
-        config = read_config(args.config, args.overrides)
-        if args.command == "design":
-            return cmd_design(config, Path(args.out), args.seed)
-        if args.command == "sweep":
-            return cmd_sweep(config, Path(args.out), args.seed, args.workers)
-        if args.command == "compare-hbf":
-            return cmd_compare_hbf(config, Path(args.out), args.seed, args.workers)
-        if args.command == "gain-map":
-            return cmd_gain_map(config, Path(args.beamformer), Path(args.out))
-        raise AssertionError(f"unhandled command {args.command}")
+            if args.figure not in _FIGURES:
+                raise ConfigError(f"figure: unknown figure id {args.figure!r} (choose from {sorted(_FIGURES)})")
+            config = apply_overrides(_preset_config(args.fast), args.overrides)
+            check_preset_overrides(args.overrides)
+            build_system(config)  # checked before a preset reads its fields
+            tasks, write, *notes = _FIGURES[args.figure](config, args)
+            if args.fast:  # the note names the K of the resolved config, which a --set override may have changed
+                notes.insert(0, f"fast mode: num_subcarriers reduced to {config['system']['num_subcarriers']}")
+            plan = (tasks, write, *notes)
+        else:
+            config = read_config(args.config, args.overrides)
+            plan = _COMMANDS[args.command](config, args)
+        return _run_plan(config, plan, Path(args.out), args.workers, start)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -233,12 +233,14 @@ def build_system(config: dict) -> SystemConfig:
     # bound and vertex refine square offsets and steps in units of the power of two at or below the bandwidth
     mass = math.sqrt(system.num_antennas) * max(system.num_subcarriers, 2.0 * power)
     reach = 2.0 * math.pi * system.delay_range
-    # the model multiplies frequencies by delays and squares bandwidths and powers: each result must be a
-    # finite, normal double
+    window = system.max_delay / NS  # the longest delay the beamformer file writes, in ns
+    # the model multiplies frequencies by delays and squares powers: each result must be a finite, normal
+    # double, and so must the bandwidth in Hz; the delay window in ns must be finite
     for key, what, ok in (
+        ("bandwidth_ghz", "bandwidth in Hz subnormal", system.bandwidth >= _NORMAL),
         ("carrier_freq_ghz", "carrier_freq + bandwidth / 2 in Hz overflow", math.isfinite(top)),
         ("delay_range", "the delay phases 2 pi f tau overflow", math.isfinite(phase)),
-        ("bandwidth_ghz", "bandwidth^2 in Hz^2 underflow", system.bandwidth * system.bandwidth >= _NORMAL),
+        ("bandwidth_ghz", "the delay window delay_range / bandwidth in ns overflow", math.isfinite(window)),
         ("total_power", "total_power^2 leave the normal double range", _NORMAL <= power * power < math.inf),
         ("delay_range", "the line search's squared delays overflow", math.isfinite(reach * reach * mass)),
     ):

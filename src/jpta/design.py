@@ -440,16 +440,16 @@ def _wls_update(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarge
     vdf = v * df
     den = np.add.reduceat((vdf * df).sum(axis=1), starts)
     angles = np.angle(block)
-    period = config.num_subcarriers / config.bandwidth
-    half = config.max_delay / 2.0
+    period = config.num_subcarriers / (config.bandwidth / unit)  # K/W in units of 1/unit s, as are the delays
+    half = config.max_delay / 2.0 * unit
 
     def delays(alpha_phases) -> np.ndarray:
         c = phase_unwrap(angles - np.asarray(alpha_phases, dtype=np.float64)[active])
         dc = c - (v * c).sum(axis=1, keepdims=True) / sv
         num = np.add.reduceat((vdf * dc).sum(axis=1), starts)
-        tau = np.divide(-num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den != 0.0) / unit
+        tau = np.divide(-num, 2.0 * np.pi * den, out=np.zeros_like(num), where=den != 0.0)
         tau = np.mod(tau + period / 2.0, period) - period / 2.0
-        return np.clip(tau, -half, half)
+        return np.clip(tau, -half, half) / unit
 
     return delays
 

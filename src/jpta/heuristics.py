@@ -40,7 +40,7 @@ def heuristic_behavior1(
         math.sin(theta0 - delta_theta / 2.0) * f_min
         - math.sin(theta0 + delta_theta / 2.0) * f_max
     ) / (2.0 * (config.bandwidth / unit) * config.carrier_freq)
-    tau = np.array([slope * np.mean(np.asarray(g, dtype=np.float64)) for g in config.ttd_groups]) / unit
+    tau = np.array([slope * np.mean(np.asarray(g, dtype=np.float64)) for g in config.ttd_groups])
     ramp = np.angle(steering_vectors(config, config.carrier_freq, theta0))
     angles = _behavior_angles(config, grid, 1, theta0, delta_theta)
     return _assemble(config, grid, tau, ramp, angles_per_subcarrier=angles, nonnegative=nonnegative)
@@ -81,7 +81,7 @@ def heuristic_behavior2(
             warnings.warn("antipodal split angles: delay probe vanished; delay defaults to 0", stacklevel=2)
             tau[n] = 0.0
         else:
-            tau[n] = -3.0 / (2.0 * np.pi * (config.bandwidth / unit)) * float(np.angle(s)) / unit
+            tau[n] = -3.0 / (2.0 * np.pi * (config.bandwidth / unit)) * float(np.angle(s))  # seconds times unit
     mid_angle = np.angle(b_mid)
     mid_angle[dead] = 0.0
     angles = _behavior_angles(config, grid, 2, theta1, theta2)
@@ -96,14 +96,16 @@ def _assemble(
     angles_per_subcarrier: np.ndarray,
     nonnegative: bool,
 ) -> JptaBeamformer:
-    """Closed-form beamformer from raw delays and the per-antenna phase wanted at the carrier.
+    """Closed-form beamformer from raw delays, in seconds times the power of two at or below the
+    bandwidth, and the per-antenna phase wanted at the carrier.
 
-    The delays are centered and clipped to the tuning range, the phase-shifters
-    add back the delays' carrier phase, and the digital weights get flat
-    magnitudes and aligned phases.
+    The delays are centered and clipped to the tuning range in that unit, which keeps them
+    finite at any band, the phase-shifters add back the delays' carrier phase, and the digital
+    weights get flat magnitudes and aligned phases.
     """
-    half = config.max_delay / 2.0
-    tau = np.clip(tau - tau.mean(), -half, half)
+    width = _pow2_at_or_below(config.bandwidth)
+    half = config.max_delay / 2.0 * width
+    tau = np.clip(tau - tau.mean(), -half, half) / width
     tau_per_antenna = tau[config.antenna_line]
     scale = _pow2_at_or_below(config.carrier_freq)  # 2 pi f0 overflows at huge carriers, 2 pi f0 / scale does not
     phi = wrap_angle(carrier_phase + 2.0 * np.pi * (config.carrier_freq / scale) * (tau_per_antenna * scale))

@@ -176,6 +176,10 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["design", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    # a preset's runs all come before its output directory
+    assert main(["reproduce", "fig4", "--fast", *TINY_PRESET, "--out", str(tmp_path / "fig4")]) == 3
+    assert capsys.readouterr().err == "numerical failure: synthetic breakdown\n"
+    assert not (tmp_path / "fig4").exists()
 
 
 def test_behavior2_gain_map_argmax_switches_at_center(tmp_path):
@@ -420,7 +424,7 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
         ("design", "system.carrier_freq_ghz=1e300",
          "system.carrier_freq_ghz: 1e+300 makes carrier_freq + bandwidth / 2 in Hz overflow"),
         ("design", "system.delay_range=1e308", "system.delay_range: 1e+308 makes the delay phases 2 pi f tau overflow"),
-        ("design", "system.bandwidth_ghz=1e-300", "system.bandwidth_ghz: 1e-300 makes bandwidth^2 in Hz^2 underflow"),
+        ("design", "system.bandwidth_ghz=1e-320", "system.bandwidth_ghz: 9.99989e-321 makes bandwidth in Hz subnormal"),
         ("design", "system.total_power=1e-320",
          "system.total_power: 9.99989e-321 makes total_power^2 leave the normal double range"),
         ("design", "system.total_power=1e200",
@@ -595,6 +599,54 @@ def test_reproduce_fig11_needs_a_subcarrier_per_sub_band(tmp_path, capsys, k):
     else:
         assert code == 0
         assert (tmp_path / "x" / "jpta_behavior3.csv").exists()
+
+
+WIDE_PHASES = ["system.delay_range=1", "system.carrier_freq_ghz=1e294", "system.bandwidth_ghz=1e-13"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "overrides", "message"),
+    [
+        (["reproduce", "fig4", "--fast"], ["system.num_ttds=3"],
+         "system: default contiguous mapping needs num_ttds (3) to divide num_antennas (64); "
+         "pass ttd_groups explicitly otherwise"),
+        # the sweep's first point has one delay line for four groups
+        (["reproduce", "fig5", "--fast"], ["system.num_antennas=4", "system.num_ttds=4",
+                                           "system.ttd_groups=[[1],[2],[3],[4]]"],
+         "system: expected 1 antenna groups, got 4"),
+        # a sweep point, and a random draw, whose delay phases overflow where the base config's do not
+        (["reproduce", "fig6", "--fast"], WIDE_PHASES,
+         "system.delay_range: 4 makes the delay phases 2 pi f tau overflow"),
+        (["reproduce", "fig7", "--fast"], WIDE_PHASES,
+         "system.delay_range: 61.0278 makes the delay phases 2 pi f tau overflow"),
+        (["reproduce", "fig8", "--fast"], ["system.num_antennas=0"], "system: num_antennas must be a positive integer"),
+        (["reproduce", "fig9", "--fast"], ["system.total_power=0"], "system: total_power must be positive"),
+        (["reproduce", "fig11", "--fast"], ["system.num_subcarriers=2"],
+         "system.num_subcarriers: fig11 needs a subcarrier in each of its 3 sub-bands, got 2"),
+        (["design"], ["algorithm=null", 'algorithms=[{"jpta":{}},{"heuristic":{}}]'],
+         "design: expected exactly one algorithm block"),
+        (["sweep"], ['sweep={"parameter":"num_ttds","values":[1,2,3]}'],
+         "system: default contiguous mapping needs num_ttds (3) to divide num_antennas (8); "
+         "pass ttd_groups explicitly otherwise"),
+        (["compare-hbf"], ["compare.n_rf_values=[3,5,100]"],
+         "compare.n_rf_values: 100 chains fit none of the structures ['fc', 'pc'] on 8 antennas"),
+        # checked after the stored beamformer is parsed and evaluated
+        (["gain-map"], ["output.theta_step_deg=1e-9"],
+         "output.theta_step_deg: 1e-09 gives 180000000001 angles, more than 18001"),
+    ],
+    ids=["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "design", "sweep", "compare-hbf", "gain-map"],
+)
+def test_a_bad_input_leaves_no_output_directory(tmp_path, capsys, argv, overrides, message):
+    # every command checks its whole config while it plans, and creates --out only after its runs
+    if argv[0] != "reproduce":
+        argv = [*argv, "--config", str(write_config(tmp_path, BASE_CONFIG))]
+    if argv[0] == "gain-map":
+        assert main(["design", *argv[1:], "--out", str(tmp_path / "design")]) == 0
+        argv += ["--beamformer", str(tmp_path / "design" / "beamformer.txt")]
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([*argv, "--out", str(tmp_path / "x"), *sets]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def _output_bytes(out_dir):
@@ -992,8 +1044,17 @@ def test_preset_maps_and_default_line_searches_fit_the_size_limits():
     assert k * (DesignOptions().line_search_grid // 16 + 1) <= jpta_config.MAX_CELLS
 
 
+def _enclosing_functions(node, name, path=()):
+    """The nested function names, outermost first, around each use of ``name`` below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = (*path, child.name) if isinstance(child, ast.FunctionDef) else path
+        if getattr(child, "id", getattr(child, "attr", None)) == name:
+            yield inner
+        yield from _enclosing_functions(child, name, inner)
+
+
 def test_one_pool_and_one_run_path():
-    # `_map` is the only place that builds a process pool, and every run but `design` goes through it
+    # `_map` is the only place that builds a process pool, and every run goes through it
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     users = {}
     for fn in ast.walk(tree):
@@ -1002,7 +1063,11 @@ def test_one_pool_and_one_run_path():
                 if isinstance(node, ast.Name):
                     users.setdefault(node.id, set()).add(fn.name)
     assert users["ProcessPoolExecutor"] == {"_map"}
-    assert users["run_algorithm"] == {"_run_task", "cmd_design"}
+    assert users["run_algorithm"] == {"_run_task"}
+    # `_run_plan` alone creates --out and writes its provenance, after every run; fig8's writer makes its two
+    # behavior subdirectories and writes theirs
+    for name in ("mkdir", "write_provenance"):
+        assert list(_enclosing_functions(tree, name)) == [("_reproduce_fig8", "write"), ("_run_plan",)], name
     # `run_algorithm` only runs an entry that `algorithms` parsed
     (run,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "run_algorithm"]
     assert "config" not in [arg.arg for arg in run.args.args]

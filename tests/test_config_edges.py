@@ -48,7 +48,7 @@ def non_finite(out: Path) -> list[str]:
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("system, error", [
     ({"delay_range": 0.0}, None),  # a zero-width delay window
-    ({"carrier_freq_ghz": 1e-300, "bandwidth_ghz": 1e-301}, "system.bandwidth_ghz: "),  # W^2 underflows
+    ({"carrier_freq_ghz": 1e-300, "bandwidth_ghz": 1e-301}, None),  # W^2 would underflow, and is never formed
     ({"delay_range": 1e300, "bandwidth_ghz": 1e-300}, "system.delay_range: "),  # delay_range / W overflows
     # the line search would square delays past the double range
     ({"delay_range": 1e300}, "system.delay_range: 1e+300 makes the line search's squared delays overflow"),
@@ -59,6 +59,10 @@ def non_finite(out: Path) -> list[str]:
     ({"num_subcarriers": 1, "delay_range": 8e152}, None),
     ({"carrier_freq_ghz": 1e-139, "bandwidth_ghz": 1e-140, "delay_range": 2e21}, None),  # a 2e152 s window
     (TINY_BAND, None),  # a 1.6e123 s window: its squared delays in seconds times its mass overflow
+    # the wLS wrap period K / W, 16 / 5e-308 Hz, and 256 antennas' closed-form delays in seconds overflow
+    ({"carrier_freq_ghz": 5e-316, "bandwidth_ghz": 5e-317, "delay_range": 0.0}, None),
+    ({"num_antennas": 256, "num_ttds": 4, "carrier_freq_ghz": 1.6e-315, "bandwidth_ghz": 1.6e-316,
+      "delay_range": 1e-9}, None),
     # 2048 subcarriers of up to 1.5e305 Hz, whose sum overflows
     ({"num_antennas": 1, "num_ttds": 1, "num_subcarriers": 2048, "carrier_freq_ghz": 1e296, "bandwidth_ghz": 1e296},
      None),
@@ -81,6 +85,37 @@ def test_degenerate_delay_windows_design_or_exit_2(tmp_path, capsys, variant, sy
     else:
         assert status == 2 and err.startswith(f"config error: {error}"), err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("delay_range", [0.0, 8.0])
+def test_tiny_bands_design_the_stock_result_or_exit_2(tmp_path, capsys, variant, delay_range):
+    # a seeded sweep of bandwidths from 1e-320 to 1e-140 GHz, each under a carrier 10 times its width
+    system = {**BASE_SYSTEM, "delay_range": delay_range}
+    config = {"system": system, "target": BEHAVIOR1, "algorithm": VARIANTS[variant]}
+    status, out = design(config, tmp_path)
+    f_obj = float((out / "fit_report.csv").read_text().splitlines()[1].split(",")[2])
+    bandwidths = [1e-320, 1e-310, 5e-317, *10.0 ** np.random.default_rng(26).uniform(-320.0, -140.0, 10)]
+    errors = {}
+    for i, bandwidth in enumerate(bandwidths):
+        system.update(carrier_freq_ghz=10.0 * bandwidth, bandwidth_ghz=bandwidth)
+        (tmp_path / str(i)).mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = design(config, tmp_path / str(i))
+        err = capsys.readouterr().err
+        if status == 0:
+            assert non_finite(out) == []
+            row = (out / "fit_report.csv").read_text().splitlines()[1].split(",")
+            assert float(row[2]) == pytest.approx(f_obj, rel=1e-9), bandwidth
+        else:
+            assert status == 2 and err.startswith("config error: system.bandwidth_ghz: "), (bandwidth, err)
+            assert not out.exists()
+            errors[bandwidth] = err.split(" makes ")[1]
+    # 1e-311 Hz is subnormal; 8 / 1e-301 Hz is an 8e310 ns window, and a zero-width window is 0 ns at any band
+    window = "the delay window delay_range / bandwidth in ns overflow\n" if delay_range else None
+    assert (errors.pop(1e-320), errors.pop(1e-310, None)) == ("bandwidth in Hz subnormal\n", window)
+    assert set(errors.values()) <= {window}
 
 
 def test_line_search_keeps_every_interval_whose_bound_is_nan():
