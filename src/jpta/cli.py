@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import copy
 import ctypes
-import json
 import math
 import sys
 import time
@@ -76,7 +75,6 @@ PRESET_BEHAVIOR2 = {"behavior": 2, "theta1_deg": -45.0, "theta2_deg": 30.0}
 
 @dataclass
 class RunOutput:
-    label: str
     report: FitReport
     beamformer: JptaBeamformer | None = None
     hbf: HbfBeamformer | None = None
@@ -86,9 +84,9 @@ class RunOutput:
 
 def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget, algorithm: tuple,
                   base_seed: int = 0) -> RunOutput:
-    """Run one (kind, label, spec) entry of `algorithms` on ``target``, which the output keeps; an hbf fit whose
-    entry sets no seed takes ``base_seed``."""
-    kind, label, spec = algorithm
+    """Run one (kind, label, spec) entry of `algorithms`, or evaluate a ("stored", label, beamformer) one, on
+    ``target``, which the output keeps; an hbf fit whose entry sets no seed takes ``base_seed``."""
+    kind, _, spec = algorithm
     if kind == "hbf":
         structure, fit = spec
         hb = (pe_altmin_fc if structure is HbfStructure.FULLY_CONNECTED else altmin_pc)(
@@ -97,22 +95,22 @@ def run_algorithm(system: SystemConfig, grid: SubcarrierGrid, target: BeamTarget
         report = FitReport(f_obj=fit_objective(target, beams), f_tilde_obj=hb.residual**2 / system.num_subcarriers,
                            per_subcarrier_match=per_subcarrier_match(target, beams),
                            convergence_trace=hb.residual_trace, seed=hb.seed)
-        return RunOutput(label=label, report=report, hbf=hb, beams=beams, target=target)
+        return RunOutput(report=report, hbf=hb, beams=beams, target=target)
+    bf, trace, seed = spec, None, None  # a stored entry's spec is its beamformer
     if kind == "jpta":
         bf, trace = design_jpta(system, grid, target, spec)
         seed = spec.init_phase_seed
-    else:
+    elif kind == "heuristic":
         behavior, angles = spec
         bf = (heuristic_behavior1 if behavior == 1 else heuristic_behavior2)(system, grid, *angles)
-        trace = seed = None
     beams = effective_beamformer_matrix(system, grid, bf)
     report = build_fit_report(system, grid, target, bf, trace, seed=seed, beams=beams)
-    return RunOutput(label=label, report=report, beamformer=bf, beams=beams, target=target)
+    return RunOutput(report=report, beamformer=bf, beams=beams, target=target)
 
 
-def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
-    """The target `read_target` parses, built by the builder bound here, which bench/tracing.py wraps."""
-    behavior, args, options = read_target(config)
+def build_target(target: tuple, system: SystemConfig, grid: SubcarrierGrid) -> BeamTarget:
+    """The target `read_target` parsed, built by the builder bound here, which bench/tracing.py wraps."""
+    behavior, args, options = target
     try:
         if behavior is None:
             return custom_target(system, grid, *args, **options)
@@ -125,36 +123,42 @@ def build_target(config: dict, system: SystemConfig, grid: SubcarrierGrid) -> Be
 
 @dataclass(frozen=True)
 class Task:
-    """One run for `_map`: a point config with its target, an entry `algorithms` parsed, the base seed, and
-    whether the result keeps the whole run output or only the label and fit report that results rows need."""
+    """One run for `_map`: a point's system, its target as `read_target` parsed it, an entry as `run_algorithm`
+    takes it, the base seed, and whether the result keeps the whole run output or only the fit report."""
 
-    config: dict
+    system: SystemConfig
+    target: tuple
     algorithm: tuple
     seed: int = 0
     keep: bool = False
 
 
-def _tasks(config: dict, seed: int = 0, keep: bool = False) -> list[Task]:
-    """A task per algorithm entry of ``config``, every entry parsed before any task runs."""
-    return [Task(config, entry, seed, keep) for entry in algorithms(config, build_system(config))]
+def _tasks(config: dict, seed: int = 0, keep: bool = False, name: str = "") -> list[Task]:
+    """A task per algorithm entry of ``config``, each parsed before any runs; a point's ``name`` leads its errors."""
+    try:
+        system = build_system(config)
+        target = read_target(config)
+        return [Task(system, target, entry, seed, keep) for entry in algorithms(config, system)]
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}" if name else str(exc)) from None
 
 
-# the last target a task of the current `_map` call built, by its target block and the system
+# the last target a task of the current `_map` call built, by its parsed target and the system
 # fields a target reads (every field but num_ttds, delay_range and ttd_groups); one slot, so
 # that a run of tasks sharing a target builds it once and at most one target is kept
-_TARGETS: dict[tuple, BeamTarget] = {}
+_TARGETS: dict[str, BeamTarget] = {}
 
 
 def _run_task(task: Task) -> RunOutput:
-    system = build_system(task.config)
+    system = task.system
     grid = build_grid(system)
-    key = (json.dumps(task.config.get("target"), sort_keys=True), system.num_antennas, system.carrier_freq,
-           system.bandwidth, system.num_subcarriers, system.total_power)
+    key = repr((task.target, system.num_antennas, system.carrier_freq, system.bandwidth, system.num_subcarriers,
+                system.total_power))  # exact: a float's repr round-trips
     if key not in _TARGETS:
         _TARGETS.clear()
-        _TARGETS[key] = build_target(task.config, system, grid)
+        _TARGETS[key] = build_target(task.target, system, grid)
     output = run_algorithm(system, grid, _TARGETS[key], task.algorithm, base_seed=task.seed)
-    return output if task.keep else RunOutput(output.label, output.report)
+    return output if task.keep else RunOutput(output.report)
 
 
 def _one_blas_thread() -> None:
@@ -193,12 +197,10 @@ def _map(tasks: list[Task], workers: int) -> list[RunOutput]:
 
 
 def _plan_design(config: dict, args: argparse.Namespace) -> tuple:
-    system = build_system(config)
-    read_target(config)  # the run builds the target
-    entries = algorithms(config, system)
-    if len(entries) != 1:
+    tasks = _tasks(config, args.seed, keep=True)
+    if len(tasks) != 1:
         raise ConfigError("design: expected exactly one algorithm block")
-    grid = build_grid(system)
+    grid = build_grid(tasks[0].system)
     thetas = theta_grid(config) if wants_gain_map(config) else None
 
     def write(out_dir: Path, outputs: list[RunOutput]) -> None:
@@ -207,21 +209,23 @@ def _plan_design(config: dict, args: argparse.Namespace) -> tuple:
             write_beamformer_file(out_dir / "beamformer.txt", output.beamformer, config)
         if output.hbf is not None:
             write_hbf_matrices(out_dir, output.hbf.analog, output.hbf.digital)
-        write_fit_report(out_dir, "design", output.label, output.report, grid)
+        write_fit_report(out_dir, "design", tasks[0].algorithm[1], output.report, grid)
         if thetas is not None:
-            gains = gain_map(system, grid, output.beams, thetas)
+            gains = gain_map(tasks[0].system, grid, output.beams, thetas)
             write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
 
-    return [Task(config, entries[0], args.seed, keep=True)], write
+    return tasks, write
 
 
 def _sweep_points(config: dict, parameter: str, values, seed: int, prefix: str = "") -> list[tuple]:
-    """A (task, experiment-id format of its {label}, parameter, value) per (value, entry) the parameter sets."""
+    """A (task, experiment id, parameter, value) per (value, entry) the parameter sets."""
     points = []
     for value in map(float, values):
         point, section = sweep_point(config, parameter, value)
-        points += [(task, prefix + "{label}" + f"[{parameter}={value:g}]", parameter, value)
-                   for task in _tasks(point, seed) if section in ("system", task.algorithm[0])]
+        where = f"[{parameter}={value:g}]"
+        points += [(task, f"{prefix}{task.algorithm[1]}{where}", parameter, value)
+                   for task in _tasks(point, seed, name=prefix and prefix + where)
+                   if section in ("system", task.algorithm[0])]
     return points
 
 
@@ -229,8 +233,8 @@ def _rows_plan(points: list[tuple], name: str = "results.csv") -> tuple:
     """The tasks of ``points`` and a writer of their results rows as ``name`` that returns the rows."""
 
     def write(out_dir: Path, outputs: list[RunOutput]) -> list[list[str]]:
-        rows = result_rows((experiment_id, parameter, value, output.label, output.report)
-                           for (_, experiment_id, parameter, value), output in zip(points, outputs))
+        rows = result_rows((experiment_id, parameter, value, task.algorithm[1], output.report)
+                           for (task, experiment_id, parameter, value), output in zip(points, outputs))
         write_records_csv(out_dir / name, rows)
         return rows
 
@@ -239,15 +243,13 @@ def _rows_plan(points: list[tuple], name: str = "results.csv") -> tuple:
 
 def _plan_sweep(config: dict, args: argparse.Namespace) -> tuple:
     parameter, values = read_sweep(config)
-    build_system(config)  # check the base config before queuing work; the runs build its target
-    read_target(config)
+    build_system(config)  # the base system is checked too, though a system sweep replaces one of its fields
     return _rows_plan(_sweep_points(config, parameter, values, args.seed))
 
 
 def _plan_compare_hbf(config: dict, args: argparse.Namespace) -> tuple:
     """The delay-phase reference, then each structure's chain-count sweep; notes name the counts skipped."""
-    system = build_system(config)  # check the base config before queuing work; the runs build its target
-    read_target(config)
+    system = build_system(config)
     structures, n_rf_values, fit = read_compare(config, system)
     m = system.num_antennas
     base = {key: value for key, value in config.items() if key not in ("algorithm", "algorithms")}
@@ -265,24 +267,21 @@ def _plan_compare_hbf(config: dict, args: argparse.Namespace) -> tuple:
 
 
 def _plan_gain_map(config: dict, args: argparse.Namespace) -> tuple:
-    """No task: the stored beamformer is parsed and evaluated while planning."""
+    """One run, which evaluates the stored beamformer on the config's target."""
     system = build_system(config)
-    grid = build_grid(system)
-    target = build_target(config, system, grid)
+    target = read_target(config)  # the run builds the target
     try:
         bf = parse_beamformer_file(Path(args.beamformer), system)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"beamformer file: {exc}") from None
-    beams = effective_beamformer_matrix(system, grid, bf)
-    report = build_fit_report(system, grid, target, bf, beams=beams)
+    grid = build_grid(system)
     thetas = theta_grid(config)
-    gains = gain_map(system, grid, beams, thetas)
 
     def write(out_dir: Path, outputs: list[RunOutput]) -> None:
-        write_gain_map_csv(out_dir / "gain_map.csv", grid, gains, thetas)
-        write_fit_report(out_dir, "gain-map", "stored", report, grid)
+        write_gain_map_csv(out_dir / "gain_map.csv", grid, gain_map(system, grid, outputs[0].beams, thetas), thetas)
+        write_fit_report(out_dir, "gain-map", "stored", outputs[0].report, grid)
 
-    return [], write
+    return [Task(system, target, ("stored", "stored", bf), keep=True)], write
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ def _convergence_tasks(config: dict, behavior: int, draws: int, iters: int, seed
     rng = np.random.default_rng(seed)
     divisors = [n for n in (1, 2, 4, 8, 16, 32, 64) if config["system"]["num_antennas"] % n == 0]
     tasks = []
-    for _ in range(draws):
+    for draw in range(1, draws + 1):
         point = {**copy.deepcopy(config), "algorithm": {"jpta": {"max_iter": iters}}}
         point["system"]["num_ttds"] = int(rng.choice(divisors))
         point["system"]["delay_range"] = float(rng.uniform(4.0, 64.0))
@@ -374,7 +373,7 @@ def _convergence_tasks(config: dict, behavior: int, draws: int, iters: int, seed
                 "theta1_deg": math.degrees(float(rng.uniform(-np.pi / 3, np.pi / 3))),
                 "theta2_deg": math.degrees(float(rng.uniform(-np.pi / 3, np.pi / 3))),
             }
-        tasks += _tasks(point)
+        tasks += _tasks(point, name=f"behavior{behavior}:[draw={draw}]")
     return tasks
 
 

@@ -130,9 +130,9 @@ def write_fit_report(out_dir: Path, experiment_id: str, label: str, report: FitR
 
 
 def result_rows(runs: Iterable[tuple[str, str, float, str, FitReport]]) -> list[list[str]]:
-    """A results row per (experiment-id format of its {label}, parameter, value, label, report), sorted by
-    parameter, value and then label."""
-    return [[experiment_id.format(label=label), label, parameter, _fmt(value), *_report_cells(report)]
+    """A results row per (experiment id, parameter, value, label, report), sorted by parameter, value and then
+    label."""
+    return [[experiment_id, label, parameter, _fmt(value), *_report_cells(report)]
             for experiment_id, parameter, value, label, report in sorted(runs, key=lambda run: run[1:4])]
 
 

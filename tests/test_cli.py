@@ -302,14 +302,14 @@ def test_empty_jpta_block_designs_with_the_design_options_defaults():
     config = json.loads(json.dumps(BASE_CONFIG))
     system = cli.build_system(config)
     grid = build_grid(system)
-    target = cli.build_target(config, system, grid)
+    target = cli.build_target(cli.read_target(config), system, grid)
     (entry,) = jpta_config.algorithms({**config, "algorithm": {"jpta": {}}}, system)
     output = cli.run_algorithm(system, grid, target, entry)
     bf, trace = design_jpta(system, grid, target, DesignOptions())
     for name in ("delays", "phases", "alpha"):
         assert np.array_equal(getattr(output.beamformer, name), getattr(bf, name)), name
     assert np.array_equal(output.report.convergence_trace, trace)
-    assert output.label == "jpta_line_search"
+    assert entry[1] == "jpta_line_search"
     assert output.report.seed == DesignOptions().init_phase_seed
 
 
@@ -318,7 +318,7 @@ def test_hbf_block_without_iters_and_restarts_fits_with_the_library_defaults(str
     config = json.loads(json.dumps(BASE_CONFIG))
     system = cli.build_system(config)
     grid = build_grid(system)
-    target = cli.build_target(config, system, grid)
+    target = cli.build_target(cli.read_target(config), system, grid)
     # at seed 32 both fits keep their fifth (last default) restart, and the fc fit runs all 50 iterations
     (entry,) = jpta_config.algorithms({**config, "algorithm": {"hbf": {"structure": structure, "n_rf": 2}}}, system)
     output = cli.run_algorithm(system, grid, target, entry, base_seed=32)
@@ -326,7 +326,7 @@ def test_hbf_block_without_iters_and_restarts_fits_with_the_library_defaults(str
     assert expected.seed == 32 + 4
     for name in ("analog", "digital", "residual_trace"):
         assert np.array_equal(getattr(output.hbf, name), getattr(expected, name)), name
-    assert output.hbf.seed == expected.seed and output.label == f"hbf_{structure}"
+    assert output.hbf.seed == expected.seed and entry[1] == f"hbf_{structure}"
 
 
 def test_readme_config_block_runs(tmp_path):
@@ -610,15 +610,15 @@ WIDE_PHASES = ["system.delay_range=1", "system.carrier_freq_ghz=1e294", "system.
         (["reproduce", "fig4", "--fast"], ["system.num_ttds=3"],
          "system: default contiguous mapping needs num_ttds (3) to divide num_antennas (64); "
          "pass ttd_groups explicitly otherwise"),
-        # the sweep's first point has one delay line for four groups
+        # the sweep's first point has one delay line for four groups; the error names the preset's point
         (["reproduce", "fig5", "--fast"], ["system.num_antennas=4", "system.num_ttds=4",
                                            "system.ttd_groups=[[1],[2],[3],[4]]"],
-         "system: expected 1 antenna groups, got 4"),
+         "behavior1:[num_ttds=1]: system: expected 1 antenna groups, got 4"),
         # a sweep point, and a random draw, whose delay phases overflow where the base config's do not
         (["reproduce", "fig6", "--fast"], WIDE_PHASES,
-         "system.delay_range: 4 makes the delay phases 2 pi f tau overflow"),
+         "behavior1:[delay_range=4]: system.delay_range: 4 makes the delay phases 2 pi f tau overflow"),
         (["reproduce", "fig7", "--fast"], WIDE_PHASES,
-         "system.delay_range: 61.0278 makes the delay phases 2 pi f tau overflow"),
+         "behavior1:[draw=1]: system.delay_range: 61.0278 makes the delay phases 2 pi f tau overflow"),
         (["reproduce", "fig8", "--fast"], ["system.num_antennas=0"], "system: num_antennas must be a positive integer"),
         (["reproduce", "fig9", "--fast"], ["system.total_power=0"], "system: total_power must be positive"),
         (["reproduce", "fig11", "--fast"], ["system.num_subcarriers=2"],
@@ -630,14 +630,21 @@ WIDE_PHASES = ["system.delay_range=1", "system.carrier_freq_ghz=1e294", "system.
          "pass ttd_groups explicitly otherwise"),
         (["compare-hbf"], ["compare.n_rf_values=[3,5,100]"],
          "compare.n_rf_values: 100 chains fit none of the structures ['fc', 'pc'] on 8 antennas"),
-        # checked after the stored beamformer is parsed and evaluated
+        # checked after the stored beamformer is parsed
         (["gain-map"], ["output.theta_step_deg=1e-9"],
          "output.theta_step_deg: 1e-09 gives 180000000001 angles, more than 18001"),
+        # the run builds the target, and so reads the custom file ({tmp} is the test's directory)
+        (["gain-map"], ['target={"custom_file": "{tmp}/target.txt"}'],
+         "target: {tmp}/target.txt:1: expected 8 re,im pairs, got 1"),
     ],
-    ids=["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "design", "sweep", "compare-hbf", "gain-map"],
+    ids=["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "design", "sweep", "compare-hbf", "gain-map",
+         "gain-map-target"],
 )
 def test_a_bad_input_leaves_no_output_directory(tmp_path, capsys, argv, overrides, message):
     # every command checks its whole config while it plans, and creates --out only after its runs
+    (tmp_path / "target.txt").write_text("1,0\n")
+    tmp = str(tmp_path)
+    overrides, message = [item.replace("{tmp}", tmp) for item in overrides], message.replace("{tmp}", tmp)
     if argv[0] != "reproduce":
         argv = [*argv, "--config", str(write_config(tmp_path, BASE_CONFIG))]
     if argv[0] == "gain-map":
@@ -977,15 +984,16 @@ def test_each_command_builds_each_distinct_target_once(tmp_path, monkeypatch):
     built = []
     build_target = cli.build_target
 
-    def counted(config, system, grid):
-        built.append(json.dumps(config["target"], sort_keys=True))
-        return build_target(config, system, grid)
+    def counted(target, system, grid):
+        built.append(repr(target))
+        return build_target(target, system, grid)
 
     monkeypatch.setattr(cli, "build_target", counted)
     sweep = write_config(tmp_path, {**BASE_CONFIG, "algorithm": None, "algorithms": [{"jpta": {}}, {"heuristic": {}}],
                                     "sweep": {"parameter": "num_ttds", "values": [1, 2, 4]}}, "sweep.json")
     compare = write_config(tmp_path, {**BASE_CONFIG, "compare": {"n_rf_values": [1, 2], "restarts": 1}},
                            "compare.json")
+    design = write_config(tmp_path, BASE_CONFIG, "design.json")
     fig9 = ["--set", "system.num_antennas=32", "--set", "system.num_ttds=32",
             "--set", "system.num_subcarriers=16", "--set", "system.delay_range=8"]  # all four maps fit
     runs = [
@@ -995,11 +1003,53 @@ def test_each_command_builds_each_distinct_target_once(tmp_path, monkeypatch):
         (["reproduce", "fig11", "--fast", *TINY_PRESET], 1),
         (["sweep", "--config", str(sweep)], 1),
         (["compare-hbf", "--config", str(compare)], 1),
+        (["design", "--config", str(design)], 1),
+        (["gain-map", "--config", str(design), "--beamformer", str(tmp_path / "run6" / "beamformer.txt")], 1),
     ]
     for i, (argv, targets) in enumerate(runs):
         built.clear()
         assert main([*argv, "--out", str(tmp_path / f"run{i}")]) == 0, argv
         assert (len(built), len(set(built))) == (targets, targets), argv
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_run_parses_nothing(tmp_path, monkeypatch, workers):
+    # every task holds parsed values, so that no run reads the config; forked pool workers inherit the patch
+    if workers != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched parsers reach only forked workers")
+    design = write_config(tmp_path, BASE_CONFIG, "design.json")
+    sweep = write_config(tmp_path, {**BASE_CONFIG, "algorithm": None, "algorithms": [{"jpta": {}}, {"heuristic": {}}],
+                                    "sweep": {"parameter": "num_ttds", "values": [1, 2, 4]}}, "sweep.json")
+    compare = write_config(tmp_path, {**BASE_CONFIG, "compare": {"n_rf_values": [1, 2], "restarts": 1}},
+                           "compare.json")
+    pool = ["--workers", workers]
+    stored = tmp_path / "plain-design" / "beamformer.txt"
+    runs = {
+        "design": ["design", "--config", str(design)],
+        "gain-map": ["gain-map", "--config", str(design), "--beamformer", str(stored)],
+        "sweep": ["sweep", "--config", str(sweep), *pool],
+        "compare-hbf": ["compare-hbf", "--config", str(compare), *pool],
+        "fig4": ["reproduce", "fig4", "--fast", *TINY_PRESET, *pool],
+        "fig8": ["reproduce", "fig8", "--fast", *TINY_PRESET, *pool],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / f"plain-{name}")]) == 0, name
+
+    def unparsed(*args, **kwargs):
+        raise AssertionError("a run parsed its config")
+
+    run_tasks = cli._map
+
+    def run_without_parsers(tasks, workers):
+        with monkeypatch.context() as patch:
+            for parser in ("build_system", "read_target", "algorithms"):
+                patch.setattr(cli, parser, unparsed)
+            return run_tasks(tasks, workers)
+
+    monkeypatch.setattr(cli, "_map", run_without_parsers)
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / f"patched-{name}")]) == 0, name
+        assert _output_bytes(tmp_path / f"patched-{name}") == _output_bytes(tmp_path / f"plain-{name}"), name
 
 
 def test_serial_runs_import_no_process_pool(tmp_path):
@@ -1064,6 +1114,8 @@ def test_one_pool_and_one_run_path():
                     users.setdefault(node.id, set()).add(fn.name)
     assert users["ProcessPoolExecutor"] == {"_map"}
     assert users["run_algorithm"] == {"_run_task"}
+    # a stored beamformer is evaluated by the same run path as a design
+    assert users["effective_beamformer_matrix"] == users["build_fit_report"] == {"run_algorithm"}
     # `_run_plan` alone creates --out and writes its provenance, after every run; fig8's writer makes its two
     # behavior subdirectories and writes theirs
     for name in ("mkdir", "write_provenance"):
@@ -1104,7 +1156,7 @@ def _blas_threads():
 
 
 def _report_blas_threads(*args, **kwargs):
-    return cli.RunOutput(label=str(_blas_threads()), report=None)
+    return cli.RunOutput(report=_blas_threads())
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
@@ -1114,8 +1166,8 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched run_algorithm reaches only forked workers")
     monkeypatch.setattr(cli, "run_algorithm", _report_blas_threads)
-    outputs = cli._map([cli.Task(BASE_CONFIG, {"jpta": {}})] * 4, workers=2)
-    assert [output.label for output in outputs] == ["1"] * 4
+    outputs = cli._map(cli._tasks(BASE_CONFIG) * 4, workers=2)
+    assert [output.report for output in outputs] == [1] * 4
     assert _blas_threads() == parent
 
 
