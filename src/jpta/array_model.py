@@ -33,11 +33,19 @@ __all__ = [
 ]
 
 
-def _store_frozen(obj, **arrays: np.ndarray) -> None:
-    """Make each array read-only and store it as the frozen field of its name on ``obj``."""
-    for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+class _FrozenArrays:
+    """Base of the frozen value objects that hold arrays.  Pickle restores writable copies of those arrays, as
+    pool workers and their results cross processes, so unpickling freezes them again."""
+
+    def _store_frozen(self, **arrays: np.ndarray) -> None:
+        """Make each array read-only and store it as the frozen field of its name."""
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._store_frozen(**{name: value for name, value in state.items() if isinstance(value, np.ndarray)})
 
 
 def contiguous_ttd_groups(num_antennas: int, num_ttds: int) -> tuple[tuple[int, ...], ...]:
@@ -59,7 +67,7 @@ def contiguous_ttd_groups(num_antennas: int, num_ttds: int) -> tuple[tuple[int, 
 
 
 @dataclass(frozen=True, eq=False)
-class SystemConfig:
+class SystemConfig(_FrozenArrays):
     """Array geometry, delay-line network topology, band plan and power budget.
 
     ``delay_range`` is the dimensionless tuning-range parameter: each delay
@@ -115,7 +123,7 @@ class SystemConfig:
         columns = np.array([m - 1 for g in self.ttd_groups for m in g], dtype=np.intp)
         antenna_line = np.repeat(np.arange(self.num_ttds), sizes)[np.argsort(columns)]  # columns is a permutation
         starts = np.cumsum([0] + sizes[:-1], dtype=np.intp)
-        _store_frozen(self, line_columns=columns, line_starts=starts, antenna_line=antenna_line)
+        self._store_frozen(line_columns=columns, line_starts=starts, antenna_line=antenna_line)
 
     def _validate_groups(self) -> None:
         groups = self.ttd_groups
@@ -141,7 +149,7 @@ class SystemConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SubcarrierGrid:
+class SubcarrierGrid(_FrozenArrays):
     """Integer subcarrier indices (centered on 0) and their absolute frequencies."""
 
     indices: np.ndarray
@@ -155,7 +163,7 @@ class SubcarrierGrid:
         k = idx.size
         if idx[0] != -(k // 2) or np.any(np.diff(idx) != 1):
             raise ValueError("subcarrier indices must run floor((1-K)/2)..floor((K-1)/2)")
-        _store_frozen(self, indices=idx, frequencies=freq)
+        self._store_frozen(indices=idx, frequencies=freq)
 
     @property
     def num_subcarriers(self) -> int:

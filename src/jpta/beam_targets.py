@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, _store_frozen, check_angle, check_sweep, steering_vectors
+from .array_model import SubcarrierGrid, SystemConfig, _FrozenArrays, check_angle, check_sweep, steering_vectors
 
 __all__ = [
     "WeightScheme",
@@ -46,7 +46,7 @@ class WeightScheme(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class BeamTarget:
+class BeamTarget(_FrozenArrays):
     """Desired complex beam vector per subcarrier plus weights and power budget.
 
     Rows of ``vectors`` follow the ascending subcarrier order of the grid.
@@ -85,7 +85,7 @@ class BeamTarget:
         unit = np.zeros_like(vec)
         nz = norms > 0.0
         unit[nz] = vec[nz] / norms[nz, None]
-        _store_frozen(self, vectors=vec, weights=w, norms=norms, unit_vectors=unit)
+        self._store_frozen(vectors=vec, weights=w, norms=norms, unit_vectors=unit)
 
 
 def _behavior_angles(

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, _store_frozen, delay_response
+from .array_model import SubcarrierGrid, SystemConfig, _FrozenArrays, delay_response
 from .beam_targets import BeamTarget
 
 __all__ = [
@@ -110,7 +110,7 @@ class DesignOptions:
 
 
 @dataclass(frozen=True, eq=False)
-class JptaBeamformer:
+class JptaBeamformer(_FrozenArrays):
     """One analog solution: N delays [s], M phase-shifts [rad], K digital weights."""
 
     delays: np.ndarray
@@ -118,9 +118,9 @@ class JptaBeamformer:
     alpha: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_frozen(self, delays=np.array(self.delays, dtype=np.float64, order="C"),
-                      phases=np.array(self.phases, dtype=np.float64, order="C"),
-                      alpha=np.array(self.alpha, dtype=np.complex128, order="C"))
+        self._store_frozen(delays=np.array(self.delays, dtype=np.float64, order="C"),
+                           phases=np.array(self.phases, dtype=np.float64, order="C"),
+                           alpha=np.array(self.alpha, dtype=np.complex128, order="C"))
 
     @property
     def alpha_phases(self) -> np.ndarray:
@@ -626,9 +626,9 @@ def design_jpta(
         else:
             tau = wls_delays(ang)
             table = delay_response(freqs, tau)
-        # the phase-shifter update and the digital alignment share bbar_{k,m} conj(r_{k,m}); it is
-        # formed as in the per-line updates, since numpy rounds the product by its operands' layout
-        aligned = target.unit_vectors * np.conj(table[:, config.antenna_line])
+        # the phase-shifter update and the digital alignment share bbar_{k,m} conj(r_{k,m}); np.take gathers
+        # the antennas' delay factors C-ordered, like the target rows, which skips numpy's slow mixed-layout product
+        aligned = target.unit_vectors * np.conj(np.take(table, config.antenna_line, axis=1))
         phi = _ps_phases(target, ang, aligned)
         tau, offset = center_delays(config, tau)
         u = _digital_alignment(aligned, phi) * delay_response(freqs, [offset])[:, 0]

@@ -18,6 +18,7 @@ from .design import JptaBeamformer
 from .metrics import FitReport, linear_to_db
 
 GAIN_MAP_HEADER = ["k", "f_hz", "theta_deg", "gain_linear", "gain_db"]
+GAIN_MAP_BLOCK = 16  # subcarriers per `%` of the gain-map writer: at 181 angles a block holds 5.8k floats, not 92k
 RESULT_HEADER = ["experiment_id", "algorithm", "parameter", "value", "f_obj", "f_tilde_obj", "iterations", "seed"]
 
 
@@ -91,18 +92,24 @@ def write_hbf_matrices(out_dir: Path, analog: np.ndarray, digital: np.ndarray) -
 def write_gain_map_csv(path: Path, grid: SubcarrierGrid, gains: np.ndarray, theta_grid: np.ndarray) -> None:
     """Row-major by subcarrier, then angle; CRLF line ends as csv.writer writes them.
 
-    Every angle is formatted once, into a template of one subcarrier's lines;
-    each subcarrier then fills its ``k,f_hz`` prefix and its gains with one
-    ``%``.  The bytes are those of ``np.savetxt`` with ``%d`` and ``%.12g``
-    fields, without its per-row loop.
+    Every angle is formatted once, into a template of one subcarrier's lines.
+    Each block of ``GAIN_MAP_BLOCK`` subcarriers joins its copies of that
+    template, each led by its ``k,f_hz`` prefix, takes its dB values in one
+    pass and fills all its gains with one ``%``.  The bytes are those of
+    ``np.savetxt`` with ``%d`` and ``%.12g`` fields, without its per-row loop.
     """
+    expected = (grid.num_subcarriers, theta_grid.size)
+    if gains.shape != expected:
+        raise ValueError(f"gains of shape {gains.shape}, expected (subcarriers, angles) = {expected}")
     angles = ["%.12g" % deg for deg in np.rad2deg(theta_grid).tolist()]
     template = "".join(f"@,{deg},%.12g,%.12g\r\n" for deg in angles)  # "@" marks the k,f_hz prefix
+    prefixes = ["%d,%.12g" % kf for kf in zip(grid.indices.tolist(), grid.frequencies.tolist())]
     with path.open("w", encoding="ascii", newline="") as fh:
         fh.write(",".join(GAIN_MAP_HEADER) + "\r\n")
-        for k, f, row in zip(grid.indices.tolist(), grid.frequencies.tolist(), gains, strict=True):
-            fields = np.column_stack([row, linear_to_db(row)]).ravel().tolist()
-            fh.write(template.replace("@", "%d,%.12g" % (k, f)) % tuple(fields))
+        for start in range(0, len(prefixes), GAIN_MAP_BLOCK):
+            block = gains[start:start + GAIN_MAP_BLOCK]
+            text = "".join(template.replace("@", prefix) for prefix in prefixes[start:start + GAIN_MAP_BLOCK])
+            fh.write(text % tuple(np.stack([block, linear_to_db(block)], axis=-1).ravel().tolist()))
 
 
 def save_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:

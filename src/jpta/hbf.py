@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, _store_frozen
+from .array_model import SubcarrierGrid, SystemConfig, _FrozenArrays
 from .beam_targets import BeamTarget
 
 __all__ = [
@@ -61,7 +61,7 @@ def _check_fit(structure: HbfStructure, num_antennas: int, n_rf: int, iters: int
 
 
 @dataclass(frozen=True, eq=False)
-class TargetMatrix:
+class TargetMatrix(_FrozenArrays):
     """Target beams stacked column-wise in ascending subcarrier order."""
 
     matrix: np.ndarray
@@ -71,7 +71,7 @@ class TargetMatrix:
         mat = np.array(self.matrix, dtype=np.complex128, order="C")
         if mat.ndim != 2:
             raise ValueError("target matrix must be two-dimensional (M, K)")
-        _store_frozen(self, matrix=mat)
+        self._store_frozen(matrix=mat)
 
 
 def stack_target(target: BeamTarget) -> TargetMatrix:
@@ -79,7 +79,7 @@ def stack_target(target: BeamTarget) -> TargetMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class HbfBeamformer:
+class HbfBeamformer(_FrozenArrays):
     """Frequency-flat analog matrix plus per-subcarrier digital vectors."""
 
     analog: np.ndarray
@@ -91,8 +91,8 @@ class HbfBeamformer:
     residual_trace: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_frozen(self, analog=np.array(self.analog, order="C"), digital=np.array(self.digital, order="C"),
-                      residual_trace=np.array(self.residual_trace, order="C"))
+        self._store_frozen(analog=np.array(self.analog, order="C"), digital=np.array(self.digital, order="C"),
+                           residual_trace=np.array(self.residual_trace, order="C"))
 
     def unit_effective_vectors(self) -> np.ndarray:
         """Per-subcarrier effective beams, each normalized to unit norm, as (K, M)."""

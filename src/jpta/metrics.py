@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import SubcarrierGrid, SystemConfig, _store_frozen, effective_beamformer_matrix
+from .array_model import SubcarrierGrid, SystemConfig, _FrozenArrays, effective_beamformer_matrix
 from .beam_targets import BeamTarget
 from .design import JptaBeamformer
 
@@ -24,7 +24,7 @@ DB_FLOOR = -100.0
 
 
 @dataclass(frozen=True, eq=False)
-class FitReport:
+class FitReport(_FrozenArrays):
     """Evaluation record of one designed beamformer against its target; ``seed`` is the seed
     of a randomized fit, None for a deterministic one."""
 
@@ -43,7 +43,7 @@ class FitReport:
         if match.size and (match.min() < -1e-12 or match.max() > 1.0 + 1e-9):
             raise ValueError("per-subcarrier matches must lie in [0, 1]")
         trace = np.array(self.convergence_trace, dtype=np.float64, order="C")
-        _store_frozen(self, per_subcarrier_match=match, convergence_trace=trace)
+        self._store_frozen(per_subcarrier_match=match, convergence_trace=trace)
 
     @property
     def iterations(self) -> int:

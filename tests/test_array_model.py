@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -387,3 +388,16 @@ def test_value_objects_store_owned_read_only_c_ordered_copies(obj, inputs):
         assert not arr.flags.writeable and arr.flags.c_contiguous
         assert not any(np.shares_memory(arr, given) for given in inputs.values())
     assert all(given.flags.writeable for given in inputs.values())
+
+
+@pytest.mark.parametrize("obj, inputs", _value_objects())
+def test_value_objects_stay_read_only_through_pickle(obj, inputs):
+    """Pool workers unpickle their tasks, and the parent their results: each copy's arrays stay frozen."""
+    copied = pickle.loads(pickle.dumps(obj))
+    arrays = [f.name for f in dataclasses.fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)]
+    assert arrays
+    for name in arrays:
+        arr = getattr(copied, name)
+        assert not arr.flags.writeable
+        assert arr.dtype == getattr(obj, name).dtype and np.array_equal(arr, getattr(obj, name))
+    assert vars(copied).keys() == vars(obj).keys()

@@ -876,6 +876,25 @@ def test_gain_map_csv_bytes_match_csv_writer(tmp_path):
     assert data.count(b",-100\r\n") == 3  # the dB floor
 
 
+def _written_gain_map_matching_savetxt(tmp_path, grid, gains, thetas):
+    """The bytes ``write_gain_map_csv`` writes, checked equal to those of ``np.savetxt`` on the same rows."""
+    path = tmp_path / "gain_map.csv"
+    formats.write_gain_map_csv(path, grid, gains, thetas)
+    rows = np.column_stack([
+        np.repeat(grid.indices, thetas.size),
+        np.repeat(grid.frequencies, thetas.size),
+        np.tile(np.rad2deg(thetas), grid.num_subcarriers),
+        gains.ravel(),
+        linear_to_db(gains).ravel(),
+    ])
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, rows, fmt=["%d"] + ["%.12g"] * 4, delimiter=",",
+               header=",".join(formats.GAIN_MAP_HEADER), comments="", newline="\r\n")
+    data = path.read_bytes()
+    assert data == expected.read_bytes()
+    return data
+
+
 def test_gain_map_csv_bytes_match_savetxt_on_a_large_map(tmp_path):
     system = cli.build_system({"system": {**BASE_CONFIG["system"], "num_subcarriers": 16}})
     grid = build_grid(system)
@@ -886,22 +905,32 @@ def test_gain_map_csv_bytes_match_savetxt_on_a_large_map(tmp_path):
     gains[3::4, 5::89] = 1e-10  # exactly at the -100 dB floor
     gains[1::5, 7::61] = 3e-13  # below it
     assert gains.size == 57616 > 2**14
-    path = tmp_path / "gain_map.csv"
-    formats.write_gain_map_csv(path, grid, gains, thetas)
-    num_angles = thetas.size
-    rows = np.column_stack([
-        np.repeat(grid.indices, num_angles),
-        np.repeat(grid.frequencies, num_angles),
-        np.tile(np.rad2deg(thetas), grid.num_subcarriers),
-        gains.ravel(),
-        linear_to_db(gains).ravel(),
-    ])
-    expected = tmp_path / "savetxt.csv"
-    np.savetxt(expected, rows, fmt=["%d"] + ["%.12g"] * 4, delimiter=",",
-               header=",".join(formats.GAIN_MAP_HEADER), comments="", newline="\r\n")
-    data = path.read_bytes()
-    assert data == expected.read_bytes()
+    data = _written_gain_map_matching_savetxt(tmp_path, grid, gains, thetas)
     assert data.count(b",0,-100\r\n") >= 16 * 37 and b",1e-10,-100\r\n" in data and b",3e-13,-100\r\n" in data
+
+
+def test_gain_map_csv_bytes_match_savetxt_with_a_partial_last_block(tmp_path):
+    num_subcarriers = 37
+    assert num_subcarriers % formats.GAIN_MAP_BLOCK
+    system = cli.build_system({"system": {**BASE_CONFIG["system"], "num_subcarriers": num_subcarriers}})
+    grid = build_grid(system)
+    thetas = np.deg2rad([-90.0, -12.5, -0.0, 45.0, 90.0])
+    gains = np.random.default_rng(7).random((num_subcarriers, thetas.size)) * 64.0
+    gains[::3, 1] = 0.0
+    gains[-1] = 2e-12  # below the -100 dB floor, in the partial last block
+    gains[5, 2] = 1e-10  # exactly at the floor
+    data = _written_gain_map_matching_savetxt(tmp_path, grid, gains, thetas)
+    assert data.endswith(b"\r\n18,%s,90,2e-12,-100\r\n" % format(float(grid.frequencies[-1]), ".12g").encode())
+    assert data.count(b",0,-100\r\n") == 12 and data.count(b",2e-12,-100\r\n") == thetas.size
+
+
+def test_gain_map_csv_rejects_gains_of_the_wrong_shape_before_opening_the_file(tmp_path):
+    system = cli.build_system({"system": {**BASE_CONFIG["system"], "num_subcarriers": 4}})
+    thetas = np.deg2rad([-30.0, 0.0, 30.0])
+    path = tmp_path / "gain_map.csv"
+    with pytest.raises(ValueError, match=re.escape("gains of shape (3, 4), expected (subcarriers, angles) = (4, 3)")):
+        formats.write_gain_map_csv(path, build_grid(system), np.ones((3, 4)), thetas)
+    assert not path.exists()
 
 
 def _load_bench_module(name):
