@@ -468,34 +468,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(seed=0, workers=1)  # of the commands that take no --seed or no --workers
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="JSON experiment configuration")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY.PATH=VALUE", help="override a config field (repeatable)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY.PATH=VALUE", help="override a config field (repeatable)")
+    config = argparse.ArgumentParser(add_help=False, parents=[common])
+    config.add_argument("--config", required=True, help="JSON experiment configuration")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="base seed for randomized algorithms")
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--workers", type=_positive_int, default=1, help="processes that run the designs and fits")
 
-    p_design = sub.add_parser("design", help="run one design and write its outputs")
-    p_sweep = sub.add_parser("sweep", help="run the configured parameter sweep")
-    p_cmp = sub.add_parser("compare-hbf", help="chain-count sweep of the hybrid baselines")
-    for p in (p_design, p_sweep, p_cmp):
-        add_common(p)
-        p.add_argument("--seed", type=int, default=0, help="base seed for randomized algorithms")
-    p_sweep.add_argument("--workers", type=_positive_int, default=1, help="parallel sweep workers")
-    p_cmp.add_argument("--workers", type=_positive_int, default=1, help="parallel hybrid-fit workers")
-
-    p_rep = sub.add_parser("reproduce", help="run a stock figure preset")
+    sub.add_parser("design", parents=[config, seeded], help="run one design and write its outputs")
+    sub.add_parser("sweep", parents=[config, seeded, pooled], help="run the configured parameter sweep")
+    sub.add_parser("compare-hbf", parents=[config, seeded, pooled], help="chain-count sweep of the hybrid baselines")
+    p_rep = sub.add_parser("reproduce", parents=[common, seeded, pooled], help="run a stock figure preset")
     p_rep.add_argument("figure", help="figure id: fig4 fig5 fig6 fig7 fig8 fig9 fig11")
-    p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--fast", action="store_true",
                        help=f"use {FAST_SUBCARRIERS} subcarriers instead of the full grid")
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--workers", type=_positive_int, default=1,
-                       help="processes that run the preset's designs and fits")
-    p_rep.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY.PATH=VALUE")
-
-    p_map = sub.add_parser("gain-map", help="gain map of a stored beamformer file")
-    add_common(p_map)
+    p_map = sub.add_parser("gain-map", parents=[config], help="gain map of a stored beamformer file")
     p_map.add_argument("--beamformer", required=True, help="beamformer file from a design run")
     return parser
 

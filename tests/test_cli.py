@@ -27,7 +27,7 @@ from jpta.cli import main
 from jpta.design import DesignOptions, design_jpta
 from jpta.formats import parse_beamformer_file
 from jpta.hbf import altmin_pc, pe_altmin_fc, stack_target
-from jpta.metrics import fit_objective, linear_to_db
+from jpta.metrics import fit_objective, linear_to_db, per_subcarrier_match
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_DIR = ROOT / "bench"
@@ -82,6 +82,26 @@ def test_design_writes_expected_files(tmp_path):
     rows = read_rows(out / "fit_report.csv")
     assert rows[0]["algorithm"] == "jpta_line_search"
     assert 0.0 <= float(rows[0]["f_obj"]) <= 1.0
+
+
+def test_design_writes_the_hybrid_matrices_of_an_hbf_fit(tmp_path):
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "algorithm": {"hbf": {"n_rf": 2}}})
+    out = tmp_path / "run"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not (out / "beamformer.txt").exists()
+    analog_re_im = np.loadtxt(out / "hbf_analog_re_im.csv", delimiter=",")
+    digital_re_im = np.loadtxt(out / "hbf_digital_re_im.csv", delimiter=",")
+    assert analog_re_im.shape == (8, 4)  # M rows of n_rf real parts, then n_rf imaginary parts
+    assert digital_re_im.shape == (2, 32)  # n_rf rows of K real parts, then K imaginary parts
+    analog = analog_re_im[:, :2] + 1j * analog_re_im[:, 2:]
+    digital = digital_re_im[:, :16] + 1j * digital_re_im[:, 16:]
+    np.testing.assert_allclose(np.abs(analog), 1.0, rtol=0, atol=1e-9)
+    beams = (analog @ digital).T
+    beams /= np.linalg.norm(beams, axis=1, keepdims=True)
+    system = cli.build_system(BASE_CONFIG)
+    target = behavior1_target(system, build_grid(system), math.radians(30.0), math.radians(45.0))
+    stored = [float(row["match"]) for row in read_rows(out / "per_subcarrier_match.csv")]
+    np.testing.assert_allclose(per_subcarrier_match(target, beams), stored, rtol=0, atol=1e-9)
 
 
 def test_design_outputs_are_deterministic(tmp_path):
@@ -429,12 +449,22 @@ def test_sweep_values_must_be_numbers_fitting_the_parameter(tmp_path, capsys, ov
          "system.total_power: 9.99989e-321 makes total_power^2 leave the normal double range"),
         ("design", "system.total_power=1e200",
          "system.total_power: 1e+200 makes total_power^2 leave the normal double range"),
+        ("design", "foo", "override 'foo': expected key.path=value"),
+        ("design", "system.num_antennas.x=1",
+         "override 'system.num_antennas.x=1': num_antennas is not a config section"),
+        ("design", "algorithm=null", "algorithm: provide an 'algorithm' block or an 'algorithms' list"),
+        ("design", 'algorithm={"jpta":{},"heuristic":{}}',
+         "algorithm: exactly one of ('jpta', 'heuristic', 'hbf') per entry, found ['jpta', 'heuristic']"),
+        ("sweep", "sweep.parameter=foo",
+         "sweep.parameter: unknown parameter 'foo' (choose from ('num_ttds', 'delay_range', 'max_iter', 'n_rf'))"),
+        ("design", "target.behavior=7", "target.behavior: unsupported behavior 7 (use 1, 2, 3 or custom_file)"),
     ],
 )
 def test_malformed_config_fields_are_config_errors(tmp_path, capsys, command, override, message):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), "--set", override]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare-hbf", "reproduce"])
@@ -531,13 +561,34 @@ def test_gain_map_rejects_a_beamformer_file_of_another_shape(tmp_path, capsys, o
     )
 
 
-def test_gain_map_takes_no_seed(tmp_path, capsys):
-    cfg = write_config(tmp_path, BASE_CONFIG)
+GAIN_MAP_ARGS = ["gain-map", "--config", "c.json", "--beamformer", "bf.txt"]
+
+
+@pytest.mark.parametrize("argv, rejected", [
+    ([*GAIN_MAP_ARGS, "--seed", "1"], "--seed 1"),
+    ([*GAIN_MAP_ARGS, "--workers", "2"], "--workers 2"),
+    (["design", "--config", "c.json", "--workers", "2"], "--workers 2"),
+    (["reproduce", "fig4", "--fast", "--config", "x"], "--config x"),
+])
+def test_a_command_rejects_the_flags_it_does_not_take(tmp_path, capsys, argv, rejected):
     with pytest.raises(SystemExit) as exc:
-        main(["gain-map", "--config", str(cfg), "--beamformer", str(tmp_path / "bf.txt"),
-              "--out", str(tmp_path / "x"), "--seed", "1"])
+        main([*argv, "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {rejected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--config", "c.json"],
+    ["sweep", "--config", "c.json"],
+    ["compare-hbf", "--config", "c.json"],
+    ["reproduce", "fig4"],
+    GAIN_MAP_ARGS,
+])
+def test_every_command_parses_the_same_defaults(argv):
+    parser = cli._build_parser()
+    assert parser.parse_args([*argv, "--out", "x", "--set", "a=1", "--set", "b=2"]).overrides == ["a=1", "b=2"]
+    args = parser.parse_args([*argv, "--out", "x"])  # the default list is not the one the last parse appended to
+    assert (args.command, args.out, args.seed, args.workers, args.overrides) == (argv[0], "x", 0, 1, [])
 
 
 def test_reproduce_unknown_figure(tmp_path, capsys):
@@ -636,22 +687,32 @@ WIDE_PHASES = ["system.delay_range=1", "system.carrier_freq_ghz=1e294", "system.
         # the run builds the target, and so reads the custom file ({tmp} is the test's directory)
         (["gain-map"], ['target={"custom_file": "{tmp}/target.txt"}'],
          "target: {tmp}/target.txt:1: expected 8 re,im pairs, got 1"),
+        (["design"], ["algorithm=null", "algorithms=[]"], "algorithms: must not be empty"),
+        (["design"], ["algorithm=null", "algorithms=[1]"], "algorithms[0]: each entry must be an object"),
+        (["design", "--config", "{tmp}/list.json"], [], "config file {tmp}/list.json: top level must be a JSON object"),
+        (["gain-map", "--beamformer", "{tmp}/no_alpha.txt"], [],
+         "beamformer file: {tmp}/no_alpha.txt: missing section [alpha_re_im]"),
     ],
     ids=["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "design", "sweep", "compare-hbf", "gain-map",
-         "gain-map-target"],
+         "gain-map-target", "empty-algorithms", "algorithm-not-an-object", "config-not-an-object",
+         "beamformer-section-missing"],
 )
 def test_a_bad_input_leaves_no_output_directory(tmp_path, capsys, argv, overrides, message):
     # every command checks its whole config while it plans, and creates --out only after its runs
     (tmp_path / "target.txt").write_text("1,0\n")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "no_alpha.txt").write_text("[delays_ns]\n[phases_rad]\n")
     tmp = str(tmp_path)
+    command, *flags = [item.replace("{tmp}", tmp) for item in argv]
     overrides, message = [item.replace("{tmp}", tmp) for item in overrides], message.replace("{tmp}", tmp)
-    if argv[0] != "reproduce":
-        argv = [*argv, "--config", str(write_config(tmp_path, BASE_CONFIG))]
-    if argv[0] == "gain-map":
-        assert main(["design", *argv[1:], "--out", str(tmp_path / "design")]) == 0
-        argv += ["--beamformer", str(tmp_path / "design" / "beamformer.txt")]
+    if command != "reproduce":  # a case's own flags come later, and so replace these
+        config = ["--config", str(write_config(tmp_path, BASE_CONFIG))]
+        flags = [*config, *flags]
+    if command == "gain-map":
+        assert main(["design", *config, "--out", str(tmp_path / "design")]) == 0
+        flags = ["--beamformer", str(tmp_path / "design" / "beamformer.txt"), *flags]
     sets = [arg for item in overrides for arg in ("--set", item)]
-    assert main([*argv, "--out", str(tmp_path / "x"), *sets]) == 2
+    assert main([command, *flags, "--out", str(tmp_path / "x"), *sets]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "x").exists()
 
