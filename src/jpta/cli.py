@@ -21,7 +21,6 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import ctypes
 import math
 import sys
@@ -302,7 +301,7 @@ def _gain_maps(config: dict, maps: list[tuple], seed: int) -> tuple:
     system = build_system(config)
     grid = build_grid(system)
     theta = default_theta_grid()
-    points = [{**copy.deepcopy(config), "target": target_block, "algorithm": block} for *_, target_block, block in maps]
+    points = [{**config, "target": target_block, "algorithm": block} for *_, target_block, block in maps]
 
     def write(out_dir: Path, outputs: list[RunOutput]) -> None:
         for (stem, ideal, *_), output in zip(maps, outputs):
@@ -327,7 +326,7 @@ def _preset_sweep(config: dict, parameter: str, cases, seed: int, csv_name: str)
     are written as ``csv_name``."""
     points = []
     for name, target_block, values in cases:
-        point = {**copy.deepcopy(config), "target": target_block, "algorithms": copy.deepcopy(_JPTA_ALGOS)}
+        point = {**config, "target": target_block, "algorithms": _JPTA_ALGOS}
         points += _sweep_points(point, parameter, values, seed, prefix=f"{name}:")
     return _rows_plan(points, csv_name)
 
@@ -356,9 +355,9 @@ def _convergence_tasks(config: dict, behavior: int, draws: int, iters: int, seed
     divisors = [n for n in (1, 2, 4, 8, 16, 32, 64) if config["system"]["num_antennas"] % n == 0]
     tasks = []
     for draw in range(1, draws + 1):
-        point = {**copy.deepcopy(config), "algorithm": {"jpta": {"max_iter": iters}}}
-        point["system"]["num_ttds"] = int(rng.choice(divisors))
-        point["system"]["delay_range"] = float(rng.uniform(4.0, 64.0))
+        system = {**config["system"], "num_ttds": int(rng.choice(divisors)),
+                  "delay_range": float(rng.uniform(4.0, 64.0))}
+        point = {**config, "system": system, "algorithm": {"jpta": {"max_iter": iters}}}
         if behavior == 1:
             theta0 = float(rng.uniform(-np.pi / 3, np.pi / 3))
             width = float(rng.uniform(np.pi / 36, min(np.pi / 2, np.pi - 2 * abs(theta0))))
@@ -393,7 +392,7 @@ def _reproduce_fig8(config: dict, args: argparse.Namespace) -> tuple:
     start = time.perf_counter()
     m = config["system"]["num_antennas"]
     compare = {"n_rf_values": [n for n in (1, 2, 4, 8, 12, 16, 22, 32, 64) if n <= m]}
-    points = {name: {**copy.deepcopy(config), "target": target_block, "compare": compare}
+    points = {name: {**config, "target": target_block, "compare": compare}
               for name, target_block in (("behavior1", PRESET_BEHAVIOR1), ("behavior2", PRESET_BEHAVIOR2))}
     plans = {name: _plan_compare_hbf(point, args) for name, point in points.items()}
 

@@ -424,8 +424,6 @@ def _wls_update(config: SystemConfig, grid: SubcarrierGrid, n, target: BeamTarge
     """The closed-form weighted least-squares delay of each line of ``_layout(config, n)``, as a
     function of the digital phases; every term but their unwrapped phases ``c`` is built once here."""
     active = target.weights > 0.0
-    if not np.any(active):
-        raise ValueError("all subcarrier weights vanish; the delay lines are unconstrained")
     cols, starts = _layout(config, n)
     unit = _pow2_at_or_below(config.bandwidth)  # the offsets from the carrier that _lines squares
     f = grid.indices[active] * (config.bandwidth / unit / config.num_subcarriers)
@@ -545,13 +543,9 @@ def shift_nonnegative(
 
 
 def _discrete_set(config: SystemConfig, discrete_set) -> np.ndarray:
-    """The sorted delay set within ``[0, kappa/W]``; a top value that ns-to-s
+    """The delay set, checked by `DesignOptions`, within ``[0, kappa/W]``; a top value that ns-to-s
     rounding lifted above kappa/W (``0.8 * 1e-9 > 8e-10``) is taken as kappa/W."""
-    values = np.asarray(discrete_set, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("discrete delay set must not be empty")
-    if np.any(np.diff(values) < 0.0):
-        raise ValueError("discrete delay set must be sorted ascending")
+    values = np.asarray(DesignOptions(discrete_delays=discrete_set).discrete_delays)
     if values[0] < 0.0 or values[-1] > config.max_delay * (1.0 + _RANGE_RTOL):
         raise ValueError("discrete delay set must lie within [0, kappa/W]")
     return np.minimum(values, config.max_delay)
@@ -619,7 +613,6 @@ def design_jpta(
         wls_delays = _wls_update(config, grid, None, target)
 
     trace: list[float] = []
-    previous = None
     for _ in range(options.max_iter):
         if use_line_search:
             tau, table = _line_search(lines, ang, search)
@@ -635,13 +628,9 @@ def design_jpta(
         ang = np.angle(u)
         objective = float(np.sum(target.weights * np.abs(u)) / root_m)
         trace.append(objective)
-        if (
-            options.convergence_epsilon is not None
-            and previous is not None
-            and objective - previous < options.convergence_epsilon
-        ):
+        epsilon = options.convergence_epsilon
+        if epsilon is not None and len(trace) > 1 and objective - trace[-2] < epsilon:
             break
-        previous = objective
 
     bf = JptaBeamformer(
         delays=tau,

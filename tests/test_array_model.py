@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -328,6 +329,31 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(num_antennas=4, num_ttds=2, carrier_freq=100e9, bandwidth=10e9,
                      num_subcarriers=8, delay_range=4.0, ttd_groups=((1, 2), (3,)))
+
+
+_CFG_8X4 = make_config(num_antennas=8, num_ttds=4, num_subcarriers=16)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_config(num_antennas=2, num_ttds=2, num_subcarriers=0), "num_subcarriers must be a positive integer"),
+    (lambda: make_config(num_antennas=2, num_ttds=2, bandwidth=0.0), "bandwidth must be positive"),
+    (lambda: make_config(num_antennas=2, num_ttds=2, ttd_groups=((1, 2), ())), "antenna group 2 is empty"),
+    (lambda: make_config(num_antennas=2, num_ttds=2, ttd_groups=((1,), (3,))),
+     "antenna number 3 in group 2 out of range 1..2"),
+    (lambda: SubcarrierGrid(np.arange(3), np.arange(4.0)),
+     "indices and frequencies must be matching nonempty 1-D arrays"),
+    (lambda: effective_beamformer_matrix(_CFG_8X4, build_grid(_CFG_8X4), JptaBeamformer(
+        delays=np.zeros(4), phases=np.zeros(7), alpha=np.ones(16, dtype=complex))),
+     "expected 8 phase-shifter values, got (7,)"),
+    (lambda: gain_map(_CFG_8X4, build_grid(_CFG_8X4), np.ones((16, 7)), default_theta_grid()),
+     "expected beams of shape (16, 8), got (16, 7)"),
+    (lambda: gain_map(_CFG_8X4, build_grid(_CFG_8X4), np.ones((16, 3)), default_theta_grid()),
+     "expected beams of shape (16, 8), got (16, 3)"),
+], ids=["no_subcarriers", "no_bandwidth", "empty_group", "antenna_out_of_range", "grid_shapes",
+        "phase_count", "gain_map_7", "gain_map_3"])
+def test_malformed_systems_grids_and_beams_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_custom_groups_and_default_power():

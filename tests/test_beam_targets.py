@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,3 +250,14 @@ def test_beam_target_rejects_non_finite_entries(bad):
     weights[2] = bad
     with pytest.raises(ValueError, match="finite"):
         BeamTarget(vectors=np.ones((4, 2), dtype=complex), weights=weights, power_budget=8.0)
+
+
+@pytest.mark.parametrize("vectors, weights, budget, message", [
+    (np.ones(4), np.ones(4), 8.0, "target vectors must form a (K, M) array"),
+    (np.ones((4, 2)), np.ones(3), 8.0, "need exactly one weight per subcarrier"),
+    (np.ones((4, 2)), np.array([1.0, -1.0, 1.0, 1.0]), 8.0, "subcarrier weights must be nonnegative"),
+    (np.ones((4, 2)), np.ones(4), 0.0, "power budget must be positive"),
+], ids=["one_dimensional", "weight_count", "negative_weight", "zero_budget"])
+def test_beam_target_rejects_malformed_fields(vectors, weights, budget, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BeamTarget(vectors=vectors, weights=weights, power_budget=budget)

@@ -1,4 +1,5 @@
 import ast
+import copy
 import csv
 import ctypes
 import importlib.util
@@ -752,6 +753,49 @@ def test_reproduce_sweep_presets_smoke(tmp_path):
         assert written[0] == written[1], figure
 
 
+def _recording(plan, received):
+    """``plan``, which first records the config it receives and a deep copy of it."""
+
+    def record(config, args):
+        received.append((config, copy.deepcopy(config)))
+        return plan(config, args)
+
+    return record
+
+
+def test_presets_write_neither_their_config_nor_the_module_presets(tmp_path, monkeypatch):
+    # each preset point is a new dict that shares the config's and the presets' blocks, so no planner or run may
+    # write into what it was given
+    shared = ("STOCK_SYSTEM", "PRESET_BEHAVIOR1", "PRESET_BEHAVIOR2", "_JPTA_ALGOS")
+    before = {name: copy.deepcopy(getattr(cli, name)) for name in shared}
+    received = []
+    for figure, plan in cli._FIGURES.items():
+        monkeypatch.setitem(cli._FIGURES, figure, _recording(plan, received))
+    for figure in cli._FIGURES:
+        assert main(["reproduce", figure, "--out", str(tmp_path / figure), "--fast", *TINY_PRESET]) == 0, figure
+    assert {name: getattr(cli, name) for name in shared} == before
+    assert len(received) == len(cli._FIGURES)
+    for config, snapshot in received:
+        assert config == snapshot
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("sweep", {"algorithms": [{"jpta": {}}, {"jpta": {"variant": "wls"}}, {"heuristic": {}}],
+               "sweep": {"parameter": "num_ttds", "values": [1, 2]}}),
+    ("sweep", {"algorithms": [{"jpta": {"max_iter": 2}}, {"heuristic": {}}],
+               "sweep": {"parameter": "max_iter", "values": [1, 3]}}),
+    ("compare-hbf", {"compare": {"n_rf_values": [1, 2], "restarts": 1}}),
+], ids=["system_sweep", "jpta_sweep", "compare"])
+def test_sweep_and_compare_planners_leave_their_config_unchanged(tmp_path, monkeypatch, command, sections):
+    config = {key: value for key, value in BASE_CONFIG.items() if key != "algorithm"}
+    cfg = write_config(tmp_path, {**config, **sections})
+    received = []
+    monkeypatch.setitem(cli._COMMANDS, command, _recording(cli._COMMANDS[command], received))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    ((config, snapshot),) = received
+    assert config == snapshot
+
+
 def test_fig9_notes_each_map_whose_chain_count_does_not_fit(tmp_path):
     out = tmp_path / "fig9"
     assert main(["reproduce", "fig9", "--out", str(out), "--fast", *TINY_PRESET]) == 0
@@ -909,6 +953,19 @@ def test_beamformer_file_content_before_the_first_header_names_the_line(tmp_path
     assert code == 2
     assert capsys.readouterr().err == (
         f"config error: beamformer file: {path}:3: content before the first section header\n")
+
+
+def test_beamformer_file_skips_an_unknown_section(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "beamformer.txt"
+    system = cli.build_system(BASE_CONFIG)
+    plain = parse_beamformer_file(path, system)
+    path.write_text(path.read_text().replace("[phases_rad]", "[calibration]\n0.5 0.25 1\n[phases_rad]"))
+    extra = parse_beamformer_file(path, system)
+    for name in ("delays", "phases", "alpha"):
+        assert np.array_equal(getattr(extra, name), getattr(plain, name)), name
 
 
 def test_gain_map_csv_bytes_match_csv_writer(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,19 @@ def test_quantize_delays():
         quantize_delays(cfg, grid, bf, target, np.array([0.0, 2.0 * cfg.max_delay]))
 
 
+@pytest.mark.parametrize("levels", [[0.0, math.nan], [0.0, math.inf], [], [2e-10, 1e-10]],
+                         ids=["nan", "inf", "empty", "descending"])
+def test_quantize_delays_applies_the_design_options_rule_to_its_set(levels):
+    cfg = make_config(num_antennas=8, num_ttds=4, num_subcarriers=16, delay_range=8.0)
+    grid = build_grid(cfg)
+    target = behavior1_target(cfg, grid, 0.3, 0.4)
+    bf, _ = design_jpta(cfg, grid, target)
+    with pytest.raises(ValueError) as rule:
+        DesignOptions(discrete_delays=levels)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rule.value))}$"):
+        quantize_delays(cfg, grid, bf, target, np.array(levels))
+
+
 def test_quantized_design_cannot_beat_continuous():
     cfg = make_config(num_antennas=8, num_ttds=4, num_subcarriers=16, delay_range=8.0)
     grid = build_grid(cfg)
@@ -524,6 +538,45 @@ def test_per_line_updates_reject_a_line_number_out_of_range(update, n):
     target = behavior1_target(cfg, grid, 0.3, 0.4)
     with pytest.raises(ValueError, match=f"^delay line number {n} out of range 1..2$"):
         update(cfg, grid, n, target, np.zeros(16))
+
+
+def _dead_line_target(cfg, grid, line):
+    """A behavior-1 target whose columns for delay line ``line`` are all zero."""
+    vectors = behavior1_target(cfg, grid, 0.3, 0.4).vectors.copy()
+    vectors[:, cfg.antenna_line == line - 1] = 0.0
+    return BeamTarget(vectors=vectors, weights=np.ones(cfg.num_subcarriers), power_budget=cfg.total_power)
+
+
+_CFG_8X4 = make_config(num_antennas=8, num_ttds=4, num_subcarriers=16)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg, grid: phase_unwrap([]), "phase sequence must be nonempty"),
+    (lambda cfg, grid: ps_update(cfg, grid, 9, 0.0, behavior1_target(cfg, grid, 0.3, 0.4), np.zeros(16)),
+     "antenna number 9 out of range 1..8"),
+    (lambda cfg, grid: design_jpta(make_config(num_antennas=4, num_subcarriers=16), grid,
+                                   behavior1_target(cfg, grid, 0.3, 0.4)),
+     "target shape (16, 8) does not match (K, M) = (16, 4)"),
+    (lambda cfg, grid: ttd_update_wls(cfg, grid, 1, _dead_line_target(cfg, grid, 1), np.zeros(16)),
+     "all fit weights vanish for delay line 1"),
+    (lambda cfg, grid: design_jpta(cfg, grid, _dead_line_target(cfg, grid, 3), DesignOptions(ttd_update="wls")),
+     "all fit weights vanish for delay line 3"),
+], ids=["unwrap_empty", "ps_antenna", "design_shape", "wls_dead_line", "design_wls_dead_line"])
+def test_design_functions_reject_malformed_inputs(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(_CFG_8X4, build_grid(_CFG_8X4))
+
+
+def test_degenerate_targets_warn_and_default_to_zero():
+    cfg = _CFG_8X4
+    grid = build_grid(cfg)
+    with pytest.warns(UserWarning, match="^degenerate target: phase-shifter sum vanished"):
+        assert ps_update(cfg, grid, 1, 0.0, _dead_line_target(cfg, grid, 1), np.zeros(16)) == 0.0
+    vectors = behavior1_target(cfg, grid, 0.3, 0.4).vectors.copy()
+    vectors[grid.position(0)] = 0.0
+    target = BeamTarget(vectors=vectors, weights=np.ones(16), power_budget=cfg.total_power)
+    with pytest.warns(UserWarning, match="^degenerate target: digital alignment sum vanished"):
+        assert digital_phase_update(cfg, grid, 0, np.zeros(4), np.zeros(8), target) == 0.0
 
 
 def test_the_delay_line_layout_has_one_owner():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from jpta.array_model import build_grid
 from jpta.beam_targets import behavior1_target, behavior2_target
 from jpta.hbf import (
+    HbfBeamformer,
     HbfStructure,
     TargetMatrix,
     altmin_pc,
@@ -263,3 +265,20 @@ def test_orthogonal_column_count_meets_chain_bound():
     b = stack_target(behavior1_target(cfg, grid, theta0, dtheta)).matrix
     r_fc, _ = min_rf_chains(cfg, grid, theta0, dtheta)
     assert orthogonal_column_count(b, 64) >= r_fc
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TargetMatrix(matrix=np.ones(4), power_budget=1.0), "target matrix must be two-dimensional (M, K)"),
+    (lambda: orthogonal_column_count(np.ones((3, 5)), 4), "matrix has 3 rows; expected 4"),
+    (lambda: HbfBeamformer(analog=np.ones((4, 1)), digital=np.array([[1.0, 0.0, 1.0]]),
+                           structure=HbfStructure.FULLY_CONNECTED, n_rf=1, seed=0, residual=0.0,
+                           residual_trace=np.zeros(1)).unit_effective_vectors(),
+     "effective beam vanished on some subcarrier; cannot normalize"),
+], ids=["one_dimensional_target", "row_mismatch", "zero_digital_column"])
+def test_hybrid_inputs_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_orthogonal_column_count_of_one_antenna_is_one():
+    assert orthogonal_column_count(np.exp(1j * np.arange(5.0))[None, :], 1) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jpta.array_model import build_grid, effective_beamformer_matrix
+from jpta.array_model import SystemConfig, build_grid, effective_beamformer_matrix
 from jpta.beam_targets import behavior1_target, behavior2_target
 from jpta.heuristics import heuristic_behavior1, heuristic_behavior2
 from jpta.metrics import fit_objective
@@ -121,6 +121,15 @@ def test_behavior2_antipodal_angles_flagged():
     # the cancelled entry's own phase defaulted to 0, leaving only the delay term
     expected = (2 * np.pi * cfg.carrier_freq * bf.delays[0] + np.pi) % (2 * np.pi) - np.pi
     assert bf.phases[0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_behavior2_antipodal_angles_on_one_antenna_lines_flag_the_delay_probe():
+    cfg = SystemConfig(2, 2, 100e9, 10e9, 8, 4.0)
+    # antenna 1's midpoint entry cancels, and it alone feeds line 1's delay probe
+    with pytest.warns(UserWarning) as record:
+        bf = heuristic_behavior2(cfg, build_grid(cfg), math.pi / 2, 0.0, nonnegative=False)
+    assert "antipodal split angles: delay probe vanished; delay defaults to 0" in [str(w.message) for w in record]
+    assert np.all(np.isfinite(bf.delays))
 
 
 def test_iterative_design_strictly_beats_closed_forms():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,16 @@ def test_fit_report_validation_and_builder():
     with pytest.raises(ValueError):
         FitReport(f_obj=0.5, f_tilde_obj=-0.1, per_subcarrier_match=np.ones(1),
                   convergence_trace=np.array([]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda target: per_subcarrier_match(target, np.ones((16, 7))), "expected beams of shape (16, 8), got (16, 7)"),
+    (lambda target: per_subcarrier_match(target, np.ones((16, 3))), "expected beams of shape (16, 8), got (16, 3)"),
+    (lambda target: FitReport(f_obj=0.5, f_tilde_obj=0.0, per_subcarrier_match=np.array([1.5]),
+                              convergence_trace=np.array([])),
+     "per-subcarrier matches must lie in [0, 1]"),
+], ids=["beams_7", "beams_3", "match_above_one"])
+def test_malformed_beams_and_reports_name_the_fault(call, message):
+    cfg = make_config(num_antennas=8, num_ttds=4, num_subcarriers=16)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(behavior1_target(cfg, build_grid(cfg), 0.3, 0.4))
